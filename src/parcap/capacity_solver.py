@@ -18,12 +18,12 @@ import numpy as np
 
 from . import runtime
 from .energy_kernel import (
-    CAP_PRIME,
     PARABOLIC,
     DiscreteMeasure,
     cap_prime_kernel_batch,
     newtonian_kernel_batch,
     parabolic_kernel_batch,
+    reduced_pair_sum,
 )
 from .quadrature import gauss_legendre
 from .region import RegionError, Thorn, discretize, region_to_dict
@@ -93,19 +93,14 @@ class CapacityResult:
 
 
 def _triangle_chunks(n, target=1_500_000):
-    """Yield (i, j) index arrays covering the strict upper triangle."""
+    """Yield (i, j) index arrays covering the strict upper triangle, row-major,
+    in chunks of whole rows."""
     rows_per_chunk = max(1, target // max(n, 1))
-    i0 = 0
-    while i0 < n:
-        i1 = min(n, i0 + rows_per_chunk)
-        ii, jj = [], []
-        for i in range(i0, i1):
-            ii.append(np.full(n - i - 1, i, dtype=np.int64))
-            jj.append(np.arange(i + 1, n, dtype=np.int64))
-        ii = np.concatenate(ii) if ii else np.empty(0, dtype=np.int64)
-        if ii.size:
-            yield ii, np.concatenate(jj)
-        i0 = i1
+    for i0 in range(0, n - 1, rows_per_chunk):
+        ii, jj = np.triu_indices(min(rows_per_chunk, n - i0), k=1, m=n - i0)
+        ii += i0  # in place: a shifted copy would double the chunk's index memory
+        jj += i0
+        yield ii, jj
 
 
 def _pair_values(kind, times1, coords1, times2, coords2):
@@ -143,7 +138,7 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     _check_kind_cloud(kind, cloud)
     n = cloud.n
     a = np.zeros((n, n))
-    chunks = list(_triangle_chunks(n))
+    chunks = _triangle_chunks(n)  # lazy: serially, only the chunk being filled is alive
 
     def fill(chunk):
         ii, jj = chunk
@@ -155,7 +150,7 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         return ii, jj, vals
 
     workers = runtime.get_threads()
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for ii, jj, vals in pool.map(fill, chunks):
                 a[ii, jj] = vals
@@ -273,8 +268,9 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
                 + gamma ** 2 * float(A[a_idx, a_idx])
             grad *= 1.0 + gamma
             grad -= (2.0 * gamma) * col
-        assert f <= f_prev * (1.0 + 1e-10) + 1e-14, \
-            f"objective increased at iteration {it}: {f_prev} -> {f}"
+        if not f <= f_prev * (1.0 + 1e-10) + 1e-14:
+            raise RuntimeError(
+                f"objective did not decrease at iteration {it}: {f_prev} -> {f}")
         if it % 512 == 0:
             # shed accumulated drift in the incremental updates
             np.maximum(w, 0.0, out=w)
@@ -327,51 +323,24 @@ class DualityReport:
     capacity: float
 
 
-def _pair_integral_fixed_grid(times1, coords1, times2, coords2, order=96):
-    """int_0^{t^t'} of the reduced pair integrand on a fixed per-pair GL grid.
-
-    No endpoint substitution: interior nodes truncate the diagonal
-    singularity, which is exactly the desk-scale smoothing the norm check
-    tolerates.
-    """
-    t1 = np.asarray(times1, dtype=float)[:, None]
-    t2 = np.asarray(times2, dtype=float)[:, None]
-    x1 = np.atleast_2d(coords1)
-    x2 = np.atleast_2d(coords2)
-    d = x1.shape[1]
-    half_d = 0.5 * d
-    xg, wg = gauss_legendre(order)
-    tmin = np.minimum(t1, t2)
-    s = 0.5 * tmin * (xg[None, :] + 1.0)
-    ws = 0.5 * tmin * wg[None, :]
-    a = t1 - s
-    b = t2 - s
-    tot = a + b
-    sq1 = np.sum(x1 * x1, axis=1)[:, None]
-    sq2 = np.sum(x2 * x2, axis=1)[:, None]
-    dot = np.sum(x1 * x2, axis=1)[:, None]
-    dx2 = sq1 - 2 * dot + sq2
-    tau = s + a * b / tot
-    m2 = (b * b * sq1 + 2 * a * b * dot + a * a * sq2) / (tot * tot)
-    log_den = -half_d * np.log(t1 * t2) - sq1 / (2 * t1) - sq2 / (2 * t2)
-    log_val = -half_d * np.log(tot * tau) - dx2 / (2 * tot) - m2 / (2 * tau) - log_den
-    np.clip(log_val, -745.0, None, out=log_val)
-    return np.sum(np.exp(log_val) * ws, axis=1)
-
-
 def verify_duality(result, cloud, matrix=None, support_tol=1e-12):
-    """Equilibrium certificate for a converged parabolic run.
+    """Equilibrium certificate for a converged parabolic run (others raise).
 
     The dual function f*(s, y) = capacity * sum_i w_i p(t_i-s, x_i-y)/p(t_i, x_i)
     has potential capacity * (K w); at the optimum it is ~1 on the support of
     the equilibrium weights and >= 1 - delta everywhere on the cloud. The
     squared norm of f* is recomputed on an independent fixed time grid and
-    compared against capacity (they agree at the continuum optimum).
+    compared against capacity (they agree at the continuum optimum): GL-96 on
+    (0, t^t') per pair, with no endpoint substitution, so interior nodes
+    truncate the diagonal singularity (the desk-scale smoothing the norm
+    check tolerates).
     """
+    prov = result.provenance
+    if prov["kernel"] != "parabolic":
+        raise ValueError(f"duality certificate needs a parabolic result, "
+                         f"got kernel {prov['kernel']!r}")
     if matrix is None:
-        prov = result.provenance
-        kind = PARABOLIC if prov["kernel"] == "parabolic" else CAP_PRIME
-        matrix = assemble_kernel_matrix(cloud, kind,
+        matrix = assemble_kernel_matrix(cloud, PARABOLIC,
                                         diag_samples=prov["diag_samples"],
                                         seed=prov["seed"])
     w = result.equilibrium.weights
@@ -383,8 +352,9 @@ def verify_duality(result, cloud, matrix=None, support_tol=1e-12):
     idx = np.flatnonzero(w > 1e-10)
     ii, jj = np.meshgrid(idx, idx, indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
-    vals = _pair_integral_fixed_grid(cloud.times[ii], cloud.coords[ii],
-                                     cloud.times[jj], cloud.coords[jj])
+    xg, wg = gauss_legendre(96)
+    vals = reduced_pair_sum(cloud.times[ii], cloud.coords[ii], cloud.times[jj],
+                            cloud.coords[jj], 0.5 * (1.0 - xg), 0.5 * wg)
     norm_sq = result.capacity ** 2 * float(np.sum(w[ii] * w[jj] * vals))
     return DualityReport(min_potential, min_potential_all,
                          norm_sq / result.capacity, result.capacity)

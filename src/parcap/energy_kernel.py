@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heat_kernel import (
+    LOG_FLOOR,
     SpaceTimePoint,
     bridge_weight_batch,
     heat_density,
@@ -42,6 +43,8 @@ __all__ = [
     "DiscreteMeasure",
     "mutual_kernel",
     "mutual_kernel_bruteforce",
+    "reduced_log_coefs",
+    "reduced_pair_sum",
     "cap_prime_kernel",
     "cap_prime_bruteforce",
     "newtonian_kernel",
@@ -140,20 +143,75 @@ def _as_point(z):
 
 # --- parabolic kernel ---------------------------------------------------------
 
-def _parabolic_integrand(u, t1, x1, t2, x2, log_den):
-    """Integrand after the s = t^t' - u^2 substitution, vectorized in u."""
-    d = x1.size
-    tmin = min(t1, t2)
-    s = tmin - u * u
+def reduced_log_coefs(t1, t2, s, d):
+    """(A, E, B, C) with log of the reduced parabolic integrand at time s equal
+    to A + E |x1-x2|^2 + (B |x1|^2 + C |x2|^2), for every x1, x2.
+
+    The integrand is p(t1+t2-2s, x1-x2) p(s+sig, m) / (p(t1, x1) p(t2, x2)),
+    sig and m the bridge variance and mean. In this basis B and C stay bounded
+    as s -> t1^t2, so no large terms cancel. Broadcasts; needs s < t1^t2.
+    """
     a = t1 - s
     b = t2 - s
     tot = a + b
+    tau = s + a * b / tot
+    h = 0.5 / (tau * tot)
+    return (0.5 * d * np.log(t1 * t2 / (tot * tau)), (a * b * h - 0.5) / tot,
+            0.5 / t1 - b * h, 0.5 / t2 - a * h)
+
+
+def _table_exp_sum(key, feats, tables, width, block):
+    """Per pair p: sum_k exp(max(A[g, k] + sum_f T_f[g, k] feats[p, f], LOG_FLOOR)).
+
+    g indexes the pair's key among the distinct keys of its block, and
+    ``tables(distinct_keys)`` returns (A, T_1, ..), each (groups, width).
+    Per-block grouping keeps tables few where nearby pairs share keys and the
+    working set in cache. The floor keeps every exp clear of subnormals; a
+    floored node adds e^LOG_FLOOR.
+    """
+    n = key.shape[0]
+    out = np.empty(n)
+    # buffers reused across blocks: fresh large temporaries cost page faults
+    log_buf = np.empty((min(block, n), width))
+    tmp_buf = np.empty_like(log_buf)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        uniq, inv = np.unique(key[lo:hi], return_inverse=True)
+        A, *coefs = tables(uniq)
+        log_val, tmp = log_buf[:hi - lo], tmp_buf[:hi - lo]
+        np.take(A, inv, axis=0, out=log_val, mode="clip")
+        for coef, f in zip(coefs, feats[lo:hi].T):
+            np.take(coef, inv, axis=0, out=tmp, mode="clip")
+            tmp *= f[:, None]
+            log_val += tmp
+        np.maximum(log_val, LOG_FLOOR, out=log_val)
+        np.exp(log_val, out=log_val).sum(axis=1, out=out[lo:hi])
+    return out
+
+
+def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
+    """Per pair: sum_k tmin omega_k * reduced integrand at s = tmin - tmin rho_k.
+
+    tmin = t1^t2 and (rho, omega) is the caller's rule in units of tmin,
+    with any endpoint substitution folded into omega. One coefficient table
+    per distinct (t1, t2) in a block, log(tmin omega) folded into A.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     dx = x1 - x2
-    log_c = log_heat_density(tot, dx @ dx, d)
-    sig = a * b / tot
-    m = (np.outer(b, x1) + np.outer(a, x2)) / tot[:, None]
-    log_p2 = log_heat_density(s + sig, np.sum(m * m, axis=1), d)
-    return 2.0 * u * _exp_floor(log_c + log_p2 - log_den)
+    feats = np.stack([np.sum(dx * dx, axis=1), np.sum(x1 * x1, axis=1),
+                      np.sum(x2 * x2, axis=1)], axis=1)
+
+    def tables(tt):
+        T1, T2 = tt.real[:, None], tt.imag[:, None]
+        tmin = np.minimum(T1, T2)
+        A, E, B, C = reduced_log_coefs(T1, T2, tmin - tmin * rho, x1.shape[1])
+        return A + np.log(tmin * omega), E, B, C
+
+    # (t1, t2) packed into one complex key, so np.unique groups by a 1-D sort
+    return _table_exp_sum(t1 + 1j * t2, feats, tables, rho.size, block)
 
 
 def mutual_kernel(z, z2, rel_tol=1e-9):
@@ -170,61 +228,31 @@ def mutual_kernel(z, z2, rel_tol=1e-9):
         return math.inf
     t1, x1 = z.t, z.x_arr
     t2, x2 = z2.t, z2.x_arr
-    log_den = (log_heat_density(t1, x1 @ x1, z.d)
-               + log_heat_density(t2, x2 @ x2, z.d))
-    u_max = math.sqrt(min(t1, t2))
+    dx = x1 - x2
+    tmin = min(t1, t2)
 
     def f(u):
-        return _parabolic_integrand(np.asarray(u, dtype=float), t1, x1, t2, x2,
-                                    float(log_den))
+        u = np.asarray(u, dtype=float)
+        A, E, B, C = reduced_log_coefs(t1, t2, tmin - u * u, z.d)
+        return 2.0 * u * _exp_floor(A + E * (dx @ dx) + (B * (x1 @ x1) + C * (x2 @ x2)))
 
-    return adaptive_gauss_kronrod(f, 0.0, u_max, rel_tol=rel_tol)
+    return adaptive_gauss_kronrod(f, 0.0, math.sqrt(tmin), rel_tol=rel_tol)
 
 
 _BATCH_UNIT_NODES, _BATCH_UNIT_WEIGHTS = panel_rule(
     geometric_edges(0.0, 1.0, 13, ratio=0.5), order=8)
 
 
-def parabolic_kernel_batch(t1, x1, t2, x2, block=8192):
+def parabolic_kernel_batch(t1, x1, t2, x2, block=1024):
     """Vectorized K over aligned pair arrays; fixed composite rule.
 
     Same integrand as :func:`mutual_kernel` on a panel grid clustered toward
     the endpoint; agreement with the adaptive scalar path is pinned by tests.
-    All intermediate times are strictly positive, so the log-space math is
-    inlined without the nonpositive-time masking of the scalar path.
+    After the u = sqrt(t^t' - s) substitution, nodes sit at
+    s = tmin - tmin u0^2 with weights 2 tmin u0 w0 for unit nodes (u0, w0).
     """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    d = x1.shape[1]
-    half_d = 0.5 * d  # the (2 pi)^{-d} factors cancel against the denominator
-    out = np.empty(t1.shape[0])
-    u0 = _BATCH_UNIT_NODES[None, :]
-    w0 = _BATCH_UNIT_WEIGHTS[None, :]
-    for lo in range(0, t1.shape[0], block):
-        hi = min(lo + block, t1.shape[0])
-        T1, T2 = t1[lo:hi, None], t2[lo:hi, None]
-        X1, X2 = x1[lo:hi], x2[lo:hi]
-        tmin = np.minimum(T1, T2)
-        root = np.sqrt(tmin)
-        u2 = u0 * u0 * tmin  # u^2 for the scaled nodes
-        s = tmin - u2
-        a = T1 - s
-        b = T2 - s
-        tot = a + b
-        sq1 = np.sum(X1 * X1, axis=1)[:, None]
-        sq2 = np.sum(X2 * X2, axis=1)[:, None]
-        dot = np.sum(X1 * X2, axis=1)[:, None]
-        dx2 = sq1 - 2.0 * dot + sq2
-        tau = s + a * b / tot
-        m2 = (b * b * sq1 + 2.0 * a * b * dot + a * a * sq2) / (tot * tot)
-        log_den = (-half_d * np.log(T1 * T2) - sq1 / (2.0 * T1) - sq2 / (2.0 * T2))
-        log_val = (-half_d * np.log(tot * tau)
-                   - dx2 / (2.0 * tot) - m2 / (2.0 * tau) - log_den)
-        np.clip(log_val, -745.0, None, out=log_val)
-        out[lo:hi] = 2.0 * np.sum(root * u0 * np.exp(log_val) * (root * w0), axis=1)
-    return out
+    return reduced_pair_sum(t1, x1, t2, x2, _BATCH_UNIT_NODES * _BATCH_UNIT_NODES,
+                            2.0 * _BATCH_UNIT_NODES * _BATCH_UNIT_WEIGHTS, block)
 
 
 def mutual_kernel_bruteforce(z, z2, n_s=160, n_y=64):
@@ -300,27 +328,22 @@ _CP_UNIT_NODES, _CP_UNIT_WEIGHTS = panel_rule(
     geometric_edges(0.0, math.sqrt(_CAP_PRIME_SPAN), 24, ratio=0.55), order=12)
 
 
-def cap_prime_kernel_batch(t1, x1, t2, x2, block=8192):
-    """Vectorized K' over aligned pair arrays (fixed composite rule)."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    d = x1.shape[1]
-    half_d = 0.5 * d
-    log2pi = math.log(2.0 * math.pi)
-    out = np.empty(t1.shape[0])
-    wn = _CP_UNIT_NODES[None, :]
-    ww = _CP_UNIT_WEIGHTS[None, :]
-    for lo in range(0, t1.shape[0], block):
-        hi = min(lo + block, t1.shape[0])
-        u0 = np.abs(t1[lo:hi] - t2[lo:hi])[:, None]
-        sq = np.sum((x1[lo:hi] - x2[lo:hi]) ** 2, axis=1)[:, None]
-        u = u0 + wn * wn
-        log_val = -half_d * (np.log(u) + log2pi) - sq / (2.0 * u) - 0.5 * u
-        np.clip(log_val, -745.0, None, out=log_val)
-        out[lo:hi] = np.sum(wn * np.exp(log_val) * ww, axis=1)
-    return out
+def cap_prime_kernel_batch(t1, x1, t2, x2, block=1024):
+    """Vectorized K' over aligned pair arrays (fixed composite rule).
+
+    The log integrand at u = |t-t'| + w^2 is affine in |x-x'|^2, with
+    coefficient tables per distinct |t-t'| in a block.
+    """
+    dx = np.atleast_2d(np.asarray(x1, dtype=float)) - np.atleast_2d(x2)
+    gap = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
+
+    def tables(g):
+        u = g[:, None] + _CP_UNIT_NODES * _CP_UNIT_NODES
+        return (np.log(_CP_UNIT_NODES * _CP_UNIT_WEIGHTS) - 0.5 * u
+                - 0.5 * dx.shape[1] * np.log(2.0 * math.pi * u), -0.5 / u)
+
+    return _table_exp_sum(gap, np.sum(dx * dx, axis=1)[:, None], tables,
+                          _CP_UNIT_NODES.size, block)
 
 
 def cap_prime_bruteforce(z, z2, n_s=240, n_y=64, span=160.0):

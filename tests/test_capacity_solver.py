@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from parcap.capacity_solver import (
+    CapacityResult,
+    _triangle_chunks,
     assemble_kernel_matrix,
     capacity,
     capacity_growth_profile,
@@ -13,12 +15,17 @@ from parcap.capacity_solver import (
     verify_duality,
 )
 from parcap.energy_kernel import (
+    CAP_PRIME,
     PARABOLIC,
+    DiscreteMeasure,
     mutual_kernel,
     newtonian,
     newtonian_kernel,
 )
+from parcap.heat_kernel import log_heat_density
+from parcap.quadrature import gauss_legendre
 from parcap.region import (
+    SpaceTimeBox,
     SpatialBall,
     Thorn,
     TimeSliceBall,
@@ -239,3 +246,73 @@ def test_translation_leaving_domain_raises():
     with pytest.raises(Exception):
         translation_noninvariance_demo(reg, (-1.0, [0.0, 0.0]), PARABOLIC,
                                        0.1, seed=5)
+
+
+def test_triangle_chunks_match_row_loop():
+    # same pairs, order and chunk boundaries as a per-row loop over whole rows
+    for n in (0, 1, 2, 5, 37):
+        for target in (1, 7, 40, 1_500_000):
+            rows = max(1, target // max(n, 1))
+            ref = []
+            for i0 in range(0, n, rows):
+                pairs = [(i, j) for i in range(i0, min(n, i0 + rows))
+                         for j in range(i + 1, n)]
+                if pairs:
+                    ref.append(pairs)
+            got = [list(zip(ii.tolist(), jj.tolist()))
+                   for ii, jj in _triangle_chunks(n, target)]
+            assert got == ref
+
+
+def test_minimize_raises_when_objective_fails_to_decrease():
+    # a NaN entry makes the step's objective NaN, which the monotonicity
+    # check must reject as an explicit error (it survives python -O)
+    with pytest.raises(RuntimeError, match="did not decrease"):
+        minimize_energy(np.array([[1.0, np.nan], [np.nan, 2.0]]), tol=1e-8)
+
+
+@pytest.mark.parametrize("region, kind", [
+    (TimeSliceBall(1.0, (0.0, 0.0), 0.45), CAP_PRIME),
+    (SpatialBall((0.0, 0.0, 0.0), 0.5), newtonian(3)),
+], ids=["cap_prime", "newtonian"])
+def test_duality_rejects_non_parabolic_results(region, kind):
+    cloud = discretize(region, 0.4)
+    res = capacity_on_cloud(cloud, kind, tol=1e-6, seed=2, diag_samples=16)
+    with pytest.raises(ValueError, match="parabolic"):
+        verify_duality(res, cloud)
+
+
+def _direct_gl96_pair_integral(t1, x1, t2, x2):
+    """One pair at a time: GL-96 on (0, t^t') of the reduced integrand."""
+    xg, wg = gauss_legendre(96)
+    tmin = min(t1, t2)
+    s = 0.5 * tmin * (xg + 1.0)
+    a, b = t1 - s, t2 - s
+    tau = s + a * b / (a + b)
+    m = (np.outer(b, x1) + np.outer(a, x2)) / (a + b)[:, None]
+    d = x1.size
+    log_f = (log_heat_density(a + b, (x1 - x2) @ (x1 - x2), d)
+             + log_heat_density(tau, np.sum(m * m, axis=1), d)
+             - log_heat_density(t1, x1 @ x1, d) - log_heat_density(t2, x2 @ x2, d))
+    return float(np.sum(0.5 * tmin * wg * np.exp(log_f)))
+
+
+@pytest.mark.parametrize("region, pitch", [
+    (TimeSliceBall(1.0, (0.0, 0.0), 0.7), 0.1),
+    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1),
+], ids=["slice", "box"])
+def test_certificate_integral_matches_direct_gl96(region, pitch):
+    # uniform weights on 40 sampled cells: 1600 ordered pairs, diagonal
+    # included, span two blocks of the certificate's all-pairs quadrature
+    cloud = discretize(region, pitch)
+    idx = np.random.default_rng(5).choice(cloud.n, size=40, replace=False)
+    w = np.zeros(cloud.n)
+    w[idx] = 1.0 / idx.size
+    km = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=5)
+    res = CapacityResult(2.0, 0.5, DiscreteMeasure(cloud.times, cloud.coords, w),
+                         0.0, 0, True, 1e-6, km.provenance)
+    rep = verify_duality(res, cloud, matrix=km)
+    norm_sq = sum(w[i] * w[j] * _direct_gl96_pair_integral(
+        cloud.times[i], cloud.coords[i], cloud.times[j], cloud.coords[j])
+        for i in idx for j in idx)
+    assert rep.norm_sq_ratio == pytest.approx(res.capacity * norm_sq, rel=1e-12)

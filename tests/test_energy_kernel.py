@@ -237,3 +237,29 @@ def test_uniform_measure_energy_bracket():
                    for i, j in zip(iu, ju)])
     ratio = kp.sum() / kn.sum()
     assert 2.0 <= ratio <= 5.0
+
+
+def test_batch_tables_match_pairwise_evaluation():
+    # Time pairs repeat within and across blocks and interleave with unique
+    # ones, so a table wired to the wrong group shows up against the
+    # one-pair-at-a-time values. The far pairs put most nodes at the log floor.
+    rng = np.random.default_rng(71)
+    n = 400
+    levels = np.array([0.4, 0.75, 1.0, 1.3])
+    t1 = rng.choice(levels, n)
+    t2 = rng.choice(levels, n)
+    fresh = rng.random(n) < 0.3
+    t1[fresh] = rng.uniform(0.3, 2.0, fresh.sum())
+    x1 = rng.uniform(-1.0, 1.0, (n, 2))
+    x2 = x1 + rng.uniform(0.05, 0.8, (n, 2)) * rng.choice([-1, 1], (n, 2))
+    far = np.arange(n) % 7 == 0
+    t2[far] = t1[far]
+    for batch, far_gap in ((parabolic_kernel_batch, 3.0), (cap_prime_kernel_batch, 40.0)):
+        x2f = x2.copy()
+        x2f[far] = x1[far] + far_gap
+        one = np.array([batch(t1[i:i + 1], x1[i:i + 1], t2[i:i + 1], x2f[i:i + 1])[0]
+                        for i in range(n)])
+        assert np.all(one > 0.0)
+        for block in (64, 1024):
+            vals = batch(t1, x1, t2, x2f, block=block)
+            assert vals == pytest.approx(one, rel=1e-12, abs=0.0)

@@ -27,7 +27,6 @@ from . import __version__, runtime
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import CAP_PRIME, PARABOLIC, newtonian
 from .region import RegionError, SliceOf, Thorn, region_from_dict
-from .region import _bounds as _region_bounds
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
@@ -220,7 +219,7 @@ def cmd_prop51(cfg, seed, out):
             base = region_from_dict(_require(entry, "region"))
             if getattr(base, "spacetime", False) or base.d != d:
                 raise ConfigError(f"set {rid!r} must be spatial of dimension {d}")
-            lo, hi = _region_bounds(base)
+            lo, hi = base.bounds()
             if max(np.max(np.abs(lo)), np.max(np.abs(hi))) > 1.0 + 1e-12:
                 raise ConfigError(f"set {rid!r} must lie inside the unit ball")
             cap_n = capacity(base, newtonian(d), resolution,

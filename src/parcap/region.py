@@ -2,7 +2,13 @@
 
 Regions come in two families. Space-time variants live in E = (0, inf) x R^d
 and their points are rows (t, x_1, .., x_d); spatial variants live in R^d.
-Every region has a canonical JSON encoding {"kind": ..., parameters...}.
+Each region class carries its own geometry: membership on validated points
+(``mask``), an axis-aligned bounding box in ambient coordinates (``bounds``),
+its canonical JSON encoding {"kind": ..., parameters...} (``to_dict``) and
+its time-slice decomposition (``slices``). Spatial regions add ``distance``
+and an exact straight-segment test (``segment_hits``); space-time regions add
+the graph detector's segment test (``graph_segment_hits``). The module
+functions validate their input and call these methods.
 """
 
 from __future__ import annotations
@@ -52,34 +58,35 @@ def thorn_profile(name, param):
     raise RegionError(f"unknown thorn profile {name!r}")
 
 
+class Region:
+    """Base of every region: spatial and full-dimensional by default."""
+
+    spacetime = False
+
+    def slices(self):
+        """(t0, spatial base) pairs, one per distinct slice time, if the set is
+        a finite union of time slices; None for full-dimensional sets."""
+        return None
+
+    def graph_segment_hits(self, ta, tb, pa, pb):
+        """Detector test for segments (ta, pa) -> (tb, pb) against a
+        full-dimensional space-time set: endpoint membership at the
+        reporting pitch."""
+        return bool(np.any(self.mask(np.column_stack([tb, pb]))))
+
+
+def _segment_min_dist(center, p0, p1):
+    """Distance from center to the nearest point of each segment p0 -> p1."""
+    c = np.asarray(center)
+    q = p1 - p0
+    qq = np.sum(q * q, axis=1)
+    tstar = np.clip(np.sum((c - p0) * q, axis=1) / np.maximum(qq, 1e-300), 0.0, 1.0)
+    return np.linalg.norm(p0 + tstar[:, None] * q - c, axis=1)
+
+
 @dataclass(frozen=True)
-class TimeSliceBall:
-    """{t0} x B(center, radius); the slice time is exact, not a slab."""
-
-    t0: float
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.t0 <= 0:
-            raise RegionError("slice time must be positive")
-        if self.radius <= 0:
-            raise RegionError("radius must be positive")
-
-    spacetime = True
-
-    @property
-    def d(self):
-        return len(self.center)
-
-    def spatial_ball(self):
-        return SpatialBall(self.center, self.radius)
-
-
-@dataclass(frozen=True)
-class SliceOf:
-    """{t0} x base for an arbitrary spatial base region."""
+class SliceOf(Region):
+    """{t0} x base for a spatial base region; the slice time is exact, not a slab."""
 
     t0: float
     base: object
@@ -96,9 +103,50 @@ class SliceOf:
     def d(self):
         return self.base.d
 
+    def mask(self, pts, slab_eps=SLAB_EPS):
+        return (np.abs(pts[:, 0] - self.t0) <= slab_eps) & self.base.mask(pts[:, 1:])
+
+    def bounds(self):
+        lo, hi = self.base.bounds()
+        return np.concatenate([[self.t0], lo]), np.concatenate([[self.t0], hi])
+
+    def to_dict(self):
+        return {"kind": "slice_of", "t0": self.t0, "base": self.base.to_dict()}
+
+    def slices(self):
+        return [(self.t0, self.base)]
+
+    def graph_segment_hits(self, ta, tb, pa, pb):
+        """Linear interpolation of each segment at its slice crossing."""
+        cross = (ta - self.t0) * (tb - self.t0) <= 0.0
+        if not np.any(cross):
+            return False
+        frac = (self.t0 - ta[cross]) / np.maximum(tb[cross] - ta[cross], 1e-300)
+        y = pa[cross] + frac[:, None] * (pb[cross] - pa[cross])
+        return bool(np.any(self.base.mask(y)))
+
+
+class TimeSliceBall(SliceOf):
+    """{t0} x B(center, radius): ``SliceOf`` a ball, under its own JSON kind."""
+
+    def __init__(self, t0, center, radius):
+        super().__init__(t0, SpatialBall(center, radius))
+
+    @property
+    def center(self):
+        return self.base.center
+
+    @property
+    def radius(self):
+        return self.base.radius
+
+    def to_dict(self):
+        return {"kind": "time_slice_ball", "t0": self.t0,
+                "center": list(self.center), "radius": self.radius}
+
 
 @dataclass(frozen=True)
-class SpaceTimeBox:
+class SpaceTimeBox(Region):
     t_lo: float
     t_hi: float
     corner_lo: tuple
@@ -120,9 +168,23 @@ class SpaceTimeBox:
     def d(self):
         return len(self.corner_lo)
 
+    def mask(self, pts, slab_eps=SLAB_EPS):
+        t, x = pts[:, 0], pts[:, 1:]
+        return ((t > self.t_lo) & (t < self.t_hi)
+                & np.all(x > np.asarray(self.corner_lo), axis=1)
+                & np.all(x < np.asarray(self.corner_hi), axis=1))
+
+    def bounds(self):
+        return (np.concatenate([[self.t_lo], self.corner_lo]),
+                np.concatenate([[self.t_hi], self.corner_hi]))
+
+    def to_dict(self):
+        return {"kind": "box", "t_lo": self.t_lo, "t_hi": self.t_hi,
+                "corner_lo": list(self.corner_lo), "corner_hi": list(self.corner_hi)}
+
 
 @dataclass(frozen=True)
-class Thorn:
+class Thorn(Region):
     """{(s, y): t_lo < s < t_hi, |y| < sqrt(s) h(s)} for a named profile h."""
 
     profile: str
@@ -147,9 +209,25 @@ class Thorn:
         s = np.linspace(max(self.t_lo, 1e-12), self.t_hi, 1025)
         return float(np.max(np.sqrt(s) * self.h(s)))
 
+    def mask(self, pts, slab_eps=SLAB_EPS):
+        t, x = pts[:, 0], pts[:, 1:]
+        ok = (t > self.t_lo) & (t < self.t_hi)
+        lim = np.zeros_like(t)
+        lim[ok] = np.sqrt(t[ok]) * self.h(t[ok])
+        return ok & (np.linalg.norm(x, axis=1) < lim)
+
+    def bounds(self):
+        r = self.max_radius()
+        return (np.concatenate([[self.t_lo], -r * np.ones(self.d)]),
+                np.concatenate([[self.t_hi], r * np.ones(self.d)]))
+
+    def to_dict(self):
+        return {"kind": "thorn", "profile": self.profile, "param": self.param,
+                "t_lo": self.t_lo, "t_hi": self.t_hi, "d": self.d}
+
 
 @dataclass(frozen=True)
-class SpatialBall:
+class SpatialBall(Region):
     center: tuple
     radius: float
 
@@ -158,15 +236,30 @@ class SpatialBall:
         if self.radius <= 0:
             raise RegionError("radius must be positive")
 
-    spacetime = False
-
     @property
     def d(self):
         return len(self.center)
 
+    def mask(self, pts, slab_eps=SLAB_EPS):
+        return np.linalg.norm(pts - np.asarray(self.center), axis=1) < self.radius
+
+    def bounds(self):
+        c = np.asarray(self.center)
+        return c - self.radius, c + self.radius
+
+    def to_dict(self):
+        return {"kind": "ball", "center": list(self.center), "radius": self.radius}
+
+    def distance(self, pos):
+        r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
+        return np.maximum(r - self.radius, 0.0)
+
+    def segment_hits(self, p0, p1):
+        return _segment_min_dist(self.center, p0, p1) < self.radius
+
 
 @dataclass(frozen=True)
-class SpatialAnnulus:
+class SpatialAnnulus(Region):
     center: tuple
     r_in: float
     r_out: float
@@ -176,15 +269,38 @@ class SpatialAnnulus:
         if not 0 < self.r_in < self.r_out:
             raise RegionError("need 0 < r_in < r_out")
 
-    spacetime = False
-
     @property
     def d(self):
         return len(self.center)
 
+    def mask(self, pts, slab_eps=SLAB_EPS):
+        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        return (r > self.r_in) & (r < self.r_out)
+
+    def bounds(self):
+        c = np.asarray(self.center)
+        return c - self.r_out, c + self.r_out
+
+    def to_dict(self):
+        return {"kind": "annulus", "center": list(self.center),
+                "r_in": self.r_in, "r_out": self.r_out}
+
+    def distance(self, pos):
+        r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
+        return np.maximum(np.maximum(self.r_in - r, r - self.r_out), 0.0)
+
+    def segment_hits(self, p0, p1):
+        """The segment meets the radial band: it comes inside r_out and
+        one of its endpoints lies beyond r_in."""
+        c = np.asarray(self.center)
+        dmax = np.maximum(np.linalg.norm(p0 - c, axis=1), np.linalg.norm(p1 - c, axis=1))
+        return (_segment_min_dist(c, p0, p1) < self.r_out) & (dmax > self.r_in)
+
 
 @dataclass(frozen=True)
-class RegionUnion:
+class RegionUnion(Region):
+    """Finite union; every geometric method delegates to the members."""
+
     members: tuple
 
     def __post_init__(self):
@@ -205,10 +321,44 @@ class RegionUnion:
     def d(self):
         return self.members[0].d
 
+    def mask(self, pts, slab_eps=SLAB_EPS):
+        return np.any([m.mask(pts, slab_eps) for m in self.members], axis=0)
 
-def _split_spacetime(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return pts[:, 0], pts[:, 1:]
+    def bounds(self):
+        parts = [m.bounds() for m in self.members]
+        return (np.min([lo for lo, _ in parts], axis=0),
+                np.max([hi for _, hi in parts], axis=0))
+
+    def to_dict(self):
+        return {"kind": "union", "members": [m.to_dict() for m in self.members]}
+
+    def slices(self):
+        """Member slices grouped by slice time, bases of one time unioned.
+
+        Raises RegionError when slices are mixed with full-dimensional
+        members: the two kinds of cell have different volumes.
+        """
+        parts = [m.slices() for m in self.members]
+        if all(p is None for p in parts):
+            return None
+        if any(p is None for p in parts):
+            raise RegionError("union mixes time slices with full-dimensional members, "
+                              "whose grid cells have different volumes")
+        bases = {}
+        for p in parts:
+            for t0, base in p:
+                bases.setdefault(t0, []).append(base)
+        return [(t0, b[0] if len(b) == 1 else RegionUnion(tuple(b)))
+                for t0, b in bases.items()]
+
+    def distance(self, pos):
+        return np.min([m.distance(pos) for m in self.members], axis=0)
+
+    def segment_hits(self, p0, p1):
+        return np.any([m.segment_hits(p0, p1) for m in self.members], axis=0)
+
+    def graph_segment_hits(self, ta, tb, pa, pb):
+        return any(m.graph_segment_hits(ta, tb, pa, pb) for m in self.members)
 
 
 def contains(region, points, slab_eps=SLAB_EPS):
@@ -222,73 +372,8 @@ def contains(region, points, slab_eps=SLAB_EPS):
     want = (region.d + 1) if region.spacetime else region.d
     if pts.shape[1] != want:
         raise RegionError(f"point dimension {pts.shape[1]} != expected {want}")
-    out = _contains(region, pts, slab_eps)
+    out = region.mask(pts, slab_eps)
     return bool(out[0]) if scalar else out
-
-
-def _contains(region, pts, slab_eps):
-    if isinstance(region, TimeSliceBall):
-        t, x = pts[:, 0], pts[:, 1:]
-        r = np.linalg.norm(x - np.asarray(region.center), axis=1)
-        return (np.abs(t - region.t0) <= slab_eps) & (r < region.radius)
-    if isinstance(region, SliceOf):
-        t, x = pts[:, 0], pts[:, 1:]
-        return (np.abs(t - region.t0) <= slab_eps) & _contains(region.base, x, slab_eps)
-    if isinstance(region, SpaceTimeBox):
-        t, x = pts[:, 0], pts[:, 1:]
-        ok = (t > region.t_lo) & (t < region.t_hi)
-        lo = np.asarray(region.corner_lo)
-        hi = np.asarray(region.corner_hi)
-        return ok & np.all(x > lo, axis=1) & np.all(x < hi, axis=1)
-    if isinstance(region, Thorn):
-        t, x = pts[:, 0], pts[:, 1:]
-        ok = (t > region.t_lo) & (t < region.t_hi)
-        r = np.linalg.norm(x, axis=1)
-        lim = np.zeros_like(t)
-        lim[ok] = np.sqrt(t[ok]) * region.h(t[ok])
-        return ok & (r < lim)
-    if isinstance(region, SpatialBall):
-        r = np.linalg.norm(pts - np.asarray(region.center), axis=1)
-        return r < region.radius
-    if isinstance(region, SpatialAnnulus):
-        r = np.linalg.norm(pts - np.asarray(region.center), axis=1)
-        return (r > region.r_in) & (r < region.r_out)
-    if isinstance(region, RegionUnion):
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for m in region.members:
-            out |= _contains(m, pts, slab_eps)
-        return out
-    raise RegionError(f"unknown region type {type(region).__name__}")
-
-
-def _bounds(region):
-    """Axis-aligned bounding box as (lo, hi) arrays in ambient coordinates."""
-    if isinstance(region, TimeSliceBall):
-        c = np.asarray(region.center)
-        return c - region.radius, c + region.radius
-    if isinstance(region, SliceOf):
-        return _bounds(region.base)
-    if isinstance(region, SpaceTimeBox):
-        lo = np.concatenate([[region.t_lo], region.corner_lo])
-        hi = np.concatenate([[region.t_hi], region.corner_hi])
-        return lo, hi
-    if isinstance(region, Thorn):
-        r = region.max_radius()
-        lo = np.concatenate([[region.t_lo], -r * np.ones(region.d)])
-        hi = np.concatenate([[region.t_hi], r * np.ones(region.d)])
-        return lo, hi
-    if isinstance(region, SpatialBall):
-        c = np.asarray(region.center)
-        return c - region.radius, c + region.radius
-    if isinstance(region, SpatialAnnulus):
-        c = np.asarray(region.center)
-        return c - region.r_out, c + region.r_out
-    if isinstance(region, RegionUnion):
-        parts = [_bounds(m) for m in region.members]
-        lo = np.min([p[0] for p in parts], axis=0)
-        hi = np.max([p[1] for p in parts], axis=0)
-        return lo, hi
-    raise RegionError(f"unknown region type {type(region).__name__}")
 
 
 @dataclass(frozen=True)
@@ -316,7 +401,7 @@ class CellCloud:
 
     @property
     def is_slice(self):
-        return _is_slice_region(self.parent)
+        return self.parent.slices() is not None
 
     def volumes(self):
         return np.full(self.n, self.volume)
@@ -339,52 +424,26 @@ def _axis_centers(lo, hi, res):
     return lo + (np.arange(n) + 0.5) * res
 
 
-def _is_slice_region(region):
-    if isinstance(region, (TimeSliceBall, SliceOf)):
-        return True
-    return (isinstance(region, RegionUnion) and region.spacetime
-            and all(_is_slice_region(m) for m in region.members))
-
-
-def _slice_spatial(region):
-    """(t0, spatial base) of a slice region; unions must share one t0."""
-    if isinstance(region, TimeSliceBall):
-        return region.t0, region.spatial_ball()
-    if isinstance(region, SliceOf):
-        return region.t0, region.base
-    parts = [_slice_spatial(m) for m in region.members]
-    times = {t for t, _ in parts}
-    if len(times) != 1:
-        raise RegionError("slice union members must share the slice time")
-    return times.pop(), RegionUnion(tuple(b for _, b in parts))
-
-
 def discretize(region, resolution):
-    """Axis-aligned grid of pitch ``resolution`` clipped by cell-center membership."""
+    """Axis-aligned grid of pitch ``resolution`` clipped by cell-center membership.
+
+    Time slices grid their spatial base: one grid per distinct slice time,
+    so members of a union that share a time share a grid and its cells.
+    """
     if resolution <= 0:
         raise RegionError("resolution must be positive")
 
-    if getattr(region, "spacetime", False) and _is_slice_region(region):
-        # slice: grid the spatial base only, record the slice time per member
-        if isinstance(region, RegionUnion):
-            subs = [discretize(m, resolution) for m in region.members]
-            coords = np.concatenate([c.coords for c in subs])
-            times = np.concatenate([c.times for c in subs])
-        else:
-            t0, base = _slice_spatial(region)
-            spatial = discretize(base, resolution)
-            coords = spatial.coords
-            times = np.full(coords.shape[0], t0)
-        if coords.shape[0] == 0:
-            raise RegionError("empty discretization")
-        return CellCloud(region, resolution, coords, times,
-                         resolution ** region.d)
+    slices = region.slices()
+    if slices is not None:
+        clouds = [(t0, discretize(base, resolution)) for t0, base in slices]
+        coords = np.concatenate([c.coords for _, c in clouds])
+        times = np.concatenate([np.full(c.n, t0) for t0, c in clouds])
+        return CellCloud(region, resolution, coords, times, resolution ** region.d)
 
-    lo, hi = _bounds(region)
+    lo, hi = region.bounds()
     axes = [_axis_centers(lo[i], hi[i], resolution) for i in range(lo.size)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lo.size)
-    keep = contains(region, mesh)
-    cells = mesh[keep]
+    cells = mesh[region.mask(mesh)]
     if cells.shape[0] == 0:
         raise RegionError("empty discretization")
     if region.spacetime:
@@ -396,15 +455,17 @@ def discretize(region, resolution):
 def sample_uniform(region, n, seed):
     """n i.i.d. uniform points by rejection from the bounding box.
 
-    TimeSliceBall is sampled in its spatial ball. Deterministic per seed;
-    aborts if the acceptance rate falls below 1e-4.
+    Time slices are sampled in their spatial base (the union of the bases
+    for a union of slices), which needs a single slice time. Deterministic
+    per seed; aborts if the acceptance rate falls below 1e-4.
     """
-    if isinstance(region, TimeSliceBall):
-        region = region.spatial_ball()
-    elif isinstance(region, SliceOf):
-        region = region.base
+    slices = region.slices()
+    if slices is not None:
+        if len(slices) != 1:
+            raise RegionError("sampling a union of slices needs one common slice time")
+        region = slices[0][1]
     rng = np.random.default_rng(seed)
-    lo, hi = _bounds(region)
+    lo, hi = region.bounds()
     dim = lo.size
     out = np.empty((0, dim))
     if n == 0:
@@ -413,7 +474,7 @@ def sample_uniform(region, n, seed):
     while out.shape[0] < n:
         chunk = max(4 * (n - out.shape[0]), 256)
         pts = rng.uniform(lo, hi, size=(chunk, dim))
-        acc = pts[contains(region, pts)]
+        acc = pts[region.mask(pts)]
         out = np.concatenate([out, acc])
         proposed += chunk
         if proposed >= 1_000_000 and out.shape[0] < 1e-4 * proposed:
@@ -427,29 +488,9 @@ def sample_uniform(region, n, seed):
 # --- canonical JSON encoding -------------------------------------------------
 
 def region_to_dict(region):
-    if isinstance(region, TimeSliceBall):
-        return {"kind": "time_slice_ball", "t0": region.t0,
-                "center": list(region.center), "radius": region.radius}
-    if isinstance(region, SliceOf):
-        return {"kind": "slice_of", "t0": region.t0,
-                "base": region_to_dict(region.base)}
-    if isinstance(region, SpaceTimeBox):
-        return {"kind": "box", "t_lo": region.t_lo, "t_hi": region.t_hi,
-                "corner_lo": list(region.corner_lo),
-                "corner_hi": list(region.corner_hi)}
-    if isinstance(region, Thorn):
-        return {"kind": "thorn", "profile": region.profile, "param": region.param,
-                "t_lo": region.t_lo, "t_hi": region.t_hi, "d": region.d}
-    if isinstance(region, SpatialBall):
-        return {"kind": "ball", "center": list(region.center),
-                "radius": region.radius}
-    if isinstance(region, SpatialAnnulus):
-        return {"kind": "annulus", "center": list(region.center),
-                "r_in": region.r_in, "r_out": region.r_out}
-    if isinstance(region, RegionUnion):
-        return {"kind": "union",
-                "members": [region_to_dict(m) for m in region.members]}
-    raise RegionError(f"unknown region type {type(region).__name__}")
+    if not isinstance(region, Region):
+        raise RegionError(f"unknown region type {type(region).__name__}")
+    return region.to_dict()
 
 
 def region_from_dict(spec):

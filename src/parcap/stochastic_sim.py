@@ -31,17 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import (
-    RegionError,
-    RegionUnion,
-    SliceOf,
-    SpatialAnnulus,
-    SpatialBall,
-    TimeSliceBall,
-    _is_slice_region,
-    _slice_spatial,
-    contains,
-)
+from .region import RegionError, contains
 
 __all__ = [
     "BranchingConfig",
@@ -172,25 +162,8 @@ class GraphHitDetector:
 
     def observe(self, ta, tb, pa, pb):
         for idx, reg in enumerate(self.regions):
-            if self.flags[idx]:
-                continue
-            if self._segment_hits(reg, ta, tb, pa, pb):
+            if not self.flags[idx] and reg.graph_segment_hits(ta, tb, pa, pb):
                 self.flags[idx] = True
-
-    def _segment_hits(self, reg, ta, tb, pa, pb):
-        if isinstance(reg, RegionUnion):
-            return any(self._segment_hits(m, ta, tb, pa, pb)
-                       for m in reg.members)
-        if isinstance(reg, (TimeSliceBall, SliceOf)):
-            t0, base = _slice_spatial(reg)
-            cross = (ta - t0) * (tb - t0) <= 0.0
-            if not np.any(cross):
-                return False
-            frac = (t0 - ta[cross]) / np.maximum(tb[cross] - ta[cross], 1e-300)
-            y = pa[cross] + frac[:, None] * (pb[cross] - pa[cross])
-            return bool(np.any(contains(base, y)))
-        pts = np.column_stack([tb, pb])
-        return bool(np.any(contains(reg, pts)))
 
 
 def simulate_branching(config, seed, detectors=(), count_times=()):
@@ -357,12 +330,13 @@ def _slice_family(regions):
     t0 = None
     spatial = []
     for reg in regions:
-        if not _is_slice_region(reg):
-            return None
         try:
-            t, base = _slice_spatial(reg)
-        except RegionError:
+            slices = reg.slices()
+        except RegionError:  # slices mixed with full-dimensional members
             return None
+        if slices is None or len(slices) != 1:
+            return None
+        t, base = slices[0]
         if t0 is None:
             t0 = t
         elif abs(t - t0) > 1e-15:
@@ -462,39 +436,6 @@ def estimate_support_hit(config, t_slice, spatial_region, runs, seed):
 # --- Brownian range ---------------------------------------------------------------------
 
 
-def _region_distance(region, pos):
-    """Euclidean distance from points to a spatial ball/annulus/union."""
-    if isinstance(region, SpatialBall):
-        r = np.linalg.norm(pos - np.asarray(region.center), axis=1)
-        return np.maximum(r - region.radius, 0.0)
-    if isinstance(region, SpatialAnnulus):
-        r = np.linalg.norm(pos - np.asarray(region.center), axis=1)
-        return np.maximum(np.maximum(region.r_in - r, r - region.r_out), 0.0)
-    if isinstance(region, RegionUnion):
-        return np.min([_region_distance(m, pos) for m in region.members], axis=0)
-    raise ValueError(f"unsupported spatial region {type(region).__name__}")
-
-
-def _segment_hits_spatial(region, p0, p1):
-    """Exact radial-band intersection test for straight segments."""
-    if isinstance(region, RegionUnion):
-        out = np.zeros(p0.shape[0], dtype=bool)
-        for m in region.members:
-            out |= _segment_hits_spatial(m, p0, p1)
-        return out
-    c = np.asarray(region.center)
-    q = p1 - p0
-    qq = np.sum(q * q, axis=1)
-    tstar = np.clip(np.sum((c - p0) * q, axis=1) / np.maximum(qq, 1e-300), 0.0, 1.0)
-    nearest = p0 + tstar[:, None] * q
-    dmin = np.linalg.norm(nearest - c, axis=1)
-    dmax = np.maximum(np.linalg.norm(p0 - c, axis=1),
-                      np.linalg.norm(p1 - c, axis=1))
-    if isinstance(region, SpatialBall):
-        return dmin < region.radius
-    return (dmin < region.r_out) & (dmax > region.r_in)
-
-
 def _draw_starts(start_law, d, runs, rng):
     """Start positions from a point, a DiscreteMeasure, or a sampler.
 
@@ -528,11 +469,13 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     """
     if d < 2:
         raise ValueError("range hitting needs d >= 2")
+    if region.spacetime:
+        raise ValueError("range hitting needs a spatial region")
     rng = np.random.default_rng([int(seed), 0])
     pos = _draw_starts(start_law, d, runs, rng)
     alive = np.ones(runs, dtype=bool)
     hit = np.zeros(runs, dtype=bool)
-    inside = _region_distance(region, pos) == 0.0
+    inside = region.distance(pos) == 0.0
     hit[inside] = True
     alive[inside] = False
     if d == 2:
@@ -540,13 +483,13 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     while np.any(alive):
         idx = np.flatnonzero(alive)
         p = pos[idx]
-        dist = _region_distance(region, p)
+        dist = region.distance(p)
         h = np.maximum(dt, (dist / 6.0) ** 2)
         if d == 2:
             h = np.minimum(h, remaining[idx])
             h = np.maximum(h, 1e-12)
         p_new = p + rng.normal(size=p.shape) * np.sqrt(h)[:, None]
-        seg_hit = _segment_hits_spatial(region, p, p_new)
+        seg_hit = region.segment_hits(p, p_new)
         hit[idx[seg_hit]] = True
         alive[idx[seg_hit]] = False
         live = ~seg_hit

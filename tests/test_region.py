@@ -18,6 +18,12 @@ from parcap.region import (
     region_to_dict,
     sample_uniform,
 )
+from parcap.stochastic_sim import (
+    BranchingConfig,
+    estimate_graph_hit,
+    estimate_graph_hits,
+    graph_hit_run_records,
+)
 
 
 def test_thorn_contains():
@@ -139,6 +145,7 @@ def test_validation_errors():
 def test_json_round_trip():
     regions = [
         TimeSliceBall(1.0, (0.0, 0.5), 0.3),
+        SliceOf(1.0, SpatialBall((0.0, 0.5), 0.3)),
         SliceOf(2.0, SpatialAnnulus((0.0,), 0.2, 0.4)),
         SpaceTimeBox(0.5, 1.5, (-1.0, -1.0), (1.0, 1.0)),
         Thorn("invlog", 2.0, 0.0, 0.5, d=3),
@@ -150,3 +157,56 @@ def test_json_round_trip():
         region_from_dict({"radius": 1.0})
     with pytest.raises(RegionError):
         region_from_dict({"kind": "ball", "radius": 1.0})
+
+
+def test_time_slice_ball_equals_slice_of_ball():
+    tsb = TimeSliceBall(1.0, (0.1, -0.2), 0.45)
+    gen = SliceOf(1.0, SpatialBall((0.1, -0.2), 0.45))
+    assert (tsb.center, tsb.radius) == ((0.1, -0.2), 0.45)
+    pts = np.random.default_rng(3).uniform(-0.8, 0.8, size=(500, 3))
+    pts[::2, 0] = 1.0
+    assert np.array_equal(contains(tsb, pts), contains(gen, pts))
+    a, b = discretize(tsb, 0.05), discretize(gen, 0.05)
+    assert np.array_equal(a.coords, b.coords) and np.array_equal(a.times, b.times)
+    cfg = BranchingConfig(n_particles=100, dt=0.01, horizon=1.0, d=2)
+    assert estimate_graph_hit(cfg, tsb, 200, seed=4) == estimate_graph_hit(cfg, gen, 200, seed=4)
+    assert (graph_hit_run_records(cfg, tsb, 5, seed=4)
+            == graph_hit_run_records(cfg, gen, 5, seed=4))
+
+
+def test_overlapping_slice_union_shares_one_grid():
+    a = TimeSliceBall(1.0, (0.0, 0.0), 0.5)
+    b = TimeSliceBall(1.0, (0.2, 0.0), 0.5)
+    cloud = discretize(RegionUnion((a, b)), 0.1)
+    assert cloud.n == 100
+    assert len(np.unique(cloud.coords, axis=0)) == cloud.n
+    shared = discretize(SliceOf(1.0, RegionUnion((a.base, b.base))), 0.1)
+    assert np.array_equal(cloud.coords, shared.coords)
+    assert np.array_equal(cloud.times, shared.times)
+    # a second slice time gets its own grid, after the first
+    later = TimeSliceBall(2.0, (0.0, 0.0), 0.5)
+    cloud = discretize(RegionUnion((a, later, b)), 0.1)
+    assert cloud.is_slice
+    assert np.array_equal(cloud.times, np.repeat([1.0, 2.0], [100, discretize(later, 0.1).n]))
+
+
+def test_union_of_slice_and_solid():
+    piece, box = TimeSliceBall(1.0, (0.0,), 0.5), SpaceTimeBox(2.0, 3.0, (-1.0,), (1.0,))
+    u = RegionUnion((piece, box))
+    with pytest.raises(RegionError, match="volumes"):
+        discretize(u, 0.1)
+    assert list(contains(u, [[1.0, 0.2], [2.5, 0.9], [1.5, 0.0]])) == [True, True, False]
+    cfg = BranchingConfig(n_particles=20, dt=0.01, horizon=3.0, d=1)
+    hu, hs, hb = (e.hits for e in estimate_graph_hits(cfg, [u, piece, box], 40, seed=2))
+    assert 0 < max(hs, hb) <= hu <= hs + hb
+
+
+def test_sample_uniform_union_of_slices():
+    a = TimeSliceBall(1.0, (0.0, 0.0), 0.5)
+    b = SliceOf(1.0, SpatialAnnulus((1.0, 0.0), 0.2, 0.4))
+    pts = sample_uniform(RegionUnion((a, b)), 300, seed=8)
+    bases = RegionUnion((a.base, b.base))
+    assert np.array_equal(pts, sample_uniform(bases, 300, seed=8))
+    assert np.all(contains(bases, pts))
+    with pytest.raises(RegionError, match="one common slice time"):
+        sample_uniform(RegionUnion((a, TimeSliceBall(2.0, (0.0, 0.0), 0.5))), 10, seed=8)

@@ -219,6 +219,12 @@ def test_range_hit_ball_oracle_d3():
     assert abs(est.p_hat - 0.5) <= 3.0 * half + 0.011
 
 
+def test_range_hit_rejects_space_time_region():
+    with pytest.raises(ValueError, match="spatial region"):
+        estimate_range_hit(2, [2.0, 0.0], TimeSliceBall(1.0, (0.0, 0.0), 1.0),
+                           dt=1e-3, runs=10, seed=1)
+
+
 def test_range_hit_start_inside():
     est = estimate_range_hit(3, [0.0, 0.0, 0.0], SpatialBall((0.0,) * 3, 1.0),
                              dt=1e-3, runs=50, seed=79)

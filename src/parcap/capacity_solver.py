@@ -52,13 +52,23 @@ class KernelMatrix:
         return self.entries.shape[0]
 
     def check(self):
+        """Finite, non-negative and symmetric to 1e-12 * max(1, max|a|).
+
+        Symmetry is compared on 256 x 256 block pairs, so it makes no
+        n x n temporary.
+        """
         a = self.entries
         if not np.all(np.isfinite(a)):
             raise ValueError("kernel matrix has non-finite entries")
         if np.any(a < 0):
             raise ValueError("kernel matrix has negative entries")
-        if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
-            raise ValueError("kernel matrix is not symmetric")
+        tol = 1e-12 * max(1.0, float(a.max()))  # entries are >= 0 here
+        n, block = a.shape[0], 256
+        for i in range(0, n, block):
+            for j in range(i, n, block):
+                asym = np.abs(a[i:i + block, j:j + block] - a[j:j + block, i:i + block].T)
+                if asym.max() > tol:
+                    raise ValueError("kernel matrix is not symmetric")
 
 
 @dataclass
@@ -126,18 +136,65 @@ def _cell_samples(cloud, idx, count, rng):
     return tt, pts.reshape(-1, cloud.d)
 
 
-def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
-    """Kernel matrix over cell centers with sampled diagonal self-energies.
+def _lattice_index(cloud):
+    """Integer lattice index of each cell centre, over (t, x) for space-time
+    clouds, or None if some centre is off the pitch lattice by more than
+    1e-9 pitch."""
+    pts = cloud.coords if cloud.times is None else np.column_stack([cloud.times,
+                                                                    cloud.coords])
+    h = cloud.resolution
+    lo = pts.min(axis=0)
+    k = np.rint((pts - lo) / h)
+    if np.max(np.abs(pts - (lo + k * h))) > 1e-9 * h:
+        return None
+    return k.astype(np.intp)
 
-    Off-diagonal (i, j): kernel of the two centers. Diagonal i: mean kernel
-    over ``diag_samples`` independent point pairs drawn uniformly in cell i.
-    Deterministic per seed.
+
+def _stencil_table(kind, k, pitch):
+    """Kernel on every lattice offset m * pitch, m = 0..max(k) per axis.
+
+    Returns the table flattened in C order and the axis strides of that
+    order, or None when the table would be larger than the cloud's
+    off-diagonal pair count.
     """
-    if cloud.n < 1:
-        raise ValueError("empty cell cloud")
-    _check_kind_cloud(kind, cloud)
+    shape = k.max(axis=0) + 1
+    n = k.shape[0]
+    if math.prod(shape.tolist()) > n * (n - 1) // 2:
+        return None
+    m = np.indices(shape).reshape(shape.size, -1).T * pitch
+    if kind.tag == "newtonian":
+        table = newtonian_kernel_batch(m, np.zeros_like(m), kind.d)
+    else:
+        table = cap_prime_kernel_batch(m[:, 0], m[:, 1:], np.zeros(m.shape[0]),
+                                       np.zeros_like(m[:, 1:]))
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    return table, strides
+
+
+def _fill_stencil(a, k, table, strides, target=131_072):
+    """a[i, j] = table[sum_axis |k_j - k_i| * stride], in blocks of whole rows
+    holding about ``target`` offsets (1 MB, which stays in cache)."""
+    n = a.shape[0]
+    ks = np.ascontiguousarray((k * strides).T)  # one contiguous row per axis
+    rows = max(1, target // n)
+    off = np.empty((min(rows, n), n), dtype=np.intp)
+    step = np.empty_like(off)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        o, t = off[:hi - lo], step[:hi - lo]
+        o.fill(0)
+        for kx in ks:
+            np.subtract(kx[None, :], kx[lo:hi, None], out=t)
+            np.abs(t, out=t)
+            o += t
+        # offsets are in range by construction; "clip" lets take write into
+        # the matrix rows without the buffer that "raise" makes
+        np.take(table, o, out=a[lo:hi], mode="clip")
+
+
+def _fill_pairwise(a, cloud, kind):
+    """Kernel of each pair of centres over the upper triangle, mirrored."""
     n = cloud.n
-    a = np.zeros((n, n))
     chunks = _triangle_chunks(n)  # lazy: serially, only the chunk being filled is alive
 
     def fill(chunk):
@@ -159,6 +216,35 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
             ii, jj, vals = fill(chunk)
             a[ii, jj] = vals
     a += a.T
+
+
+def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
+    """Kernel matrix over cell centers with sampled diagonal self-energies.
+
+    Off-diagonal (i, j): kernel of the two centers. The Newtonian and
+    cap-prime kernels are translation invariant, so on a cloud whose centres
+    sit on the pitch lattice they are read from one table of the kernel over
+    lattice offsets (a stencil), which makes the matrix exactly symmetric.
+    The parabolic kernel, clouds off the lattice (e.g. slices at times that
+    are not a whole number of pitches apart) and clouds whose offset table
+    would outnumber their pairs are evaluated pair by pair. Diagonal i: mean
+    kernel over ``diag_samples`` independent point pairs drawn uniformly in
+    cell i. Deterministic per seed.
+    """
+    if cloud.n < 1:
+        raise ValueError("empty cell cloud")
+    _check_kind_cloud(kind, cloud)
+    n = cloud.n
+    a = np.zeros((n, n))
+    stencil = None
+    if kind.tag != "parabolic":
+        k = _lattice_index(cloud)
+        if k is not None:
+            stencil = _stencil_table(kind, k, cloud.resolution)
+    if stencil is None:
+        _fill_pairwise(a, cloud, kind)
+    else:
+        _fill_stencil(a, k, *stencil)
 
     rng = np.random.default_rng(seed)
     diag = np.empty(n)
@@ -214,6 +300,9 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
     lowest-index tie-breaking in the linear oracle. Stops when the FW gap
     drops to tol * objective. Returns (energy_min, weights, gap, iterations,
     converged).
+
+    K must be symmetric: the gradient update reads row i of K in place of
+    column i, because a row is contiguous in memory.
     """
     A = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
     n = A.shape[0]
@@ -225,7 +314,7 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
     i0 = int(np.argmin(np.diag(A)))
     w = np.zeros(n)
     w[i0] = 1.0
-    grad = 2.0 * A[:, i0].copy()
+    grad = 2.0 * A[i0]
     f = float(A[i0, i0])
     gap = math.inf
     it = 0
@@ -242,7 +331,7 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
         f_prev = f
         if gap >= away_gain or active.size == 1:
             # toward step: w + gamma (e_s - w)
-            col = A[:, s_idx]
+            col = A[s_idx]
             denom = float(A[s_idx, s_idx]) - float(grad[s_idx]) + f
             slope = float(grad[s_idx]) - gw  # = -gap < 0
             gamma = 1.0 if denom <= 0 else min(1.0, -slope / (2.0 * denom))
@@ -254,7 +343,7 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
             grad += (2.0 * gamma) * col
         else:
             # away step: w + gamma (w - e_a), capped so w[a] stays >= 0
-            col = A[:, a_idx]
+            col = A[a_idx]
             wa = float(w[a_idx])
             gamma_max = wa / (1.0 - wa) if wa < 1.0 else math.inf
             denom = f - float(grad[a_idx]) + float(A[a_idx, a_idx])

@@ -219,8 +219,7 @@ def cmd_prop51(cfg, seed, out):
             base = region_from_dict(_require(entry, "region"))
             if getattr(base, "spacetime", False) or base.d != d:
                 raise ConfigError(f"set {rid!r} must be spatial of dimension {d}")
-            lo, hi = base.bounds()
-            if max(np.max(np.abs(lo)), np.max(np.abs(hi))) > 1.0 + 1e-12:
+            if base.max_norm() > 1.0 + 1e-12:
                 raise ConfigError(f"set {rid!r} must lie inside the unit ball")
             cap_n = capacity(base, newtonian(d), resolution,
                              tol=float(cap_cfg.get("tol", 1e-5)), seed=seed,

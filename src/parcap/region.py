@@ -5,10 +5,11 @@ and their points are rows (t, x_1, .., x_d); spatial variants live in R^d.
 Each region class carries its own geometry: membership on validated points
 (``mask``), an axis-aligned bounding box in ambient coordinates (``bounds``),
 its canonical JSON encoding {"kind": ..., parameters...} (``to_dict``) and
-its time-slice decomposition (``slices``). Spatial regions add ``distance``
-and an exact straight-segment test (``segment_hits``); space-time regions add
-the graph detector's segment test (``graph_segment_hits``). The module
-functions validate their input and call these methods.
+its time-slice decomposition (``slices``). Spatial regions add ``distance``,
+the largest norm of a point (``max_norm``) and an exact straight-segment test
+(``segment_hits``); space-time regions add the graph detector's segment test
+(``graph_segment_hits``). The module functions validate their input and call
+these methods.
 """
 
 from __future__ import annotations
@@ -250,6 +251,10 @@ class SpatialBall(Region):
     def to_dict(self):
         return {"kind": "ball", "center": list(self.center), "radius": self.radius}
 
+    def max_norm(self):
+        """Largest |x| over the set."""
+        return float(np.linalg.norm(self.center)) + self.radius
+
     def distance(self, pos):
         r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
         return np.maximum(r - self.radius, 0.0)
@@ -284,6 +289,10 @@ class SpatialAnnulus(Region):
     def to_dict(self):
         return {"kind": "annulus", "center": list(self.center),
                 "r_in": self.r_in, "r_out": self.r_out}
+
+    def max_norm(self):
+        """Largest |x| over the set."""
+        return float(np.linalg.norm(self.center)) + self.r_out
 
     def distance(self, pos):
         r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
@@ -350,6 +359,9 @@ class RegionUnion(Region):
                 bases.setdefault(t0, []).append(base)
         return [(t0, b[0] if len(b) == 1 else RegionUnion(tuple(b)))
                 for t0, b in bases.items()]
+
+    def max_norm(self):
+        return max(m.max_norm() for m in self.members)
 
     def distance(self, pos):
         return np.min([m.distance(pos) for m in self.members], axis=0)

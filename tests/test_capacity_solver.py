@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from parcap import capacity_solver
 from parcap.capacity_solver import (
     CapacityResult,
+    KernelMatrix,
+    _lattice_index,
+    _pair_values,
+    _stencil_table,
     _triangle_chunks,
     assemble_kernel_matrix,
     capacity,
@@ -25,6 +30,7 @@ from parcap.energy_kernel import (
 from parcap.heat_kernel import log_heat_density
 from parcap.quadrature import gauss_legendre
 from parcap.region import (
+    RegionUnion,
     SpaceTimeBox,
     SpatialBall,
     Thorn,
@@ -316,3 +322,85 @@ def test_certificate_integral_matches_direct_gl96(region, pitch):
         cloud.times[i], cloud.coords[i], cloud.times[j], cloud.coords[j])
         for i in idx for j in idx)
     assert rep.norm_sq_ratio == pytest.approx(res.capacity * norm_sq, rel=1e-12)
+
+
+def test_assemble_threaded_matches_serial_parabolic():
+    # the parabolic kernel is always assembled pair by pair, through the pool
+    from parcap import runtime
+    cloud = discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.4), 0.1)
+    serial = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=3)
+    runtime.set_threads(4)
+    try:
+        threaded = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=3)
+    finally:
+        runtime.set_threads(1)
+    assert np.array_equal(serial.entries, threaded.entries)
+
+
+def _offdiag(a):
+    return a[~np.eye(a.shape[0], dtype=bool)]
+
+
+@pytest.mark.parametrize("cloud, kind", [
+    (discretize(SpatialBall((0.0, 0.0), 0.5), 0.05), newtonian(2)),
+    (discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.1), newtonian(3)),
+    (discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1), CAP_PRIME),
+    (discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.4), 0.1), CAP_PRIME),
+    (discretize(SpatialBall((0.0, 0.0), 0.5), 0.05).translated(0.0, [3.1, -0.7]),
+     newtonian(2)),
+    (discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1).translated(0.37, [1.3]),
+     CAP_PRIME),
+], ids=["newtonian_d2", "newtonian_d3", "cap_prime_box", "cap_prime_slice",
+        "translated_newtonian", "translated_cap_prime"])
+def test_stencil_matches_pairwise(cloud, kind, monkeypatch):
+    k = _lattice_index(cloud)
+    assert k is not None
+    assert _stencil_table(kind, k, cloud.resolution) is not None
+    stencil = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4).entries
+    assert np.array_equal(stencil, stencil.T)
+    monkeypatch.setattr(capacity_solver, "_lattice_index", lambda cloud: None)
+    pairwise = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4).entries
+    assert np.array_equal(np.diag(stencil), np.diag(pairwise))
+    ref = _offdiag(pairwise)
+    assert np.all(np.abs(_offdiag(stencil) - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("region, kind, on_lattice", [
+    (RegionUnion((TimeSliceBall(1.0, (0.0, 0.0), 0.3),
+                  TimeSliceBall(1.37, (0.0, 0.0), 0.3))), CAP_PRIME, False),
+    (RegionUnion((SpatialBall((-20.0, 0.0), 0.3), SpatialBall((20.0, 0.0), 0.3))),
+     newtonian(2), True),
+], ids=["slices_off_lattice", "far_apart_balls"])
+def test_stencil_falls_back_to_pairwise(region, kind, on_lattice):
+    cloud = discretize(region, 0.1)
+    k = _lattice_index(cloud)
+    assert (k is not None) == on_lattice
+    if on_lattice:  # the offset table would outnumber the pairs
+        assert _stencil_table(kind, k, cloud.resolution) is None
+    a = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4).entries
+    ii, jj = np.triu_indices(cloud.n, k=1)
+    times = cloud.times
+    ref = _pair_values(kind, None if times is None else times[ii], cloud.coords[ii],
+                       None if times is None else times[jj], cloud.coords[jj])
+    assert np.array_equal(a[ii, jj], ref)
+    assert np.array_equal(a[jj, ii], ref)
+
+
+def test_kernel_matrix_check():
+    n = 300  # more than one 256-row block
+    base = np.ones((n, n)) + np.eye(n)
+    KernelMatrix(base, {}).check()
+    for value, match in ((np.inf, "non-finite"), (np.nan, "non-finite"),
+                         (-0.5, "negative")):
+        a = base.copy()
+        a[3, 5] = a[5, 3] = value
+        with pytest.raises(ValueError, match=match):
+            KernelMatrix(a, {}).check()
+    # tolerance is 1e-12 * max(1, max|a|) = 2e-12; (0, n-1) sits across blocks
+    a = base.copy()
+    a[0, n - 1] += 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        KernelMatrix(a, {}).check()
+    a = base.copy()
+    a[0, n - 1] += 1e-13
+    KernelMatrix(a, {}).check()

@@ -205,6 +205,24 @@ def test_prop51_rejects_set_outside_unit_ball(tmp_path, capsys):
     assert "unit ball" in text
 
 
+def test_prop51_unit_ball_check_uses_farthest_point(tmp_path):
+    # the off-centre ball fits in the cube [-1, 1]^2 but reaches |x| = 1.149
+    cfg = write_cfg(tmp_path, "p51.json", {
+        "d": 2, "resolution": 0.1,
+        "sets": [{"id": "off", "region": {"kind": "ball", "center": [0.6, 0.6],
+                                          "radius": 0.3}},
+                 {"id": "b090", "region": {"kind": "ball", "center": [0, 0],
+                                           "radius": 0.9}}],
+        "capacity": {"tol": 1e-4, "diag_samples": 16},
+        "sim": {"n_particles": 50, "runs": 20}})
+    out = str(tmp_path / "o.csv")
+    assert main(["prop51", "--config", cfg, "--seed", "1", "--out", out]) == 2
+    rows = {line.split(",")[0]: line.split(",")[-1]
+            for line in open(out).read().splitlines() if not line.startswith("#")}
+    assert rows["off"].startswith("FAILED") and "unit ball" in rows["off"]
+    assert rows["b090"] == "OK"
+
+
 def test_sbm_extinction_command(tmp_path):
     cfg = write_cfg(tmp_path, "ext.json", {
         "n_particles": 1000, "times": [0.5, 1.0], "runs": 1500})

@@ -210,3 +210,15 @@ def test_sample_uniform_union_of_slices():
     assert np.all(contains(bases, pts))
     with pytest.raises(RegionError, match="one common slice time"):
         sample_uniform(RegionUnion((a, TimeSliceBall(2.0, (0.0, 0.0), 0.5))), 10, seed=8)
+
+
+def test_max_norm_is_farthest_point():
+    # oracle: largest |x| over dense membership samples of each set
+    regions = [SpatialBall((0.6, 0.6), 0.3), SpatialAnnulus((0.0, -0.2), 0.3, 0.5),
+               RegionUnion((SpatialBall((-0.5, 0.0), 0.25), SpatialBall((0.55, 0.0), 0.25)))]
+    for reg in regions:
+        pts = sample_uniform(reg, 200_000, seed=3)
+        far = float(np.max(np.linalg.norm(pts, axis=1)))
+        assert far <= reg.max_norm() <= far + 2e-3
+    assert SpatialBall((0.6, 0.6), 0.3).max_norm() == pytest.approx(0.6 * math.sqrt(2) + 0.3)
+    assert SpatialBall((0.0, 0.0), 0.9).max_norm() == 0.9

@@ -54,15 +54,16 @@ class KernelMatrix:
     def check(self):
         """Finite, non-negative and symmetric to 1e-12 * max(1, max|a|).
 
-        Symmetry is compared on 256 x 256 block pairs, so it makes no
-        n x n temporary.
+        min and max carry any NaN or infinity, and symmetry is compared on
+        256 x 256 block pairs, so it makes no n x n temporary.
         """
         a = self.entries
-        if not np.all(np.isfinite(a)):
+        lo, hi = float(a.min()), float(a.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("kernel matrix has non-finite entries")
-        if np.any(a < 0):
+        if lo < 0:
             raise ValueError("kernel matrix has negative entries")
-        tol = 1e-12 * max(1.0, float(a.max()))  # entries are >= 0 here
+        tol = 1e-12 * max(1.0, hi)
         n, block = a.shape[0], 256
         for i in range(0, n, block):
             for j in range(i, n, block):

@@ -16,7 +16,7 @@ is explicit because silently mixing them is the main correctness hazard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "hermite_orthogonality",
     "h_field",
     "lambda_numeric",
+    "lambda_numeric_on_hermite",
     "lambda_family_on_hermite",
     "operator_norm_probe",
     "hardy_check",
@@ -44,13 +45,130 @@ __all__ = [
 
 # --- time profiles -------------------------------------------------------------
 
+def _bump(t, alpha, beta, amplitude, poly):
+    """amplitude * P(u) * exp(1 - 1/(1 - u^2)) inside (alpha, beta), else 0.
+
+    u is the affine map of [alpha, beta] onto [-1, 1]; the arguments
+    broadcast against each other.
+    """
+    u = (2.0 * t - (alpha + beta)) / (beta - alpha)
+    amp = np.broadcast_to(amplitude, u.shape)
+    out = np.zeros(u.shape)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = (amp[inside] * np.polyval(poly[::-1], ui)
+                   * np.exp(1.0 - 1.0 / (1.0 - ui * ui)))
+    return out
+
+
+def _panels(edges, order):
+    """Gauss-Legendre nodes/weights on consecutive panels along the last axis.
+
+    ``edges`` has shape (..., P + 1); both results have shape (..., P, order).
+    """
+    x, w = gauss_legendre(order)
+    half = 0.5 * np.diff(edges, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
+
+
+@lru_cache(maxsize=4)
+def _interpolant_antiderivative(order):
+    """(order, order + 1) matrix taking values at the ``order`` GL nodes of
+    [-1, 1] to the Legendre coefficients of int_{-1}^xi p, where p is the
+    interpolant of those values.
+
+    GL quadrature is exact for P_j P_k here, so p's coefficients are
+    c_j = (j + 1/2) sum_k w_k f(x_k) P_j(x_k); then
+    int_{-1}^xi P_0 = P_0 + P_1 and int_{-1}^xi P_j = (P_{j+1} - P_{j-1})/(2j+1).
+    """
+    x, w = gauss_legendre(order)
+    to_coef = (np.polynomial.legendre.legvander(x, order - 1) * w[:, None]
+               * (np.arange(order) + 0.5))
+    anti = np.zeros((order, order + 1))
+    anti[0, :2] = 1.0
+    for j in range(1, order):
+        anti[j, j + 1] = 1.0 / (2 * j + 1)
+        anti[j, j - 1] = -1.0 / (2 * j + 1)
+    out = to_coef @ anti
+    out.flags.writeable = False
+    return out
+
+
+class _BumpBatch:
+    """K bump profiles, each on its own ``n_panels`` x ``order`` GL panels.
+
+    A running integral int_0^t s^q g(s) ds is the panel cumulative sum up to
+    the panel holding t plus the exact integral, up to t, of the order-point
+    Legendre interpolant of s^q g on that panel. So g is only ever evaluated
+    at the panel nodes, whatever the number of points t. Inside the two end
+    panels, where the bump is flattest, the result is off by at most a few
+    1e-11 of the total; elsewhere by rounding.
+    """
+
+    def __init__(self, alpha, beta, amplitude, poly=(1.0,), n_panels=24,
+                 order=16):
+        self.alpha = np.asarray(alpha, dtype=float)
+        self.beta = np.asarray(beta, dtype=float)
+        self.amplitude = np.asarray(amplitude, dtype=float)
+        self.poly = tuple(poly)
+        self.edges = np.linspace(self.alpha, self.beta, n_panels + 1, axis=-1)
+        self.nodes, self.weights = _panels(self.edges, order)
+        self.values = _bump(self.nodes, self.alpha[:, None, None],
+                            self.beta[:, None, None],
+                            self.amplitude[:, None, None], self.poly)
+
+    def at(self, t):
+        """(K, N) values of every profile at the 1-D points t."""
+        return _bump(t, self.alpha[:, None], self.beta[:, None],
+                     self.amplitude[:, None], self.poly)
+
+    def sq_integrals(self):
+        """int g_k(t)^2 dt for every profile, shape (K,)."""
+        return (self.weights * self.values ** 2).sum(axis=(1, 2))
+
+    def running_integrals(self, q, t):
+        """int_0^t s^{q_k} g_k(s) ds at the 1-D points t, and the totals.
+
+        ``q`` holds one exponent per profile. Returns arrays of shapes (K, N)
+        and (K,).
+        """
+        n_prof, n_panels, order = self.nodes.shape
+        fq = self.nodes ** np.asarray(q, dtype=float)[:, None, None] * self.values
+        cum = np.zeros((n_prof, n_panels + 1))
+        np.cumsum((self.weights * fq).sum(axis=-1), axis=-1, out=cum[:, 1:])
+        t = np.asarray(t, dtype=float)
+        out = np.where(t >= self.beta[:, None], cum[:, -1:], 0.0)
+        k, pt = np.nonzero((t > self.alpha[:, None]) & (t < self.beta[:, None]))
+        if k.size:
+            # row j of coef holds coefficient j of every panel's antiderivative
+            coef = np.ascontiguousarray(
+                (fq @ _interpolant_antiderivative(order)).reshape(-1, order + 1).T)
+            # panel j of each point and its coordinate xi in [-1, 1] there
+            width = self.beta - self.alpha
+            pos = (t[pt] - self.alpha[k]) * (n_panels / width)[k]
+            j = np.minimum(pos.astype(int), n_panels - 1)
+            xi = 2.0 * (pos - j) - 1.0
+            panel = k * n_panels + j
+            # Clenshaw sum of coef_m P_m(xi), one array per degree: a
+            # (points x order) table would dominate the probe's memory
+            b1, b2 = coef[order][panel], np.zeros_like(xi)
+            for m in range(order - 1, 0, -1):
+                b1, b2 = (coef[m][panel] + (2 * m + 1) / (m + 1) * xi * b1
+                          - (m + 1) / (m + 2) * b2), b1
+            acc = coef[0][panel] + xi * b1 - 0.5 * b2
+            out[k, pt] = cum[k, j] + (0.5 * width / n_panels)[k] * acc
+        return out, cum[:, -1]
+
+
 class BumpProfile:
     """Polynomial-modulated smooth window supported on [alpha, beta].
 
     g(t) = amplitude * P(u) * exp(1 - 1/(1 - u^2)) with u the affine map of
     [alpha, beta] onto [-1, 1]. Weighted running integrals int_0^t s^q g(s) ds
-    are computed on a cached panel rule; the profile is smooth, so the cached
-    rule is accurate far beyond the tolerances used anywhere in the package.
+    use a fixed panel rule and the panels' Legendre interpolants (a batch of
+    one, see ``_BumpBatch``); the profile is smooth, so this is accurate far
+    beyond the tolerances used anywhere in the package.
     """
 
     def __init__(self, alpha, beta, amplitude=1.0, poly=(1.0,), n_panels=24,
@@ -61,65 +179,27 @@ class BumpProfile:
         self.beta = float(beta)
         self.amplitude = float(amplitude)
         self.poly = tuple(poly)
-        self._edges = np.linspace(alpha, beta, n_panels + 1)
-        self._order = order
-        self._nodes, self._weights = panel_rule(self._edges, order=order)
-        self._values = self(self._nodes)
-        self._cum_cache = {}
+        self._batch = _BumpBatch([self.alpha], [self.beta], [self.amplitude],
+                                 self.poly, n_panels, order)
 
     @property
     def support(self):
         return (self.alpha, self.beta)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        u = (2.0 * t - (self.alpha + self.beta)) / (self.beta - self.alpha)
-        out = np.zeros(t.shape)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        out[inside] = (self.amplitude * np.polyval(self.poly[::-1], ui)
-                       * np.exp(1.0 - 1.0 / (1.0 - ui * ui)))
-        return out
-
-    def _cumulative(self, q):
-        """Running integral of s^q g(s) at the cached panel edges."""
-        cum = self._cum_cache.get(q)
-        if cum is None:
-            order = self._order
-            per_panel = (self._weights * self._nodes ** q
-                         * self._values).reshape(-1, order).sum(axis=1)
-            cum = np.concatenate([[0.0], np.cumsum(per_panel)])
-            self._cum_cache[q] = cum
-        return cum
+        return _bump(np.asarray(t, dtype=float), self.alpha, self.beta,
+                     self.amplitude, self.poly)
 
     def weighted_integral(self, q, t=None):
-        """int_0^t s^q g(s) ds, vectorized over t (full integral if t is None).
-
-        Panel-cumulative plus a partial panel, so accuracy does not degrade
-        for t deep inside the support.
-        """
-        cum = self._cumulative(q)
+        """int_0^t s^q g(s) ds, vectorized over t (full integral if t is None)."""
         if t is None:
-            return float(cum[-1])
+            return float(self._batch.running_integrals([q], [])[1][0])
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        out[t >= self.beta] = cum[-1]
-        mid = (t > self.alpha) & (t < self.beta)
-        if np.any(mid):
-            tm = t[mid]
-            j = np.clip(np.searchsorted(self._edges, tm, side="right") - 1,
-                        0, self._edges.size - 2)
-            lo = self._edges[j]
-            gx, gw = gauss_legendre(self._order)
-            half = 0.5 * (tm - lo)
-            nodes = lo[:, None] + half[:, None] * (gx[None, :] + 1.0)
-            vals = self(nodes) * nodes ** q
-            out[mid] = cum[j] + half * (vals @ gw)
-        return out
+        return self._batch.running_integrals([q], t.ravel())[0][0].reshape(t.shape)
 
     def sq_integral(self):
         """int g(t)^2 dt over the support."""
-        return float(np.dot(self._weights, self._values ** 2))
+        return float(self._batch.sq_integrals()[0])
 
 
 class BoxProfile:
@@ -263,6 +343,22 @@ def h_field(n, profile, t, x):
                  * profile(np.asarray(t)))
 
 
+def _lambda_rule(support, t, s_order, gh_order):
+    """Nodes and weights of the direct quadrature of the smoothing operator.
+
+    s: Gauss-Legendre with s_order // 4 points on each of 8 equal panels of
+    (max(0, a), min(t, b)) -- bump windows converge slowly on a single GL
+    interval; y: ``gh_order``-point Gauss-Hermite for the standard normal.
+    None when the window is empty, where the operator is 0.
+    """
+    lo, hi = max(0.0, support[0]), min(t, support[1])
+    if hi <= lo:
+        return None
+    s, ws = _panels(np.linspace(lo, hi, 9), s_order // 4)
+    u, w = gauss_hermite_prob(gh_order)
+    return s.ravel(), ws.ravel(), u, w
+
+
 def lambda_numeric(f, support, t, x, s_order=64, gh_order=40):
     """Smoothing operator p^{-1}[p * (p f)] at (t, x) by direct quadrature.
 
@@ -275,13 +371,10 @@ def lambda_numeric(f, support, t, x, s_order=64, gh_order=40):
     """
     x = np.asarray(np.atleast_1d(x), dtype=float)
     d = x.size
-    lo = max(0.0, support[0])
-    hi = min(t, support[1])
-    if hi <= lo:
+    rule = _lambda_rule(support, t, s_order, gh_order)
+    if rule is None:
         return 0.0
-    # panelled in s: bump windows converge slowly on a single GL interval
-    s_nodes, s_weights = panel_rule(np.linspace(lo, hi, 9), order=s_order // 4)
-    u, w = gauss_hermite_prob(gh_order)
+    s_nodes, s_weights, u, w = rule
     axes = [u] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     wmesh = w
@@ -294,6 +387,34 @@ def lambda_numeric(f, support, t, x, s_order=64, gh_order=40):
         y = m[None, :] + math.sqrt(sig) * mesh
         total += ws * float(np.dot(wmesh, f(s, y)))
     return total
+
+
+def lambda_numeric_on_hermite(n, profile, ts, xs, s_order=64, gh_order=40):
+    """:func:`lambda_numeric` of the field h(n, profile) on a grid.
+
+    Returns the (len(ts), len(xs)) values at every t in ``ts`` and every
+    point of the (X, d) array ``xs``, with the same s and y rules. The
+    Gaussian average has covariance sig * I and He_n is a product over
+    coordinates, so the d-dimensional Gauss-Hermite sum is the product of
+    one 1-D sum per axis; no d-dimensional node mesh is built.
+    """
+    n = tuple(int(k) for k in np.atleast_1d(n))
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float).reshape(-1, len(n))
+    out = np.zeros((ts.size, xs.shape[0]))
+    for r, t in enumerate(ts):
+        rule = _lambda_rule(profile.support, t, s_order, gh_order)
+        if rule is None:
+            continue
+        s, ws, u, w = rule
+        spread = np.sqrt(s * (t - s) / t)[:, None] * u  # axes (s, y)
+        root_s = np.sqrt(s)[:, None]
+        avg = np.ones((xs.shape[0], s.size))
+        for i, k in enumerate(n):
+            y = (s / t)[:, None] * xs[:, i, None, None] + spread  # axes (x, s, y)
+            avg *= hermite_value_1d(k, y / root_s) @ w
+        out[r] = avg @ (ws * s ** (-0.5 * sum(n)) * profile(s))
+    return out
 
 
 def _lowered(n, i, by=2):
@@ -355,139 +476,119 @@ OPERATOR_BOUNDS = {
 }
 
 
-@dataclass
-class _Contribution:
-    """One additive output term: values on the grid plus a power-law tail."""
-
-    grid_vals: np.ndarray
-    tail_coeff: float  # contribution ~ tail_coeff * t^{-tail_pow} beyond the grid
-    tail_pow: float
-
-
-class _Expansion:
-    """Finite expansion {n: gamma_n} in the plain-coefficient convention."""
-
-    def __init__(self, coeffs):
-        self.coeffs = dict(coeffs)
-
-    def supports(self):
-        return [p.support for p in self.coeffs.values()]
-
-    def norm_sq(self):
-        return sum(index_factorial(n) * p.sq_integral()
-                   for n, p in self.coeffs.items())
-
-
-def _common_grid(expansion, t_cap=None):
-    edges = set()
-    for a, b in expansion.supports():
-        edges.update(np.linspace(a, b, 9))
+def _common_grid(profiles, t_cap=None):
+    edges = np.unique(np.linspace(profiles.alpha, profiles.beta, 9, axis=-1))
     if t_cap is not None:
-        edges.add(t_cap)
-    edges = np.array(sorted(e for e in edges
-                            if t_cap is None or e <= t_cap + 1e-15))
+        edges = np.union1d(edges[edges <= t_cap + 1e-15], [t_cap])
     return panel_rule(edges, order=12)
 
 
-def _apply_operator(which, expansion, d, T=None, i=0):
-    """Map an expansion through an operator; returns (outputs, grid, t_max).
+def _lowered_rows(indices, j):
+    """(src, dst): the rows of ``indices`` with n_j >= 2 and the rows of n - 2 e_j."""
+    row = {n: r for r, n in enumerate(map(tuple, indices.tolist()))}
+    src = np.flatnonzero(indices[:, j] >= 2)
+    lowered = indices[src]
+    lowered[:, j] -= 2
+    dst = np.array([row[n] for n in map(tuple, lowered.tolist())], dtype=int)
+    return src, dst
 
-    outputs: dict output-index -> list of _Contribution on the common grid.
-    The running integrals J_n(t) = t^{-|n|/2} int_0^t s^{|n|/2} gamma_n(s) ds
-    carry exact power-law tails beyond the largest support edge.
+
+def _apply_operator(which, indices, profiles, nodes, T=None, i=0):
+    """Map an expansion through an operator on the common grid.
+
+    The expansion has coefficient profile k of ``profiles`` at the multi-index
+    in row k of the (K, d) array ``indices``. Returns (vals, tail): vals[m]
+    is output coefficient m on the grid, and beyond the grid it equals
+    tail[m, 0] t^{-|m|/2-1} + tail[m, 1] t^{-|m|/2-2}. The running integrals
+    J_n(t) = t^{-|n|/2} int_0^t s^{|n|/2} gamma_n(s) ds carry these exact
+    power-law tails beyond the largest support edge.
     """
-    t_cap = T if which == "e_t_lambda" else None
-    nodes, weights = _common_grid(expansion, t_cap=t_cap)
-    t_max = max(b for _, b in expansion.supports())
-    if t_cap is not None:
-        t_max = min(t_max, t_cap)
-    out = {}
-
-    def add(m, vals, tail_c, tail_p):
-        out.setdefault(m, []).append(_Contribution(vals, tail_c, tail_p))
-
-    for n, prof in expansion.coeffs.items():
-        tot = sum(n)
-        q = 0.5 * tot
-        J = nodes ** (-q) * prof.weighted_integral(q, nodes)
-        C = prof.weighted_integral(q)  # J(t) = C t^{-q} beyond the support
-        if which == "lambda0":
-            add(n, J / nodes, C, q + 1.0)
-        elif which == "e_t_lambda":
-            vals = np.where(nodes < T, J, 0.0)
-            add(n, vals, 0.0, 0.0)  # grid is capped at T, no tail
-        elif which == "lambda2i":
-            ni = n[i]
-            if ni >= 2:
-                add(_lowered(n, i), 0.5 * ni * (ni - 1) * J / nodes,
-                    0.5 * ni * (ni - 1) * C, q + 1.0)
-        elif which == "lambda3i":
-            ni = n[i]
-            if ni >= 1:
-                add(n, -ni * J / nodes, -ni * C, q + 1.0)
-            if ni >= 2:
-                add(_lowered(n, i), -ni * (ni - 1) * J / nodes,
-                    -ni * (ni - 1) * C, q + 1.0)
-        elif which == "lambda4i":
-            ni = n[i]
-            if ni >= 1:
-                add(n, -ni * J / nodes, -ni * C, q + 1.0)
-        elif which == "lambda1":
-            add(n, prof(nodes), 0.0, 0.0)
-            for j in range(len(n)):
-                nj = n[j]
-                if nj >= 1:
-                    add(n, -nj * J / nodes, -nj * C, q + 1.0)
-                if nj >= 2:
-                    add(_lowered(n, j), -0.5 * nj * (nj - 1) * J / nodes,
-                        -0.5 * nj * (nj - 1) * C, q + 1.0)
+    q = 0.5 * indices.sum(axis=1)
+    J, C = profiles.running_integrals(q, nodes)
+    J *= nodes ** -q[:, None]  # J = C t^{-q} beyond the support
+    if which == "e_t_lambda":
+        return np.where(nodes < T, J, 0.0), np.zeros((len(q), 2))  # grid capped at T
+    # terms (j, coef): coef_n J_n(t) / t goes to output n (j None) or n - 2 e_j
+    ni = indices[:, i]
+    vals = np.zeros_like(J)
+    if which == "lambda0":
+        terms = [(None, np.ones(len(q)))]
+    elif which == "lambda2i":
+        terms = [(i, 0.5 * ni * (ni - 1))]
+    elif which == "lambda3i":
+        terms = [(None, -ni), (i, -ni * (ni - 1))]
+    elif which == "lambda4i":
+        terms = [(None, -ni)]
+    elif which == "lambda1":
+        # identity part plus sum_j (Lambda_{4,j} - Lambda_{2,j})
+        vals = profiles.at(nodes)
+        terms = []
+        for j in range(indices.shape[1]):
+            nj = indices[:, j]
+            terms += [(None, -nj), (j, -0.5 * nj * (nj - 1))]
+    else:
+        raise ValueError(f"unknown operator {which!r}")
+    tail = np.zeros((len(q), 2))
+    J /= nodes
+    for j, coef in terms:
+        if j is None:
+            vals += coef[:, None] * J
+            tail[:, 0] += coef * C
         else:
-            raise ValueError(f"unknown operator {which!r}")
-    return out, (nodes, weights), t_max
+            src, dst = _lowered_rows(indices, j)
+            vals[dst] += coef[src, None] * J[src]
+            tail[dst, 1] += coef[src] * C[src]
+    return vals, tail
 
 
-def _output_norm_sq(outputs, grid, t_max):
-    nodes, weights = grid
-    total = 0.0
-    for m, contribs in outputs.items():
-        vals = sum(c.grid_vals for c in contribs)
-        piece = float(np.dot(weights, vals ** 2))
-        # closed-form tail integral of (sum_k c_k t^{-p_k})^2 over (t_max, inf)
-        for ca in contribs:
-            for cb in contribs:
-                if ca.tail_coeff == 0.0 or cb.tail_coeff == 0.0:
-                    continue
-                p = ca.tail_pow + cb.tail_pow
-                piece += ca.tail_coeff * cb.tail_coeff * t_max ** (1.0 - p) / (p - 1.0)
-        total += index_factorial(m) * piece
-    return total
+def _output_norm_sq(indices, fact, vals, tail, weights, t_max):
+    piece = vals ** 2 @ weights
+    # closed-form tail integral of (A t^{-p1} + B t^{-p2})^2 over (t_max, inf)
+    p1 = 0.5 * indices.sum(axis=1) + 1.0
+    p2 = p1 + 1.0
+    a, b = tail.T
+    piece += (a * a * t_max ** (1.0 - 2 * p1) / (2 * p1 - 1.0)
+              + 2 * a * b * t_max ** (1.0 - p1 - p2) / (p1 + p2 - 1.0)
+              + b * b * t_max ** (1.0 - 2 * p2) / (2 * p2 - 1.0))
+    return float(fact @ piece)
 
 
 def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
     """Max Rayleigh quotient ||op f|| / ||f|| over random finite expansions.
 
-    Expansions draw an independent random bump coefficient profile for every
-    index with |n| <= max_degree. Quotients are evaluated in the coefficient
-    domain, where the family acts index-by-index; the physical-space
-    cross-check lives in :func:`lambda_numeric`.
+    Each trial draws an independent random bump coefficient profile
+    (support start, width, amplitude) for every index with |n| <= max_degree.
+    Quotients are evaluated in the coefficient domain, where the family acts
+    index by index: all profiles of a trial are one array batch, their
+    running integrals at the common grid come from the panel Legendre
+    interpolants, and the output norm adds the exact power-law tail beyond
+    the grid. The physical-space cross-check lives in :func:`lambda_numeric`.
+    Raises ``ValueError`` for trials < 1, max_degree < 0 or d < 1, which
+    would leave nothing to probe.
     """
     if which == "e_t_lambda" and T is None:
         raise ValueError("e_t_lambda probe needs T")
+    if trials < 1 or max_degree < 0 or d < 1:
+        raise ValueError("need trials >= 1, max_degree >= 0 and d >= 1")
     rng = np.random.default_rng(seed)
-    indices = multi_indices(d, max_degree)
+    indices = np.array(multi_indices(d, max_degree), dtype=int)
+    fact = np.array([index_factorial(n) for n in indices], dtype=float)
+    t_cap = T if which == "e_t_lambda" else None
     worst = 0.0
     for _ in range(trials):
-        coeffs = {}
-        for n in indices:
-            a = rng.uniform(0.05, 2.0)
-            b = a + rng.uniform(0.1, 1.5)
-            amp = rng.uniform(-1.0, 1.0)
-            if abs(amp) < 0.05:
-                amp = 0.05
-            coeffs[n] = BumpProfile(a, b, amplitude=amp)
-        f = _Expansion(coeffs)
-        outputs, grid, t_max = _apply_operator(which, f, d, T=T, i=i)
-        quot = math.sqrt(_output_norm_sq(outputs, grid, t_max) / f.norm_sq())
+        # per index: start a, width b - a, amplitude (same stream order as
+        # drawing the three scalars index by index)
+        draw = rng.uniform([0.05, 0.1, -1.0], [2.0, 1.5, 1.0], size=(len(indices), 3))
+        a = draw[:, 0]
+        amp = np.where(np.abs(draw[:, 2]) < 0.05, 0.05, draw[:, 2])
+        profiles = _BumpBatch(a, a + draw[:, 1], amp)
+        nodes, weights = _common_grid(profiles, t_cap=t_cap)
+        t_max = float(profiles.beta.max())
+        if t_cap is not None:
+            t_max = min(t_max, t_cap)
+        vals, tail = _apply_operator(which, indices, profiles, nodes, T=T, i=i)
+        out_sq = _output_norm_sq(indices, fact, vals, tail, weights, t_max)
+        quot = math.sqrt(out_sq / float(fact @ profiles.sq_integrals()))
         worst = max(worst, quot)
     return worst
 
@@ -568,25 +669,23 @@ def verification_report(seed=0, trials=200, max_degree=6, d=2, grid_n=5,
     ``bound_overrides`` is a test hook mapping operator name -> bound,
     letting a negative control force a failure.
     """
+    if trials < 1 or grid_n < 1:
+        raise ValueError("need trials >= 1 and grid_n >= 1")
     rng = np.random.default_rng(seed)
     report = {"identities": [], "bounds": [], "hardy": {}, "ok": True}
 
     # eigen-identity on a grid, |n| <= 4, d in {1, 2}
+    ts = np.linspace(0.4, 2.0, grid_n)
+    root_t = np.sqrt(ts)[:, None, None]
+    prof = BumpProfile(0.2, 1.2, amplitude=1.0)
+    big_g = prof.weighted_integral(0.0, ts)[:, None]
     for dim in (1, 2):
-        prof = BumpProfile(0.2, 1.2, amplitude=1.0)
+        xs = np.repeat(np.linspace(-1.5, 1.5, grid_n)[:, None], dim, axis=1)
         worst = 0.0
-        ts = np.linspace(0.4, 2.0, grid_n)
-        xs = np.linspace(-1.5, 1.5, grid_n)
         for n in multi_indices(dim, 4):
-            def f(s, y, n=n):
-                he = hermite_value(n, y / math.sqrt(s))
-                return he * s ** (-0.5 * sum(n)) * prof(np.full(y.shape[0], s))
-            for t in ts:
-                for xv in xs:
-                    x = np.full(dim, xv)
-                    a = lambda_numeric(f, prof.support, t, x)
-                    b = lambda_family_on_hermite("lambda", n, prof, t, x)
-                    worst = max(worst, abs(a - b))
+            a = lambda_numeric_on_hermite(n, prof, ts, xs)
+            b = hermite_value(n, xs / root_t) * ts[:, None] ** (-0.5 * sum(n)) * big_g
+            worst = max(worst, float(np.max(np.abs(a - b))))
         report["identities"].append(
             {"name": f"eigen_identity_d{dim}", "max_error": worst,
              "tolerance": 1e-5, "pass": worst < 1e-5})

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -140,6 +141,15 @@ def test_hermite_verify_pass_and_negative_control(tmp_path, capsys):
         "trials": 3, "grid_n": 2, "bound_overrides": {"lambda3i": 1e-9}})
     assert main(["hermite-verify", "--config", cfg, "--out", out]) == 3
     assert "lambda3i" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [{"trials": 0}, {"trials": 2, "grid_n": 0}])
+def test_hermite_verify_rejects_empty_run(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, "hv0.json", cfg)
+    out = str(tmp_path / "hv0.out")
+    assert main(["hermite-verify", "--config", path, "--out", out]) == 1
+    assert "need trials >= 1 and grid_n >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_profile_command_cone_series(tmp_path):

@@ -16,6 +16,7 @@ from parcap.hermite_ops import (
     index_factorial,
     lambda_family_on_hermite,
     lambda_numeric,
+    lambda_numeric_on_hermite,
     multi_indices,
     operator_norm_probe,
     verification_report,
@@ -106,6 +107,25 @@ def test_lambda_numeric_matches_closed_form_degree2():
             assert got == pytest.approx(want, abs=1e-5)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lambda_numeric_on_hermite_matches_lambda_numeric(d):
+    prof = BumpProfile(0.2, 1.2, amplitude=0.9)
+    # 0.15 and 0.2 sit at or below the support start: exactly 0 there
+    ts = np.array([0.15, 0.2, 0.7, 1.9])
+    xs = np.array([[-1.3, 0.4], [0.0, -0.7], [0.8, 1.5]])[:, :d]
+    for n in multi_indices(d, 4):
+        def f(s, y, n=n):
+            return (hermite_value(n, y / math.sqrt(s)) * s ** (-0.5 * sum(n))
+                    * prof(np.full(y.shape[0], s)))
+        got = lambda_numeric_on_hermite(n, prof, ts, xs)
+        assert got.shape == (ts.size, xs.shape[0])
+        assert np.all(got[:2] == 0.0)
+        for a, t in enumerate(ts):
+            for b, x in enumerate(xs):
+                want = lambda_numeric(f, prof.support, t, x)
+                assert abs(got[a, b] - want) <= 1e-13
+
+
 def test_lambda_family_degenerate_indices():
     prof = BumpProfile(0.2, 1.2)
     assert lambda_family_on_hermite("lambda2i", (1, 0), prof, 0.7, [0.1, 0.2],
@@ -125,6 +145,39 @@ def test_operator_norm_probes_small():
         q = operator_norm_probe(which, 25, 5, d, T=T, seed=7)
         assert q <= OPERATOR_BOUNDS[which](d, T) + 1e-6
         assert q > 0.0
+
+
+# operator_norm_probe values recorded from the per-index scalar implementation
+# (one BumpProfile per index, GL16 partial panels) at max degree 4
+PINNED_PROBES = [  # which, T, d, i, trials, seed, value
+    ("lambda0", None, 2, 0, 4, 3, 0.3212119082382174),
+    ("lambda1", None, 2, 0, 4, 3, 0.9817217577812056),
+    ("lambda2i", None, 2, 0, 4, 3, 0.3332323390995264),
+    ("lambda3i", None, 2, 0, 4, 3, 1.0976614135575475),
+    ("lambda4i", None, 1, 0, 4, 3, 1.0419278910575263),
+    ("e_t_lambda", 1.0, 2, 0, 4, 3, 0.07765382951934775),
+    ("e_t_lambda", 0.01, 2, 0, 4, 3, 0.0),  # T below every support
+    ("lambda2i", None, 2, 1, 3, 5, 0.39973148437655664),
+    ("lambda3i", None, 2, 1, 3, 5, 1.2164348247319656),
+    ("lambda4i", None, 2, 1, 3, 5, 0.9331194097927977),
+]
+
+
+@pytest.mark.parametrize("which,T,d,i,trials,seed,want", PINNED_PROBES)
+def test_operator_norm_probe_pinned_values(which, T, d, i, trials, seed, want):
+    got = operator_norm_probe(which, trials, 4, d, T=T, i=i, seed=seed)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_probe_and_report_reject_empty_runs():
+    with pytest.raises(ValueError, match="trials"):
+        operator_norm_probe("lambda0", 0, 4, 2)
+    with pytest.raises(ValueError, match="max_degree"):
+        operator_norm_probe("lambda0", 2, -1, 2)
+    with pytest.raises(ValueError, match="trials"):
+        verification_report(trials=0)
+    with pytest.raises(ValueError, match="grid_n"):
+        verification_report(trials=1, grid_n=0)
 
 
 def test_hardy_box_case():

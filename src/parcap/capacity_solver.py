@@ -11,12 +11,10 @@ discretized energy from collapsing to zero under refinement.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import runtime
 from .energy_kernel import (
     PARABOLIC,
     DiscreteMeasure,
@@ -195,27 +193,12 @@ def _fill_stencil(a, k, table, strides, target=131_072):
 
 def _fill_pairwise(a, cloud, kind):
     """Kernel of each pair of centres over the upper triangle, mirrored."""
-    n = cloud.n
-    chunks = _triangle_chunks(n)  # lazy: serially, only the chunk being filled is alive
-
-    def fill(chunk):
-        ii, jj = chunk
+    for ii, jj in _triangle_chunks(cloud.n):  # lazy: only one chunk is alive
         if cloud.times is None:
-            vals = _pair_values(kind, None, cloud.coords[ii], None, cloud.coords[jj])
+            a[ii, jj] = _pair_values(kind, None, cloud.coords[ii], None, cloud.coords[jj])
         else:
-            vals = _pair_values(kind, cloud.times[ii], cloud.coords[ii],
-                                cloud.times[jj], cloud.coords[jj])
-        return ii, jj, vals
-
-    workers = runtime.get_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for ii, jj, vals in pool.map(fill, chunks):
-                a[ii, jj] = vals
-    else:
-        for chunk in chunks:
-            ii, jj, vals = fill(chunk)
-            a[ii, jj] = vals
+            a[ii, jj] = _pair_values(kind, cloud.times[ii], cloud.coords[ii],
+                                     cloud.times[jj], cloud.coords[jj])
     a += a.T
 
 

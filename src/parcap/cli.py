@@ -376,7 +376,7 @@ def main(argv=None):
     parser.add_argument("--out", default=None,
                         help="output path, '-' for stdout (env PARCAP_OUT)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap for parallel loops (env PARCAP_THREADS)")
+                        help="worker cap (env PARCAP_THREADS); every loop runs serially")
     args = parser.parse_args(argv)
 
     fn, needs_seed = _COMMANDS[args.command]

@@ -7,9 +7,9 @@ Each region class carries its own geometry: membership on validated points
 its canonical JSON encoding {"kind": ..., parameters...} (``to_dict``) and
 its time-slice decomposition (``slices``). Spatial regions add ``distance``,
 the largest norm of a point (``max_norm``) and an exact straight-segment test
-(``segment_hits``); space-time regions add the graph detector's segment test
-(``graph_segment_hits``). The module functions validate their input and call
-these methods.
+(``segment_hits``); space-time regions add the graph detector's per-segment
+test (``graph_segment_hits``). The module functions validate their input
+and call these methods.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class Region:
         return None
 
     def graph_segment_hits(self, ta, tb, pa, pb):
-        """Detector test for segments (ta, pa) -> (tb, pb) against a
+        """Detector flags, one per segment (ta, pa) -> (tb, pb), against a
         full-dimensional space-time set: endpoint membership at the
         reporting pitch."""
-        return bool(np.any(self.mask(np.column_stack([tb, pb]))))
+        return self.mask(np.column_stack([tb, pb]))
 
 
 def _segment_min_dist(center, p0, p1):
@@ -118,13 +118,14 @@ class SliceOf(Region):
         return [(self.t0, self.base)]
 
     def graph_segment_hits(self, ta, tb, pa, pb):
-        """Linear interpolation of each segment at its slice crossing."""
+        """Per-segment flags: linear interpolation at the slice crossing."""
         cross = (ta - self.t0) * (tb - self.t0) <= 0.0
-        if not np.any(cross):
-            return False
-        frac = (self.t0 - ta[cross]) / np.maximum(tb[cross] - ta[cross], 1e-300)
-        y = pa[cross] + frac[:, None] * (pb[cross] - pa[cross])
-        return bool(np.any(self.base.mask(y)))
+        out = np.zeros(cross.shape, dtype=bool)
+        if np.any(cross):
+            frac = (self.t0 - ta[cross]) / np.maximum(tb[cross] - ta[cross], 1e-300)
+            y = pa[cross] + frac[:, None] * (pb[cross] - pa[cross])
+            out[cross] = self.base.mask(y)
+        return out
 
 
 class TimeSliceBall(SliceOf):
@@ -370,7 +371,8 @@ class RegionUnion(Region):
         return np.any([m.segment_hits(p0, p1) for m in self.members], axis=0)
 
     def graph_segment_hits(self, ta, tb, pa, pb):
-        return any(m.graph_segment_hits(ta, tb, pa, pb) for m in self.members)
+        return np.any([m.graph_segment_hits(ta, tb, pa, pb) for m in self.members],
+                      axis=0)
 
 
 def contains(region, points, slab_eps=SLAB_EPS):

@@ -1,4 +1,9 @@
-"""Process-wide worker-count cap for the data-parallel loops."""
+"""Process-wide worker-count setting.
+
+Every loop runs serially: a thread pool over the pairwise kernel fill gained
+about 1.0x on two cores and was removed. The setting is kept for the CLI
+``--threads`` flag and for benchmark provenance.
+"""
 
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
 """Branching Brownian motion approximation of the measure-valued process,
-plus single-path Brownian range hitting.
+plus Brownian range hitting by walk on spheres.
 
 The particle system is critical binary branching Brownian motion: each of N
 initial particles (mass 1/N) carries an independent exponential branch clock
@@ -21,7 +21,18 @@ Three equivalent-in-law engines, each exact for what it samples:
   through a time grid with the exact offspring law (binomial survivors plus
   negative-binomial excess), since motion is irrelevant to extinction.
 
-Cross-engine agreement is pinned by tests.
+The forward and reduced-tree engines advance a fixed-size chunk of runs in
+lock-step: every lineage carries its run id, one set of array operations
+serves all runs of a generation, and hits and tallies are scattered back
+per run. Each estimator draws all its runs from one generator,
+``run_rng(seed, 0)``, so results are deterministic per seed. The public
+single-run calls are batches of one of the same engines.
+
+The range estimator jumps each walker to the boundary of the largest ball
+about it that avoids the target (walk on spheres), with the d >= 3 kill
+sphere and the d = 2 Exp(1) killing both applied exactly.
+
+Cross-engine agreement and the range oracles are pinned by tests.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import RegionError, contains
+from .region import RegionError, RegionUnion
 
 __all__ = [
     "BranchingConfig",
@@ -131,12 +142,21 @@ class HitEstimate:
         }
 
 
-def run_rng(seed, run_index):
-    """Documented splitting rule: one generator per (seed, run index)."""
-    return np.random.default_rng([int(seed), int(run_index)])
+def run_rng(seed, stream):
+    """Generator for (seed, stream index).
+
+    Every estimator draws all its runs from ``run_rng(seed, 0)``: the engines
+    advance fixed-size chunks of runs in lock-step, so a seed gives the same
+    result on every call. The single-run calls (``simulate_branching``,
+    ``reduced_slice_positions``) take any generator, e.g. ``run_rng(seed, r)``
+    to replay independent runs one by one.
+    """
+    return np.random.default_rng([int(seed), int(stream)])
 
 
 # --- forward engine -------------------------------------------------------------
+
+FORWARD_CHUNK_LINEAGES = 8192  # initial lineages per lock-step chunk of forward runs
 
 
 @dataclass
@@ -150,135 +170,208 @@ class RunTrace:
 
 
 class GraphHitDetector:
-    """Streaming space-time hit flags over a list of regions.
+    """Streaming space-time hit flags, one per (region, run).
 
-    Time-slice regions use linear interpolation at slice crossings; all other
-    space-time regions use endpoint membership checks at the reporting pitch.
+    Each region flags the segments that hit it (``graph_segment_hits``): time
+    slices by linear interpolation at the slice crossing, all other
+    space-time regions by endpoint membership at the reporting pitch.
+    ``hits[k, r]`` is set once a segment of run r hits region k; ``flags``
+    lists run 0's flag per region, the whole result of a single-run
+    simulation.
     """
 
-    def __init__(self, regions):
+    def __init__(self, regions, runs=1):
         self.regions = list(regions)
-        self.flags = [False] * len(self.regions)
+        self.hits = np.zeros((len(self.regions), runs), dtype=bool)
 
-    def observe(self, ta, tb, pa, pb):
-        for idx, reg in enumerate(self.regions):
-            if not self.flags[idx] and reg.graph_segment_hits(ta, tb, pa, pb):
-                self.flags[idx] = True
+    @property
+    def flags(self):
+        return self.hits[:, 0].tolist()
+
+    def observe(self, ta, tb, pa, pb, run):
+        for k, reg in enumerate(self.regions):
+            self.hits[k, run[reg.graph_segment_hits(ta, tb, pa, pb)]] = True
+
+
+def _forward_batch(config, runs, rng, detectors=(), count_times=()):
+    """``runs`` forward runs in lock-step; one RunTrace per run.
+
+    Every lineage carries its run id, so each generation of events is one
+    set of array operations over all runs, and per-run tallies are bincounts.
+    A run that exceeds config.max_particle_steps is dropped as exploded; its
+    trace keeps the tallies and counts reached before that step.
+    """
+    lam, d, n0 = config.branch_rate, config.d, config.n_particles
+    count_times = list(count_times)
+    grid = np.unique(np.concatenate([
+        np.arange(0.0, config.horizon, config.dt),
+        np.asarray(count_times, dtype=float),
+        [config.horizon],
+    ]))
+    grid = grid[(grid >= 0) & (grid <= config.horizon)]
+    pos = np.zeros((runs * n0, d))
+    run = np.repeat(np.arange(runs), n0)
+    steps = np.zeros(runs, dtype=np.int64)
+    max_particles = np.full(runs, n0, dtype=np.int64)
+    exploded = np.zeros(runs, dtype=bool)
+    stop = np.full(runs, np.inf)  # end of the reporting step a run exploded in
+    extinction = np.full(runs, np.nan)
+    count = np.full(runs, n0, dtype=np.int64)
+    counts = np.zeros((len(count_times), runs), dtype=np.int64)
+    t_cur = 0.0
+    for t_next in grid[1:]:
+        if run.size == 0:
+            break
+        # pending lineages: start time and remaining window t_next - start
+        cur, cur_run = pos, run
+        start = np.full(run.size, t_cur)
+        settled, settled_run = [], []
+        held = np.zeros(runs, dtype=np.int64)
+        while cur_run.size:
+            alive = np.bincount(cur_run, minlength=runs)
+            steps += alive
+            over = (steps > config.max_particle_steps) & ~exploded
+            if np.any(over):
+                exploded |= over
+                stop[over] = t_next
+                keep = ~over[cur_run]
+                cur, cur_run, start = cur[keep], cur_run[keep], start[keep]
+            np.maximum(max_particles, alive + held, out=max_particles, where=~exploded)
+            # each clock rings after an exact Exp(lam) time; those that ring
+            # inside the window end their segment there
+            step = t_next - start
+            if lam > 0:
+                clock = rng.exponential(size=cur_run.size) / lam
+                ring = clock < step
+                np.minimum(clock, step, out=step)
+            else:
+                ring = np.zeros(cur_run.size, dtype=bool)
+            moved = cur + rng.normal(size=cur.shape) * np.sqrt(step)[:, None]
+            ta, start = start, start + step
+            for det in detectors:
+                det.observe(ta, start, cur, moved, cur_run)
+            calm = ~ring
+            settled.append(moved[calm])
+            settled_run.append(cur_run[calm])
+            held += np.bincount(settled_run[-1], minlength=runs)
+            if not np.any(ring):
+                break
+            split = ring
+            split[ring] = rng.uniform(size=int(ring.sum())) < 0.5
+            cur = np.repeat(moved[split], 2, axis=0)
+            cur_run = np.repeat(cur_run[split], 2)
+            start = np.repeat(start[split], 2)
+        pos = np.concatenate(settled) if settled else np.zeros((0, d))
+        run = np.concatenate(settled_run) if settled_run else np.zeros(0, dtype=np.intp)
+        if np.any(exploded):
+            keep = ~exploded[run]
+            pos, run = pos[keep], run[keep]
+        count = np.bincount(run, minlength=runs)
+        extinction[(count == 0) & np.isnan(extinction) & ~exploded] = t_next
+        t_cur = t_next
+        for i, ct in enumerate(count_times):
+            if abs(t_next - ct) < 1e-12:
+                counts[i] = count
+    return [RunTrace(bool(count[r] > 0) and not exploded[r],
+                     None if np.isnan(extinction[r]) else float(extinction[r]),
+                     int(max_particles[r]), int(steps[r]), bool(exploded[r]),
+                     {ct: int(counts[i, r]) for i, ct in enumerate(count_times)
+                      if ct < stop[r] - 1e-12})
+            for r in range(runs)]
 
 
 def simulate_branching(config, seed, detectors=(), count_times=()):
-    """One forward run; streams movement segments to detectors.
+    """One forward run (a batch of one); streams movement segments to detectors.
 
     Within each reporting step, every particle's exponential clock is played
     out exactly (possibly several generations of events per step); motion
     between events is an exact Gaussian increment. Aborts as exploded when
-    the processed segment count exceeds config.max_particle_steps.
+    the processed segment count exceeds config.max_particle_steps. An
+    extinct run counts 0 particles at every later count time.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    lam = config.branch_rate
-    d = config.d
-    grid = np.unique(np.concatenate([
-        np.arange(0.0, config.horizon, config.dt),
-        np.asarray(list(count_times), dtype=float),
-        [config.horizon],
-    ]))
-    grid = grid[(grid >= 0) & (grid <= config.horizon)]
-    pos = np.zeros((config.n_particles, d))
-    t_cur = 0.0
-    steps = 0
-    max_particles = config.n_particles
-    counts_at = {}
-    extinction = None
-    for t_next in grid[1:]:
-        if pos.shape[0] == 0:
-            break
-        # pending lineages: start time offset and remaining window delta
-        delta = np.full(pos.shape[0], t_next - t_cur)
-        start = np.full(pos.shape[0], t_cur)
-        cur = pos
-        settled = []
-        while cur.shape[0]:
-            steps += cur.shape[0]
-            if steps > config.max_particle_steps:
-                return RunTrace(False, None, max_particles, steps, True, counts_at)
-            if lam > 0:
-                ring = rng.uniform(size=cur.shape[0]) < -np.expm1(-lam * delta)
-            else:
-                ring = np.zeros(cur.shape[0], dtype=bool)
-            calm = ~ring
-            if np.any(calm):
-                moved = cur[calm] + rng.normal(
-                    size=(int(calm.sum()), d)) * np.sqrt(delta[calm])[:, None]
-                for det in detectors:
-                    det.observe(start[calm], start[calm] + delta[calm],
-                                cur[calm], moved)
-                settled.append(moved)
-            if not np.any(ring):
-                break
-            # exact ring time within the window: truncated exponential
-            u = rng.uniform(size=int(ring.sum()))
-            tau = -np.log1p(u * np.expm1(-lam * delta[ring])) / lam
-            moved = cur[ring] + rng.normal(
-                size=(int(ring.sum()), d)) * np.sqrt(tau)[:, None]
-            for det in detectors:
-                det.observe(start[ring], start[ring] + tau, cur[ring], moved)
-            split = rng.uniform(size=moved.shape[0]) < 0.5
-            kids = np.repeat(moved[split], 2, axis=0)
-            kid_start = np.repeat(start[ring][split] + tau[split], 2)
-            cur = kids
-            start = kid_start
-            delta = t_next - kid_start
-            max_particles = max(max_particles, cur.shape[0]
-                                + sum(s.shape[0] for s in settled))
-        pos = np.concatenate(settled) if settled else np.zeros((0, d))
-        if pos.shape[0] == 0 and extinction is None:
-            extinction = t_next
-        t_cur = t_next
-        for ct in count_times:
-            if abs(t_next - ct) < 1e-12:
-                counts_at[ct] = pos.shape[0]
-    survived = pos.shape[0] > 0
-    return RunTrace(survived, extinction, max_particles, steps, False, counts_at)
+    return _forward_batch(config, 1, rng, detectors, count_times)[0]
+
+
+def _forward_chunks(config, regions, runs, seed):
+    """(first run index, hit flags (regions, chunk), traces) per lock-step
+    chunk of forward runs, all drawn from run_rng(seed, 0)."""
+    rng = run_rng(seed, 0)
+    chunk = max(1, FORWARD_CHUNK_LINEAGES // config.n_particles)
+    for first in range(0, runs, chunk):
+        n = min(chunk, runs - first)
+        det = GraphHitDetector(regions, n)
+        yield first, det.hits, _forward_batch(config, n, rng, [det])
 
 
 # --- reduced-tree engine (fixed-time slice) ---------------------------------------
+
+TREE_CHUNK_RUNS = 128  # runs per lock-step chunk of the reduced-tree engine
+
+
+def _slice_leaves(n_roots, rate, t_slice, d, runs, rng):
+    """Yield (run ids, positions) of the particles alive at t_slice, one batch
+    per generation of the conditioned genealogy of ``runs`` runs.
+
+    Each root survives with probability u = 2/(2 + rate t); surviving lines
+    branch as a binary pure-birth process with rate rate/(2 + rate (t - s))
+    and carry Brownian displacements along edges. Lineages are rows
+    (birth time, run id, position), so one repeat per generation both drops
+    the leaves and doubles the branching lines.
+    """
+    if rate == 0.0:
+        yield (np.repeat(np.arange(runs), n_roots),
+               rng.normal(size=(runs * n_roots, d)) * math.sqrt(t_slice))
+        return
+    n_surv = rng.binomial(n_roots, 2.0 / (2.0 + rate * t_slice), size=runs)
+    z = np.zeros((int(n_surv.sum()), d + 2))
+    z[:, 1] = np.repeat(np.arange(runs), n_surv)
+    while z.shape[0]:
+        rem = t_slice - z[:, 0]
+        tau = rem - (rng.uniform(size=rem.size) * (2.0 + rate * rem) - 2.0) / rate
+        leaf = tau >= rem
+        step = np.minimum(tau, rem)  # leaves move on to the slice
+        z[:, 2:] += rng.normal(size=(rem.size, d)) * np.sqrt(step)[:, None]
+        z[:, 0] += step
+        yield z[leaf, 1].astype(np.intp), z[leaf, 2:]
+        z = np.repeat(z, np.where(leaf, 0, 2), axis=0)
 
 
 def reduced_slice_positions(n_roots, rate, t_slice, d, rng):
     """Positions at t_slice of all particles alive then, from n_roots at 0.
 
-    Samples the conditioned genealogy directly: each root survives with
-    probability u = 2/(2 + rate t); surviving lines branch as a binary
-    pure-birth process with rate rate/(2 + rate (t - s)) and carry Brownian
-    displacements along edges. Equal in law to the forward engine's time-t
-    population (motion is independent of genealogy); pinned by tests.
+    A batch of one of the reduced-tree engine (``_slice_leaves``), which
+    samples the conditioned genealogy directly. Equal in law to the forward
+    engine's time-t population (motion is independent of genealogy); pinned
+    by tests.
     """
-    if rate == 0.0:
-        return rng.normal(size=(n_roots, d)) * math.sqrt(t_slice)
-    u = 2.0 / (2.0 + rate * t_slice)
-    n_surv = int(rng.binomial(n_roots, u))
-    if n_surv == 0:
-        return np.zeros((0, d))
-    s = np.zeros(n_surv)
-    pos = np.zeros((n_surv, d))
-    leaves = []
-    while s.size:
-        rem = t_slice - s
-        uu = rng.uniform(size=s.size)
-        tau = rem - (uu * (2.0 + rate * rem) - 2.0) / rate
-        is_leaf = tau >= rem
-        if np.any(is_leaf):
-            nl = int(is_leaf.sum())
-            leaves.append(pos[is_leaf]
-                          + rng.normal(size=(nl, d)) * np.sqrt(rem[is_leaf])[:, None])
-        go = ~is_leaf
-        ng = int(go.sum())
-        if ng == 0:
-            break
-        stepped = pos[go] + rng.normal(size=(ng, d)) * np.sqrt(tau[go])[:, None]
-        pos = np.repeat(stepped, 2, axis=0)
-        s = np.repeat(s[go] + tau[go], 2)
-    return np.concatenate(leaves) if leaves else np.zeros((0, d))
+    pts = [x for _, x in _slice_leaves(n_roots, rate, t_slice, d, 1, rng)]
+    return np.concatenate(pts) if pts else np.zeros((0, d))
+
+
+def _slice_hits(config, t_slice, spatial, runs, seed):
+    """(regions, runs) flags: does run r's population at t_slice meet region k.
+
+    Leaves outside the union of the regions' bounding boxes are dropped
+    before any membership test, which is exact since each box holds its set.
+    """
+    if t_slice > config.horizon:
+        raise ValueError("slice time beyond horizon")
+    for reg in spatial:
+        if reg.spacetime or reg.d != config.d:
+            raise RegionError(f"slice hits need spatial regions of dimension {config.d}")
+    rng = run_rng(seed, 0)
+    lo, hi = RegionUnion(tuple(spatial)).bounds()
+    hit = np.zeros((len(spatial), runs), dtype=bool)
+    for first in range(0, runs, TREE_CHUNK_RUNS):
+        n = min(TREE_CHUNK_RUNS, runs - first)
+        for run, x in _slice_leaves(config.n_particles, config.branch_rate, t_slice,
+                                    config.d, n, rng):
+            near = np.all((x >= lo) & (x <= hi), axis=1)
+            run, x = run[near] + first, x[near]
+            for k, reg in enumerate(spatial):
+                hit[k, run[reg.mask(x)]] = True
+    return hit
 
 
 # --- count engine -------------------------------------------------------------------
@@ -311,7 +404,7 @@ def estimate_survival(config, times, runs, seed):
     times = sorted(float(t) for t in times)
     if times and times[-1] > config.horizon:
         raise ValueError("requested time beyond horizon")
-    rng = np.random.default_rng([int(seed), 0])
+    rng = run_rng(seed, 0)
     counts = np.full(runs, config.n_particles, dtype=np.int64)
     t_cur = 0.0
     out = {}
@@ -357,31 +450,16 @@ def estimate_graph_hits(config, regions, runs, seed):
         if not getattr(reg, "spacetime", False):
             raise ValueError("graph hits need space-time regions")
     fam = _slice_family(regions)
-    hits = np.zeros(len(regions), dtype=int)
-    exploded = 0
     if fam is not None:
-        t0, spatial = fam
-        if t0 > config.horizon:
-            raise ValueError("slice time beyond horizon")
-        for r in range(runs):
-            rng = run_rng(seed, r)
-            pts = reduced_slice_positions(config.n_particles, config.branch_rate,
-                                          t0, config.d, rng)
-            if pts.shape[0] == 0:
-                continue
-            for k, sreg in enumerate(spatial):
-                if np.any(contains(sreg, pts)):
-                    hits[k] += 1
-    else:
-        for r in range(runs):
-            det = GraphHitDetector(regions)
-            trace = simulate_branching(config, run_rng(seed, r), detectors=[det])
-            if trace.exploded:
-                exploded += 1
-                continue
-            hits += np.asarray(det.flags, dtype=int)
-    effective = runs - exploded
-    return [HitEstimate.from_counts(int(h), effective, exploded) for h in hits]
+        hits = _slice_hits(config, fam[0], fam[1], runs, seed).sum(axis=1)
+        return [HitEstimate.from_counts(int(h), runs) for h in hits]
+    hits = np.zeros(len(regions), dtype=np.int64)
+    exploded = 0
+    for _, flags, traces in _forward_chunks(config, regions, runs, seed):
+        lost = np.array([tr.exploded for tr in traces])
+        hits += flags[:, ~lost].sum(axis=1)
+        exploded += int(lost.sum())
+    return [HitEstimate.from_counts(int(h), runs - exploded, exploded) for h in hits]
 
 
 def estimate_graph_hit(config, region, runs, seed):
@@ -392,20 +470,17 @@ def estimate_graph_hit(config, region, runs, seed):
 def graph_hit_run_records(config, region, runs, seed):
     """Per-run forward-engine records: index, hit flag, extinction time,
     max particles, exploded flag. Always runs the forward engine, since only
-    it carries full traces.
+    it carries full traces; the stream is the one ``estimate_graph_hits``
+    draws for non-slice regions.
     """
-    records = []
-    for r in range(runs):
-        det = GraphHitDetector([region])
-        trace = simulate_branching(config, run_rng(seed, r), detectors=[det])
-        records.append({
-            "run": r,
-            "hit": bool(det.flags[0]) and not trace.exploded,
-            "extinction_time": trace.extinction_time,
-            "max_particles": trace.max_particles,
-            "exploded": trace.exploded,
-        })
-    return records
+    return [{
+        "run": first + i,
+        "hit": bool(flags[0, i]) and not tr.exploded,
+        "extinction_time": tr.extinction_time,
+        "max_particles": tr.max_particles,
+        "exploded": tr.exploded,
+    } for first, flags, traces in _forward_chunks(config, [region], runs, seed)
+        for i, tr in enumerate(traces)]
 
 
 def write_run_records_csv(records, path):
@@ -421,16 +496,8 @@ def write_run_records_csv(records, path):
 
 def estimate_support_hit(config, t_slice, spatial_region, runs, seed):
     """P[support at time t_slice meets the spatial region]."""
-    if t_slice > config.horizon:
-        raise ValueError("slice time beyond horizon")
-    hits = 0
-    for r in range(runs):
-        rng = run_rng(seed, r)
-        pts = reduced_slice_positions(config.n_particles, config.branch_rate,
-                                      t_slice, config.d, rng)
-        if pts.shape[0] and np.any(contains(spatial_region, pts)):
-            hits += 1
-    return HitEstimate.from_counts(hits, runs)
+    hits = _slice_hits(config, t_slice, [spatial_region], runs, seed)
+    return HitEstimate.from_counts(int(hits.sum()), runs)
 
 
 # --- Brownian range ---------------------------------------------------------------------
@@ -457,49 +524,46 @@ def _draw_starts(start_law, d, runs, rng):
     return np.tile(start, (runs, 1))
 
 
+WOS_EPS = 1e-6  # walk-on-spheres shell: a walker this close to a boundary is on it
+
+
 def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
-    """Hit estimate for the range of a single Brownian path.
+    """Hit estimate for the range of a single Brownian path, by walk on spheres.
 
     Starts are drawn per run from ``start_law`` (a fixed point, a
-    DiscreteMeasure, or a sampler). d = 2 kills at an independent Exp(1)
-    time; d >= 3 kills on exit from the kill radius. Steps adapt far from
-    the target (step spread stays a small fraction of the free distance),
-    with exact segment-sphere interpolation near it; runs advance in one
-    deterministic lock-step batch.
+    DiscreteMeasure, or a sampler). Each walker jumps to a uniform point on
+    the largest sphere about it that stays clear of the region (radius
+    ``region.distance``), which is where Brownian motion first leaves that
+    ball (Muller 1956). A walker within WOS_EPS of the region has hit it.
+    d >= 3 kills on reaching the kill radius, exactly: the sphere also
+    stays inside B(0, kill_radius), and a walker within WOS_EPS of that
+    sphere is killed. d = 2 kills at an independent Exp(1) time: a walker
+    survives a sphere of radius r with probability E[e^-tau] =
+    1/I0(r sqrt 2) (Ciesielski & Taylor 1962), and is killed outright once
+    r sqrt 2 > 700, where I0 would overflow. No time step is taken, so
+    ``dt`` is unused; it stays in the signature for existing callers. All
+    runs advance in one deterministic lock-step batch from run_rng(seed, 0).
     """
     if d < 2:
         raise ValueError("range hitting needs d >= 2")
     if region.spacetime:
         raise ValueError("range hitting needs a spatial region")
-    rng = np.random.default_rng([int(seed), 0])
+    rng = run_rng(seed, 0)
     pos = _draw_starts(start_law, d, runs, rng)
-    alive = np.ones(runs, dtype=bool)
-    hit = np.zeros(runs, dtype=bool)
-    inside = region.distance(pos) == 0.0
-    hit[inside] = True
-    alive[inside] = False
-    if d == 2:
-        remaining = rng.exponential(1.0, size=runs)
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        p = pos[idx]
-        dist = region.distance(p)
-        h = np.maximum(dt, (dist / 6.0) ** 2)
+    hits = 0
+    while pos.shape[0]:
+        r = region.distance(pos)
+        near = r <= WOS_EPS
+        hits += int(near.sum())
         if d == 2:
-            h = np.minimum(h, remaining[idx])
-            h = np.maximum(h, 1e-12)
-        p_new = p + rng.normal(size=p.shape) * np.sqrt(h)[:, None]
-        seg_hit = region.segment_hits(p, p_new)
-        hit[idx[seg_hit]] = True
-        alive[idx[seg_hit]] = False
-        live = ~seg_hit
-        moved = idx[live]
-        pos[moved] = p_new[live]
-        if d == 2:
-            remaining[moved] -= h[live]
-            dead = moved[remaining[moved] <= 1e-12]
-            alive[dead] = False
+            z = r * math.sqrt(2.0)
+            live = ~near & (z <= 700.0)
+            live[live] = rng.uniform(size=int(live.sum())) * np.i0(z[live]) < 1.0
         else:
-            out = moved[np.linalg.norm(pos[moved], axis=1) > kill_radius]
-            alive[out] = False
-    return HitEstimate.from_counts(int(hit.sum()), runs)
+            room = kill_radius - np.linalg.norm(pos, axis=1)
+            live = ~near & (room > WOS_EPS)
+            r = np.minimum(r, room)
+        pos, r = pos[live], r[live]
+        step = rng.normal(size=pos.shape)
+        pos += step * (r / np.linalg.norm(step, axis=1))[:, None]
+    return HitEstimate.from_counts(hits, runs)

@@ -222,3 +222,26 @@ def test_max_norm_is_farthest_point():
         assert far <= reg.max_norm() <= far + 2e-3
     assert SpatialBall((0.6, 0.6), 0.3).max_norm() == pytest.approx(0.6 * math.sqrt(2) + 0.3)
     assert SpatialBall((0.0, 0.0), 0.9).max_norm() == 0.9
+
+
+def test_graph_segment_hits_flags_each_segment():
+    from parcap.stochastic_sim import GraphHitDetector
+    box = SpaceTimeBox(0.5, 1.0, (-1.0,), (1.0,))
+    piece = SliceOf(0.4, SpatialBall((0.0,), 0.5))
+    ta = np.array([0.35, 0.3, 0.5, 0.2, 0.3])
+    tb = np.array([0.45, 0.6, 0.7, 0.3, 0.5])
+    pa = np.array([[1.2], [0.0], [2.0], [0.0], [-0.2]])
+    pb = np.array([[0.0], [0.3], [0.5], [0.0], [0.8]])
+    # the crossings of t = 0.4 sit at x = 0.6, 0.1, -, -, 0.3: the first and
+    # last disagree with their end points on the slice ball
+    want_box = [False, True, True, False, False]
+    want_slice = [False, True, False, False, True]
+    got = box.graph_segment_hits(ta, tb, pa, pb)
+    assert got.dtype == bool and got.tolist() == want_box
+    assert piece.graph_segment_hits(ta, tb, pa, pb).tolist() == want_slice
+    both = RegionUnion((box, piece)).graph_segment_hits(ta, tb, pa, pb)
+    assert both.tolist() == [a or b for a, b in zip(want_box, want_slice)]
+    det = GraphHitDetector([box, piece], runs=3)
+    det.observe(ta, tb, pa, pb, np.array([0, 0, 1, 2, 2]))
+    assert det.hits.tolist() == [[True, True, False], [True, False, True]]
+    assert det.flags == [True, True]

@@ -330,3 +330,58 @@ def test_stochastic_determinism():
     r2 = estimate_range_hit(3, [2.0, 0, 0], SpatialBall((0.0,) * 3, 1.0),
                             dt=1e-2, runs=300, seed=97)
     assert r1 == r2
+
+
+def _bessel_k0(z):
+    # K0(z) = int_0^inf exp(-z cosh u) du; the tail beyond u = 10 is below 1e-900
+    u = np.linspace(0.0, 10.0, 20001)
+    return np.trapezoid(np.exp(-z * np.cosh(u)), u)
+
+
+def test_range_hit_unbiased_d3_at_ten_times_acceptance_runs():
+    runs, kill = 200_000, 200.0
+    est = estimate_range_hit(3, [2.0, 0.0, 0.0], SpatialBall((0.0,) * 3, 1.0),
+                             dt=1e-3, runs=runs, seed=131, kill_radius=kill)
+    want = (0.5 - 1.0 / kill) / (1.0 - 1.0 / kill)
+    sigma = math.sqrt(want * (1.0 - want) / runs)
+    assert abs(est.p_hat - want) <= 3.0 * sigma
+
+
+def test_range_hit_unbiased_d2_at_ten_times_acceptance_runs():
+    # hit before an independent Exp(1) time: K0(sqrt2 |x|) / K0(sqrt2 r)
+    runs = 200_000
+    est = estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0),
+                             dt=1e-3, runs=runs, seed=137)
+    want = _bessel_k0(2.0 * math.sqrt(2.0)) / _bessel_k0(math.sqrt(2.0))
+    assert _bessel_k0(1.0) == pytest.approx(0.42102443824070834, rel=1e-12)
+    sigma = math.sqrt(want * (1.0 - want) / runs)
+    assert abs(est.p_hat - want) <= 3.0 * sigma
+
+
+def test_run_records_and_estimate_share_one_stream():
+    # N = 1000 splits 20 runs into lock-step chunks of 8; the step cap
+    # explodes some runs but not all
+    from parcap.stochastic_sim import graph_hit_run_records
+    cfg = BranchingConfig(n_particles=1000, dt=0.01, horizon=0.1, d=1,
+                          branch_rate=20.0, max_particle_steps=12_000)
+    box = SpaceTimeBox(0.05, 0.1, (0.3,), (0.5,))
+    records = graph_hit_run_records(cfg, box, 20, seed=5)
+    est = estimate_graph_hit(cfg, box, 20, seed=5)
+    assert [r["run"] for r in records] == list(range(20))
+    exploded = sum(r["exploded"] for r in records)
+    assert 0 < exploded < 20 and exploded == est.exploded
+    assert sum(r["hit"] for r in records) == est.hits
+    assert est.runs == 20 - exploded
+
+
+def test_batched_forward_keeps_per_run_tallies():
+    from parcap.stochastic_sim import _forward_batch
+    cfg = BranchingConfig(n_particles=30, dt=0.05, horizon=0.5, d=2)
+    traces = _forward_batch(cfg, 40, run_rng(3, 0), count_times=[0.25, 0.5])
+    for tr in traces:
+        assert tr.max_particles >= 30 and tr.particle_steps >= 30
+        assert tr.survived == (tr.counts_at[0.5] > 0)
+        assert (tr.extinction_time is None) == tr.survived
+        if not tr.survived:
+            assert tr.counts_at[0.5] == 0 and 0 < tr.extinction_time <= 0.5
+    assert len({tr.particle_steps for tr in traces}) > 1

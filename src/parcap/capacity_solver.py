@@ -6,6 +6,10 @@ where K is the mutual-energy matrix of the region's grid cells. Off-diagonal
 entries are kernel values of cell centers; diagonal entries are cell
 self-energies estimated by within-cell pair sampling, which keeps the
 discretized energy from collapsing to zero under refinement.
+
+A result keeps its potentials K w, so certifying it on the solve's own cloud
+assembles nothing; only another cloud (a translate, another pitch) is
+assembled again.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ class CapacityResult:
     converged: bool
     tol: float
     provenance: dict
+    potentials: np.ndarray | None = None  # K w on the solve's cloud; not serialized
 
     def to_json_dict(self):
         eq = self.equilibrium
@@ -359,7 +364,10 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
 
 def capacity_on_cloud(cloud, kind, tol=1e-6, seed=0, diag_samples=256,
                       max_iter=None):
-    """Assemble and minimize on an existing cloud; capacity = 1/energy."""
+    """Assemble and minimize on an existing cloud; capacity = 1/energy.
+
+    The result keeps K w for :func:`verify_duality` on the same cloud.
+    """
     km = assemble_kernel_matrix(cloud, kind, diag_samples=diag_samples, seed=seed)
     energy_min, w, gap, iters, converged = minimize_energy(km, tol=tol,
                                                            max_iter=max_iter)
@@ -369,7 +377,7 @@ def capacity_on_cloud(cloud, kind, tol=1e-6, seed=0, diag_samples=256,
     else:
         eq = DiscreteMeasure(cloud.times, cloud.coords, w)
     return CapacityResult(cap, energy_min, eq, gap, iters, converged, tol,
-                          km.provenance)
+                          km.provenance, km.entries @ eq.weights)
 
 
 def capacity(region, kind, resolution, tol=1e-6, seed=0, diag_samples=256,
@@ -396,28 +404,48 @@ class DualityReport:
     capacity: float
 
 
+def _is_own_cloud(result, cloud):
+    """Same region (hence slice flag), pitch, times and centres as the solve,
+    so the same seed would assemble the solve's matrix bit for bit."""
+    eq, prov = result.equilibrium, result.provenance
+    return (region_to_dict(cloud.parent) == prov["region"]
+            and cloud.resolution == prov["resolution"]
+            and np.array_equal(cloud.times, eq.times)
+            and np.array_equal(cloud.coords, eq.coords))
+
+
 def verify_duality(result, cloud, matrix=None, support_tol=1e-12):
     """Equilibrium certificate for a converged parabolic run (others raise).
 
     The dual function f*(s, y) = capacity * sum_i w_i p(t_i-s, x_i-y)/p(t_i, x_i)
     has potential capacity * (K w); at the optimum it is ~1 on the support of
-    the equilibrium weights and >= 1 - delta everywhere on the cloud. The
-    squared norm of f* is recomputed on an independent fixed time grid and
+    the equilibrium weights and >= 1 - delta everywhere on the cloud. With no
+    ``matrix``, K w is the result's ``potentials`` when ``cloud`` is the
+    solve's own (same region, pitch, times and centres); any other cloud, e.g.
+    a translate, is assembled with the result's seed and diagonal samples.
+    The squared norm of f* is recomputed on an independent fixed time grid and
     compared against capacity (they agree at the continuum optimum): GL-96 on
     (0, t^t') per pair, with no endpoint substitution, so interior nodes
     truncate the diagonal singularity (the desk-scale smoothing the norm
-    check tolerates).
+    check tolerates). On a time slice that is one matrix product per block.
     """
     prov = result.provenance
     if prov["kernel"] != "parabolic":
         raise ValueError(f"duality certificate needs a parabolic result, "
                          f"got kernel {prov['kernel']!r}")
-    if matrix is None:
-        matrix = assemble_kernel_matrix(cloud, PARABOLIC,
-                                        diag_samples=prov["diag_samples"],
-                                        seed=prov["seed"])
     w = result.equilibrium.weights
-    potentials = result.capacity * (matrix.entries @ w)
+    if cloud.n != w.size:
+        raise ValueError(f"cloud has {cloud.n} cells but the result has "
+                         f"{w.size} equilibrium weights")
+    if matrix is None and result.potentials is not None and _is_own_cloud(result, cloud):
+        kw = result.potentials
+    else:
+        if matrix is None:
+            matrix = assemble_kernel_matrix(cloud, PARABOLIC,
+                                            diag_samples=prov["diag_samples"],
+                                            seed=prov["seed"])
+        kw = matrix.entries @ w
+    potentials = result.capacity * kw
     support = w > support_tol
     min_potential = float(np.min(potentials[support]))
     min_potential_all = float(np.min(potentials))

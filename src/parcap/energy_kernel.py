@@ -166,7 +166,10 @@ def _table_exp_sum(key, feats, tables, width, block):
     g indexes the pair's key among the distinct keys of its block, and
     ``tables(distinct_keys)`` returns (A, T_1, ..), each (groups, width).
     Per-block grouping keeps tables few where nearby pairs share keys and the
-    working set in cache. The floor keeps every exp clear of subnormals; a
+    working set in cache. A block whose pairs all share one key (every block
+    of a time slice) forms its log-integrand as one matrix product,
+    [1, feats] @ [A; T_1; ..], and its sums as a second; other blocks gather
+    each table row per pair. The floor keeps every exp clear of subnormals; a
     floored node adds e^LOG_FLOOR.
     """
     n = key.shape[0]
@@ -174,11 +177,20 @@ def _table_exp_sum(key, feats, tables, width, block):
     # buffers reused across blocks: fresh large temporaries cost page faults
     log_buf = np.empty((min(block, n), width))
     tmp_buf = np.empty_like(log_buf)
+    ext_buf = np.ones((min(block, n), feats.shape[1] + 1))  # column 0 stays 1
+    ones = np.ones(width)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        uniq, inv = np.unique(key[lo:hi], return_inverse=True)
+        log_val, tmp, ext = log_buf[:hi - lo], tmp_buf[:hi - lo], ext_buf[:hi - lo]
+        k = key[lo:hi]
+        if np.all(k == k[0]):
+            ext[:, 1:] = feats[lo:hi]
+            np.matmul(ext, np.concatenate(tables(k[:1])), out=log_val)
+            np.maximum(log_val, LOG_FLOOR, out=log_val)
+            np.matmul(np.exp(log_val, out=log_val), ones, out=out[lo:hi])
+            continue
+        uniq, inv = np.unique(k, return_inverse=True)
         A, *coefs = tables(uniq)
-        log_val, tmp = log_buf[:hi - lo], tmp_buf[:hi - lo]
         np.take(A, inv, axis=0, out=log_val, mode="clip")
         for coef, f in zip(coefs, feats[lo:hi].T):
             np.take(coef, inv, axis=0, out=tmp, mode="clip")

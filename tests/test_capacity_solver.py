@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -324,8 +325,54 @@ def test_certificate_integral_matches_direct_gl96(region, pitch):
     assert rep.norm_sq_ratio == pytest.approx(res.capacity * norm_sq, rel=1e-12)
 
 
+@pytest.mark.parametrize("region, pitch", [
+    (TimeSliceBall(1.0, (0.0, 0.0), 0.45), 0.1),
+    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.2),
+], ids=["slice", "box_d1"])
+def test_duality_reuses_the_solve_potentials_on_its_own_cloud(region, pitch, monkeypatch):
+    res = capacity(region, PARABOLIC, pitch, tol=1e-6, seed=6, diag_samples=16)
+    cloud = discretize(region, pitch)  # a fresh cloud equal to the solve's
+    km = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=6)
+    given = verify_duality(res, cloud, matrix=km)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return assemble_kernel_matrix(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the solve's own cloud was assembled again")
+
+    monkeypatch.setattr(capacity_solver, "assemble_kernel_matrix", refused)
+    assert verify_duality(res, cloud) == given  # every field, exactly
+    monkeypatch.setattr(capacity_solver, "assemble_kernel_matrix", counted)
+    moved = cloud.translated(0.05, [0.02] * cloud.d)
+    repitched = dataclasses.replace(cloud, resolution=1.01 * pitch)
+    for other in (moved, repitched):
+        verify_duality(res, other)
+        assert calls[-1] is other
+    assert len(calls) == 2
+
+
+def test_duality_rejects_a_cloud_of_another_size():
+    region = TimeSliceBall(1.0, (0.0, 0.0), 0.45)
+    res = capacity(region, PARABOLIC, 0.1, tol=1e-6, seed=6, diag_samples=16)
+    with pytest.raises(ValueError, match="cells but the result has"):
+        verify_duality(res, discretize(region, 0.05))
+
+
+def test_result_json_leaves_out_the_potentials():
+    res = capacity(TimeSliceBall(1.0, (0.0, 0.0), 0.45), PARABOLIC, 0.1, tol=1e-6,
+                   seed=6, diag_samples=16)
+    assert res.potentials is not None
+    payload = res.to_json_dict()
+    assert set(payload) == {"capacity", "energy_min", "gap", "iterations", "converged",
+                            "tol", "provenance", "equilibrium"}
+    assert set(payload["equilibrium"]) == {"times", "coords", "weights"}
+
+
 def test_assemble_threaded_matches_serial_parabolic():
-    # the parabolic kernel is always assembled pair by pair, through the pool
+    # the parabolic kernel is always assembled pair by pair, serially
     from parcap import runtime
     cloud = discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.4), 0.1)
     serial = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=3)

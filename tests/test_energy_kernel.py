@@ -263,3 +263,24 @@ def test_batch_tables_match_pairwise_evaluation():
         for block in (64, 1024):
             vals = batch(t1, x1, t2, x2f, block=block)
             assert vals == pytest.approx(one, rel=1e-12, abs=0.0)
+
+
+def test_one_time_pair_blocks_match_pairwise_evaluation():
+    # 1100 pairs at one time pair: whole blocks and a short last block take
+    # the one-key matrix product. Each pair is checked against itself alone
+    # and against a call where a second time pair forces the gather path.
+    rng = np.random.default_rng(73)
+    n = 1100
+    t = np.full(n, 1.0)
+    x1 = rng.uniform(-0.9, 0.9, (n, 2))
+    x2 = rng.uniform(-0.9, 0.9, (n, 2))
+    one = np.array([parabolic_kernel_batch(t[i:i + 1], x1[i:i + 1], t[i:i + 1],
+                                           x2[i:i + 1])[0] for i in range(n)])
+    decoy_t = np.array([1.0, 1.3])
+    gathered = np.array([parabolic_kernel_batch(decoy_t, np.stack([x1[i], x1[i]]),
+                                                decoy_t, np.stack([x2[i], x2[i]]))[0]
+                         for i in range(n)])
+    assert gathered == pytest.approx(one, rel=1e-12, abs=0.0)
+    for block in (64, 1024):
+        vals = parabolic_kernel_batch(t, x1, t, x2, block=block)
+        assert vals == pytest.approx(one, rel=1e-12, abs=0.0)

@@ -5,7 +5,11 @@ The capacity of a region is 1 / min_w w^T K w over the probability simplex,
 where K is the mutual-energy matrix of the region's grid cells. Off-diagonal
 entries are kernel values of cell centers; diagonal entries are cell
 self-energies estimated by within-cell pair sampling, which keeps the
-discretized energy from collapsing to zero under refinement.
+discretized energy from collapsing to zero under refinement. The Newtonian and
+cap-prime kernels are translation invariant, so a cell's self-energy depends
+only on the offsets of the pair from the centre: one seeded draw of offset
+pairs gives every cell the same estimate. The parabolic kernel is not, and
+each cell draws its own pairs.
 
 A result keeps its potentials K w, so certifying it on the solve's own cloud
 assembles nothing; only another cloud (a translate, another pitch) is
@@ -125,19 +129,42 @@ def _pair_values(kind, times1, coords1, times2, coords2):
     return newtonian_kernel_batch(coords1, coords2, kind.d)
 
 
-def _cell_samples(cloud, idx, count, rng):
-    """Uniform samples inside cells idx: returns (times, coords) arrays."""
+def _cell_offsets(cloud, shape, rng):
+    """Uniform offsets from a cell centre: (times, coords) of shape ``shape``
+    and ``shape + (d,)``. Times are None on a spatial cloud and 0 on a slice,
+    whose cells have no time extent; coordinates are drawn first."""
     half = 0.5 * cloud.resolution
-    c = cloud.coords[idx]
-    pts = c[:, None, :] + rng.uniform(-half, half, size=(idx.size, count, cloud.d))
+    x = rng.uniform(-half, half, size=(*shape, cloud.d))
     if cloud.times is None:
-        return None, pts.reshape(-1, cloud.d)
-    t = cloud.times[idx]
+        return None, x
     if cloud.is_slice:
-        tt = np.repeat(t, count)  # slice cells have no time extent
-    else:
-        tt = (t[:, None] + rng.uniform(-half, half, size=(idx.size, count))).reshape(-1)
-    return tt, pts.reshape(-1, cloud.d)
+        return np.zeros(shape), x
+    return rng.uniform(-half, half, size=shape), x
+
+
+def _cell_samples(cloud, idx, count, rng):
+    """``count`` uniform samples inside each cell idx: (times, coords) arrays."""
+    dt, dx = _cell_offsets(cloud, (idx.size, count), rng)
+    pts = (cloud.coords[idx][:, None, :] + dx).reshape(-1, cloud.d)
+    if dt is None:
+        return None, pts
+    return (cloud.times[idx][:, None] + dt).reshape(-1), pts
+
+
+def _mean_kernel(kind, sample, shape):
+    """Kernel between two draws of ``sample()``, reshaped to ``shape`` and
+    averaged over its last axis. Coincident sample pairs have probability
+    zero, so non-finite values are redrawn once."""
+    vals = _pair_values(kind, *sample(), *sample()).reshape(shape)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        vals[bad] = _pair_values(kind, *sample(), *sample()).reshape(shape)[bad]
+        if not np.all(np.isfinite(vals)):
+            raise RuntimeError(
+                "cell self-energy estimate is non-finite after resampling; "
+                "reduce the resolution"
+            )
+    return vals.mean(axis=-1)
 
 
 def _lattice_index(cloud):
@@ -216,12 +243,21 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     lattice offsets (a stencil), which makes the matrix exactly symmetric.
     The parabolic kernel, clouds off the lattice (e.g. slices at times that
     are not a whole number of pitches apart) and clouds whose offset table
-    would outnumber their pairs are evaluated pair by pair. Diagonal i: mean
-    kernel over ``diag_samples`` independent point pairs drawn uniformly in
-    cell i. Deterministic per seed.
+    would outnumber their pairs are evaluated pair by pair.
+
+    Diagonal i: mean kernel over ``diag_samples`` independent point pairs
+    drawn uniformly in cell i, from ``default_rng(seed)``. For the Newtonian
+    and cap-prime kernels the pairs are offsets from the cell centre, drawn
+    once (spatial offsets only on a slice, whose cells have no time extent)
+    and shared by every cell, so every diagonal entry holds one value. The
+    parabolic kernel draws ``diag_samples`` pairs per cell. Non-finite
+    samples are redrawn once. Deterministic per seed; ``diag_samples`` must
+    be at least 1.
     """
     if cloud.n < 1:
         raise ValueError("empty cell cloud")
+    if diag_samples < 1:
+        raise ValueError(f"diag_samples must be at least 1, got {diag_samples!r}")
     _check_kind_cloud(kind, cloud)
     n = cloud.n
     a = np.zeros((n, n))
@@ -236,33 +272,25 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         _fill_stencil(a, k, *stencil)
 
     rng = np.random.default_rng(seed)
-    diag = np.empty(n)
-    block = max(1, 200_000 // max(diag_samples, 1))
-    for lo in range(0, n, block):
-        idx = np.arange(lo, min(lo + block, n))
-        t1, p1 = _cell_samples(cloud, idx, diag_samples, rng)
-        t2, p2 = _cell_samples(cloud, idx, diag_samples, rng)
-        vals = _pair_values(kind, t1, p1, t2, p2).reshape(idx.size, diag_samples)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            # coincident sample pairs have probability zero; redraw once
-            t1, p1 = _cell_samples(cloud, idx, diag_samples, rng)
-            t2, p2 = _cell_samples(cloud, idx, diag_samples, rng)
-            vals2 = _pair_values(kind, t1, p1, t2, p2).reshape(idx.size, diag_samples)
-            vals[bad] = vals2[bad]
-            if not np.all(np.isfinite(vals)):
-                raise RuntimeError(
-                    "cell self-energy estimate is non-finite after resampling; "
-                    "reduce the resolution"
-                )
-        diag[idx] = vals.mean(axis=1)
+    if kind.tag == "parabolic":
+        strategy = "within-cell pair sampling per cell"
+        diag = np.empty(n)
+        block = max(1, 200_000 // diag_samples)
+        for lo in range(0, n, block):
+            idx = np.arange(lo, min(lo + block, n))
+            diag[idx] = _mean_kernel(kind, lambda: _cell_samples(cloud, idx, diag_samples, rng),
+                                     (idx.size, diag_samples))
+    else:
+        strategy = "within-cell pair sampling, one offset draw shared by every cell"
+        diag = _mean_kernel(kind, lambda: _cell_offsets(cloud, (diag_samples,), rng),
+                            (diag_samples,))
     a[np.diag_indices(n)] = diag
 
     prov = {
         "kernel": kind.tag if kind.d is None else f"{kind.tag}(d={kind.d})",
         "region": region_to_dict(cloud.parent),
         "resolution": cloud.resolution,
-        "diag_strategy": "within-cell pair sampling",
+        "diag_strategy": strategy,
         "diag_samples": diag_samples,
         "seed": int(seed),
         "n_cells": n,

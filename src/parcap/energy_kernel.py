@@ -149,28 +149,36 @@ def reduced_log_coefs(t1, t2, s, d):
 
     The integrand is p(t1+t2-2s, x1-x2) p(s+sig, m) / (p(t1, x1) p(t2, x2)),
     sig and m the bridge variance and mean. In this basis B and C stay bounded
-    as s -> t1^t2, so no large terms cancel. Broadcasts; needs s < t1^t2.
+    as s -> t1^t2, so no large terms cancel. With a = t1-s, b = t2-s and
+    h = 1/(2 (ab + (a+b) s)): E = -s h, B = 1/(2 t1) - b h, C = 1/(2 t2) - a h
+    and A = (d/2) log(2 t1 t2 h). Broadcasts; needs s < t1^t2.
     """
     a = t1 - s
     b = t2 - s
-    tot = a + b
-    tau = s + a * b / tot
-    h = 0.5 / (tau * tot)
-    return (0.5 * d * np.log(t1 * t2 / (tot * tau)), (a * b * h - 0.5) / tot,
-            0.5 / t1 - b * h, 0.5 / t2 - a * h)
+    h = 0.5 / (a * b + (a + b) * s)
+    return 0.5 * d * np.log(2.0 * t1 * t2 * h), -s * h, 0.5 / t1 - b * h, 0.5 / t2 - a * h
 
 
-def _table_exp_sum(key, feats, tables, width, block):
-    """Per pair p: sum_k exp(max(A[g, k] + sum_f T_f[g, k] feats[p, f], LOG_FLOOR)).
+_ROWS_NODES = 1 << 15  # nodes per in-place sub-block: five buffers in 1.3 MB
 
-    g indexes the pair's key among the distinct keys of its block, and
-    ``tables(distinct_keys)`` returns (A, T_1, ..), each (groups, width).
-    Per-block grouping keeps tables few where nearby pairs share keys and the
-    working set in cache. A block whose pairs all share one key (every block
-    of a time slice) forms its log-integrand as one matrix product,
-    [1, feats] @ [A; T_1; ..], and its sums as a second; other blocks gather
-    each table row per pair. The floor keeps every exp clear of subnormals; a
-    floored node adds e^LOG_FLOOR.
+
+def _table_exp_sum(key, feats, tables, rows, width, block):
+    """Per pair p: sum_k exp(max(L[p, k], LOG_FLOOR)), L the log-integrand.
+
+    ``tables(keys)`` returns (A, T_1, ..), each (len(keys), width), with
+    L[p] = A[g] + sum_f T_f[g] feats[p, f] for the pair's key g. Each block
+    of ``block`` pairs forms L by the cheapest of three routes:
+
+    * one key (every block of a time slice): one matrix product,
+      [1, feats] @ [A; T_1; ..], and the sums as a second;
+    * at most half as many distinct keys as pairs (cell centres on a time
+      lattice): one table row per distinct key, gathered per pair;
+    * more distinct keys (sampled in-cell times): ``rows(lo, hi, out)``
+      writes L of pairs lo:hi into out in place, in sub-blocks that stay in
+      cache, with no table and no gather.
+
+    The floor keeps every exp clear of subnormals; a floored node adds
+    e^LOG_FLOOR.
     """
     n = key.shape[0]
     out = np.empty(n)
@@ -179,6 +187,7 @@ def _table_exp_sum(key, feats, tables, width, block):
     tmp_buf = np.empty_like(log_buf)
     ext_buf = np.ones((min(block, n), feats.shape[1] + 1))  # column 0 stays 1
     ones = np.ones(width)
+    sub = max(1, _ROWS_NODES // width)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         log_val, tmp, ext = log_buf[:hi - lo], tmp_buf[:hi - lo], ext_buf[:hi - lo]
@@ -189,8 +198,22 @@ def _table_exp_sum(key, feats, tables, width, block):
             np.maximum(log_val, LOG_FLOOR, out=log_val)
             np.matmul(np.exp(log_val, out=log_val), ones, out=out[lo:hi])
             continue
-        uniq, inv = np.unique(k, return_inverse=True)
-        A, *coefs = tables(uniq)
+        perm = np.argsort(k)
+        srt = k[perm]
+        first = np.empty(hi - lo, dtype=bool)  # first pair of each distinct key
+        first[0] = True
+        np.not_equal(srt[1:], srt[:-1], out=first[1:])
+        if 2 * np.count_nonzero(first) > hi - lo:
+            for s_lo in range(lo, hi, sub):
+                s_hi = min(s_lo + sub, hi)
+                part = log_val[:s_hi - s_lo]
+                rows(s_lo, s_hi, part)
+                np.maximum(part, LOG_FLOOR, out=part)
+                np.matmul(np.exp(part, out=part), ones, out=out[s_lo:s_hi])
+            continue
+        inv = np.empty(hi - lo, dtype=np.intp)
+        inv[perm] = np.cumsum(first) - 1
+        A, *coefs = tables(srt[first])
         np.take(A, inv, axis=0, out=log_val, mode="clip")
         for coef, f in zip(coefs, feats[lo:hi].T):
             np.take(coef, inv, axis=0, out=tmp, mode="clip")
@@ -205,25 +228,56 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
     """Per pair: sum_k tmin omega_k * reduced integrand at s = tmin - tmin rho_k.
 
     tmin = t1^t2 and (rho, omega) is the caller's rule in units of tmin,
-    with any endpoint substitution folded into omega. One coefficient table
-    per distinct (t1, t2) in a block, log(tmin omega) folded into A.
+    with any endpoint substitution folded into omega. Blocks that share time
+    pairs use one coefficient table per distinct (t1, t2), log tmin + log
+    omega folded into A; blocks of distinct time pairs form the same sum in
+    place, pair by pair.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
+    d = x1.shape[1]
     dx = x1 - x2
     feats = np.stack([np.sum(dx * dx, axis=1), np.sum(x1 * x1, axis=1),
                       np.sum(x2 * x2, axis=1)], axis=1)
+    log_omega = np.log(omega)
 
     def tables(tt):
         T1, T2 = tt.real[:, None], tt.imag[:, None]
         tmin = np.minimum(T1, T2)
-        A, E, B, C = reduced_log_coefs(T1, T2, tmin - tmin * rho, x1.shape[1])
-        return A + np.log(tmin * omega), E, B, C
+        A, E, B, C = reduced_log_coefs(T1, T2, tmin - tmin * rho, d)
+        return A + np.log(tmin) + log_omega, E, B, C
 
-    # (t1, t2) packed into one complex key, so np.unique groups by a 1-D sort
-    return _table_exp_sum(t1 + 1j * t2, feats, tables, rho.size, block)
+    def rows(lo, hi, out):
+        # the coefficients of reduced_log_coefs, regrouped as
+        # L = (d/2) log h + log omega + c - h (s f0 + b f1 + a f2), with
+        # c = (d/2) log(2 t1 t2) + log tmin + f1 / (2 t1) + f2 / (2 t2) per pair
+        T1, T2 = t1[lo:hi, None], t2[lo:hi, None]
+        f0, f1, f2 = (f[:, None] for f in feats[lo:hi].T)
+        tmin = np.minimum(T1, T2)
+        s = np.multiply(tmin, rho)
+        np.subtract(tmin, s, out=s)
+        a = np.subtract(T1, s)
+        b = np.subtract(T2, s)
+        h = np.add(a, b)
+        h *= s
+        h += np.multiply(a, b, out=out)
+        np.divide(0.5, h, out=h)
+        s *= f0
+        b *= f1
+        s += b
+        a *= f2
+        s += a
+        s *= h
+        np.log(h, out=out)
+        out *= 0.5 * d
+        out += log_omega
+        out += 0.5 * d * np.log(2.0 * T1 * T2) + np.log(tmin) + 0.5 * f1 / T1 + 0.5 * f2 / T2
+        out -= s
+
+    # (t1, t2) packed into one complex key, so one 1-D sort groups the pairs
+    return _table_exp_sum(t1 + 1j * t2, feats, tables, rows, rho.size, block)
 
 
 def mutual_kernel(z, z2, rel_tol=1e-9):
@@ -344,18 +398,24 @@ def cap_prime_kernel_batch(t1, x1, t2, x2, block=1024):
     """Vectorized K' over aligned pair arrays (fixed composite rule).
 
     The log integrand at u = |t-t'| + w^2 is affine in |x-x'|^2, with
-    coefficient tables per distinct |t-t'| in a block.
+    coefficient tables per distinct |t-t'| in a block; a block of distinct
+    gaps forms each pair's own table row in place.
     """
     dx = np.atleast_2d(np.asarray(x1, dtype=float)) - np.atleast_2d(x2)
     gap = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
+    sq = np.sum(dx * dx, axis=1)[:, None]
 
     def tables(g):
         u = g[:, None] + _CP_UNIT_NODES * _CP_UNIT_NODES
         return (np.log(_CP_UNIT_NODES * _CP_UNIT_WEIGHTS) - 0.5 * u
                 - 0.5 * dx.shape[1] * np.log(2.0 * math.pi * u), -0.5 / u)
 
-    return _table_exp_sum(gap, np.sum(dx * dx, axis=1)[:, None], tables,
-                          _CP_UNIT_NODES.size, block)
+    def rows(lo, hi, out):
+        A, T = tables(gap[lo:hi])
+        np.multiply(T, sq[lo:hi], out=out)
+        out += A
+
+    return _table_exp_sum(gap, sq, tables, rows, _CP_UNIT_NODES.size, block)
 
 
 def cap_prime_bruteforce(z, z2, n_s=240, n_y=64, span=160.0):

@@ -27,6 +27,7 @@ from parcap.energy_kernel import (
     mutual_kernel,
     newtonian,
     newtonian_kernel,
+    parabolic_kernel_batch,
 )
 from parcap.heat_kernel import log_heat_density
 from parcap.quadrature import gauss_legendre
@@ -451,3 +452,76 @@ def test_kernel_matrix_check():
     a = base.copy()
     a[0, n - 1] += 1e-13
     KernelMatrix(a, {}).check()
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_diag_samples_below_one_is_rejected(samples):
+    region = TimeSliceBall(1.0, (0.0, 0.0), 0.45)
+    cloud = discretize(region, 0.4)
+    with pytest.raises(ValueError, match=f"diag_samples must be at least 1, got {samples}"):
+        assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=samples)
+    with pytest.raises(ValueError, match=f"got {samples}"):
+        capacity(region, CAP_PRIME, 0.4, diag_samples=samples)
+
+
+def _replayed_offset_self_energy(cloud, kind, samples, seed):
+    """Mean kernel over one draw of offset pairs, replayed from the seed:
+    coordinates then (full space-time cells only) times, first point first."""
+    rng = np.random.default_rng(seed)
+    half = 0.5 * cloud.resolution
+
+    def offsets():
+        x = rng.uniform(-half, half, size=(samples, cloud.d))
+        if cloud.times is None:
+            return None, x
+        return (np.zeros(samples) if cloud.is_slice
+                else rng.uniform(-half, half, size=samples)), x
+
+    vals = _pair_values(kind, *offsets(), *offsets())
+    assert np.all(np.isfinite(vals))
+    return vals.mean()
+
+
+@pytest.mark.parametrize("cloud, kind, on_stencil", [
+    (discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.1), newtonian(3), True),
+    (discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1), CAP_PRIME, True),
+    (discretize(RegionUnion((TimeSliceBall(1.0, (0.0, 0.0), 0.3),
+                             TimeSliceBall(1.37, (0.0, 0.0), 0.3))), 0.1), CAP_PRIME, False),
+], ids=["newtonian_d3_ball", "cap_prime_box", "cap_prime_slices_off_lattice"])
+def test_translation_invariant_kernels_share_one_self_energy(cloud, kind, on_stencil):
+    assert (_lattice_index(cloud) is not None) == on_stencil
+    diag = np.diag(assemble_kernel_matrix(cloud, kind, diag_samples=32, seed=7).entries)
+    assert np.all(diag == diag[0])
+    assert diag[0] == _replayed_offset_self_energy(cloud, kind, 32, 7)
+    moved = cloud.translated(0.0 if cloud.times is None else 0.3, [0.7] * cloud.d)
+    moved_diag = np.diag(assemble_kernel_matrix(moved, kind, diag_samples=32, seed=7).entries)
+    assert np.array_equal(moved_diag, diag)
+    other = np.diag(assemble_kernel_matrix(cloud, kind, diag_samples=32, seed=8).entries)
+    assert np.all(other == other[0])
+    assert other[0] != diag[0]
+
+
+def test_parabolic_diagonal_replays_per_cell_samples():
+    # each cell draws its own pairs, in the order of the per-cell sampler:
+    # cells in blocks of 200_000 // samples, coordinates then times, first
+    # point then second, so the diagonal is the per-cell mean of the batch
+    cloud = discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1)
+    samples, seed = 1024, 5
+    km = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    half = 0.5 * cloud.resolution
+    block = 200_000 // samples
+    assert cloud.n > block  # more than one block of cells
+
+    def draw(idx):
+        x = cloud.coords[idx][:, None, :] + rng.uniform(-half, half, (idx.size, samples, 1))
+        t = cloud.times[idx][:, None] + rng.uniform(-half, half, (idx.size, samples))
+        return t.reshape(-1), x.reshape(-1, 1)
+
+    ref = []
+    for lo in range(0, cloud.n, block):
+        idx = np.arange(lo, min(lo + block, cloud.n))
+        vals = parabolic_kernel_batch(*draw(idx), *draw(idx))
+        ref.append(vals.reshape(idx.size, samples).mean(axis=1))
+    assert np.array_equal(np.diag(km.entries), np.concatenate(ref))
+    assert km.provenance["diag_strategy"] == "within-cell pair sampling per cell"

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from parcap import energy_kernel
 from parcap.energy_kernel import (
     CAP_PRIME,
     PARABOLIC,
@@ -17,6 +19,7 @@ from parcap.energy_kernel import (
     newtonian,
     newtonian_kernel,
     parabolic_kernel_batch,
+    reduced_log_coefs,
 )
 from parcap.heat_kernel import SpaceTimePoint, heat_density
 
@@ -284,3 +287,98 @@ def test_one_time_pair_blocks_match_pairwise_evaluation():
     for block in (64, 1024):
         vals = parabolic_kernel_batch(t, x1, t, x2, block=block)
         assert vals == pytest.approx(one, rel=1e-12, abs=0.0)
+
+
+def _in_cell_pairs(rng, n, d, pitch=0.1):
+    """n point pairs, both points uniform in the same cell of a space-time
+    lattice, so every time pair (and every time gap) is distinct."""
+    tc = 0.6 + pitch * rng.integers(0, 10, n)
+    xc = pitch * rng.integers(-8, 8, (n, d))
+    half = 0.5 * pitch
+    t1, t2 = (tc + rng.uniform(-half, half, n) for _ in range(2))
+    x1, x2 = (xc + rng.uniform(-half, half, (n, d)) for _ in range(2))
+    return t1, x1, t2, x2
+
+
+def _route_spy(monkeypatch):
+    """Record which route of _table_exp_sum each block takes."""
+    routes = set()
+    real = energy_kernel._table_exp_sum
+
+    def spy(key, feats, tables, rows, width, block):
+        def counted_tables(keys):
+            routes.add("one key" if keys.size == 1 else "gathered tables")
+            return tables(keys)
+
+        def counted_rows(lo, hi, out):
+            routes.add("in place")
+            rows(lo, hi, out)
+
+        return real(key, feats, counted_tables, counted_rows, width, block)
+
+    monkeypatch.setattr(energy_kernel, "_table_exp_sum", spy)
+    return routes
+
+
+@pytest.mark.parametrize("batch, d", [(parabolic_kernel_batch, 1), (parabolic_kernel_batch, 2),
+                                      (cap_prime_kernel_batch, 1)],
+                         ids=["parabolic_d1", "parabolic_d2", "cap_prime_d1"])
+def test_distinct_and_mixed_key_blocks_match_pairwise_evaluation(batch, d, monkeypatch):
+    # i.i.d. in-cell pairs have distinct keys and take the in-place route.
+    # The mixed set runs 300 pairs at one time pair, 300 cycling through
+    # three lattice time pairs and 300 in-cell pairs, so half its keys are
+    # shared and blocks of 64 and 256 pairs take all three routes.
+    rng = np.random.default_rng(79)
+    n = 900
+    t1, x1, t2, x2 = _in_cell_pairs(rng, n, d)
+    one = np.array([batch(t1[i:i + 1], x1[i:i + 1], t2[i:i + 1], x2[i:i + 1])[0]
+                    for i in range(n)])
+    mt1, mt2 = t1.copy(), t2.copy()
+    mt1[:300] = mt2[:300] = 1.0
+    mt1[300:600] = np.tile([0.7, 1.0, 1.3], 100)
+    mt2[300:600] = np.tile([1.0, 1.0, 0.8], 100)
+    mixed_one = np.array([batch(mt1[i:i + 1], x1[i:i + 1], mt2[i:i + 1], x2[i:i + 1])[0]
+                          for i in range(n)])
+    assert np.all(one > 0.0) and np.all(mixed_one > 0.0)
+    routes = _route_spy(monkeypatch)
+    for block in (64, 256, 1024):
+        routes.clear()
+        vals = batch(t1, x1, t2, x2, block=block)
+        assert routes == {"in place"}
+        assert vals == pytest.approx(one, rel=1e-12, abs=0.0)
+        routes.clear()
+        vals = batch(mt1, x1, mt2, x2, block=block)
+        assert vals == pytest.approx(mixed_one, rel=1e-12, abs=0.0)
+        if block < 1024:
+            assert routes == {"one key", "gathered tables", "in place"}
+
+
+def _two_division_form_exact(t1, t2, s, d):
+    """The (tot, tau) closed form of the coefficients, in exact rational
+    arithmetic on the given floats (A through one rounded log)."""
+    t1, t2, s = Fraction(t1), Fraction(t2), Fraction(s)
+    a, b = t1 - s, t2 - s
+    tot = a + b
+    tau = s + a * b / tot
+    h = 1 / (2 * tau * tot)
+    return (0.5 * d * math.log(t1 * t2 / (tot * tau)), (a * b * h - Fraction(1, 2)) / tot,
+            1 / (2 * t1) - b * h, 1 / (2 * t2) - a * h)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reduced_log_coefs_match_the_two_division_form(d):
+    # s near 0, in the middle and near t1^t2, for t1 < t2, t1 = t2 and t1 > t2.
+    # The float (tot, tau) form itself loses digits near s = 0, where
+    # a b h - 1/2 cancels, so it is evaluated exactly. A enters the integrand
+    # as e^A; B and C are differences of terms of size 1/(2 t), which bounds
+    # their rounding.
+    for t1, t2 in ((0.5, 1.2), (1.0, 1.0), (1.7, 0.9)):
+        tmin = min(t1, t2)
+        for frac in (1e-9, 1e-4, 0.3, 0.5, 0.9, 1.0 - 1e-4, 1.0 - 1e-7):
+            s = tmin * frac
+            A, E, B, C = (float(c) for c in reduced_log_coefs(t1, t2, s, d))
+            A0, E0, B0, C0 = _two_division_form_exact(t1, t2, s, d)
+            assert math.exp(A) == pytest.approx(math.exp(A0), rel=1e-13, abs=0.0)
+            assert E == pytest.approx(float(E0), rel=1e-13, abs=0.0)
+            assert abs(B - B0) <= 1e-13 * 0.5 / t1
+            assert abs(C - C0) <= 1e-13 * 0.5 / t2

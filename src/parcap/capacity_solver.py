@@ -11,6 +11,12 @@ only on the offsets of the pair from the centre: one seeded draw of offset
 pairs gives every cell the same estimate. The parabolic kernel is not, and
 each cell draws its own pairs.
 
+The energy is minimized by pairwise Frank-Wolfe: each step moves mass from
+the support atom with the largest potential to the cell with the smallest.
+The support is kept as a compact index array, so an emptied atom leaves it
+with weight exactly 0, and the incrementally updated gradient is recomputed
+from the full matrix-vector product every 512 steps.
+
 A result keeps its potentials K w, so certifying it on the solve's own cloud
 assembles nothing; only another cloud (a translate, another pitch) is
 assembled again.
@@ -89,6 +95,24 @@ class CapacityResult:
     tol: float
     provenance: dict
     potentials: np.ndarray | None = None  # K w on the solve's cloud; not serialized
+
+    @property
+    def support_size(self):
+        """Cells with positive weight; None without potentials."""
+        if self.potentials is None:
+            return None
+        return int(np.count_nonzero(self.equilibrium.weights > 0))
+
+    @property
+    def kkt_residual(self):
+        """Relative KKT violation of the potentials K w against E = energy_min:
+        max(max over the support of |(K w)_i - E|, max(0, E - min_i (K w)_i)) / E,
+        0 at the exact optimum; None without potentials."""
+        if self.potentials is None:
+            return None
+        kw, e = self.potentials, self.energy_min
+        on_support = np.max(np.abs(kw[self.equilibrium.weights > 0] - e))
+        return max(float(on_support), max(0.0, e - float(kw.min()))) / e
 
     def to_json_dict(self):
         eq = self.equilibrium
@@ -311,12 +335,19 @@ def _check_kind_cloud(kind, cloud):
 
 
 def minimize_energy(K, tol=1e-6, max_iter=None):
-    """Frank-Wolfe with away steps for min_w w^T K w on the simplex.
+    """Pairwise Frank-Wolfe for min_w w^T K w on the simplex.
 
-    Exact line search (quadratic objective), incremental gradient updates,
-    lowest-index tie-breaking in the linear oracle. Stops when the FW gap
-    drops to tol * objective. Returns (energy_min, weights, gap, iterations,
-    converged).
+    Each step moves mass from the away atom a (largest gradient on the
+    support) to the toward atom s (smallest gradient anywhere, lowest index
+    on ties), w += gamma (e_s - e_a) with 0 <= gamma <= w_a, by exact line
+    search on the quadratic. A step that empties a removes it from the
+    support, so its weight is exactly 0. The support is held compactly, as
+    index and weight arrays, so the gap and the away atom read only the
+    support's gradient; w is never rescaled. The gradient 2 K w is updated
+    incrementally with one row difference per step and recomputed from a
+    scattered w every 512 steps to shed drift. Stops when the FW gap drops to
+    tol * objective (Lacoste-Julien & Jaggi, NeurIPS 2015). Returns
+    (energy_min, weights, gap, iterations, converged).
 
     K must be symmetric: the gradient update reads row i of K in place of
     column i, because a row is contiguous in memory.
@@ -329,62 +360,58 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
         max_iter = 50 * n
 
     i0 = int(np.argmin(np.diag(A)))
-    w = np.zeros(n)
-    w[i0] = 1.0
+    act = np.empty(n, dtype=np.intp)   # support indices, act[:m]
+    wa = np.empty(n)                   # their weights, wa[:m]
+    pos = np.full(n, -1, dtype=np.intp)  # slot of each atom in act, -1 if out
+    act[0], wa[0], pos[i0], m = i0, 1.0, 0, 1
     grad = 2.0 * A[i0]
+    buf = np.empty(n)
+    w = np.zeros(n)
     f = float(A[i0, i0])
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        gw = float(grad @ w)
-        s_idx = int(np.argmin(grad))  # argmin takes the lowest index on ties
-        gap = gw - float(grad[s_idx])
+        g_act = grad[act[:m]]
+        gw = float(g_act @ wa[:m])
+        s = int(np.argmin(grad))  # argmin takes the lowest index on ties
+        g_s = float(grad[s])
+        gap = gw - g_s
         if gap <= tol * abs(f):
             break
-        active = np.flatnonzero(w > 0.0)
-        a_loc = int(np.argmax(grad[active]))
-        a_idx = int(active[a_loc])
-        away_gain = float(grad[a_idx]) - gw
+        k = int(np.argmax(g_act))
+        a = int(act[k])
+        w_a = float(wa[k])
+        slope = g_s - float(g_act[k])  # < 0, since g_a >= gw > g_s
+        curv = float(A[s, s]) + float(A[a, a]) - 2.0 * float(A[s, a])
+        gamma = w_a if curv <= 0 else min(w_a, -slope / (2.0 * curv))
         f_prev = f
-        if gap >= away_gain or active.size == 1:
-            # toward step: w + gamma (e_s - w)
-            col = A[s_idx]
-            denom = float(A[s_idx, s_idx]) - float(grad[s_idx]) + f
-            slope = float(grad[s_idx]) - gw  # = -gap < 0
-            gamma = 1.0 if denom <= 0 else min(1.0, -slope / (2.0 * denom))
-            w *= 1.0 - gamma
-            w[s_idx] += gamma
-            f = (1 - gamma) ** 2 * f + gamma * (1 - gamma) * float(grad[s_idx]) \
-                + gamma ** 2 * float(A[s_idx, s_idx])
-            grad *= 1.0 - gamma
-            grad += (2.0 * gamma) * col
-        else:
-            # away step: w + gamma (w - e_a), capped so w[a] stays >= 0
-            col = A[a_idx]
-            wa = float(w[a_idx])
-            gamma_max = wa / (1.0 - wa) if wa < 1.0 else math.inf
-            denom = f - float(grad[a_idx]) + float(A[a_idx, a_idx])
-            slope = gw - float(grad[a_idx])  # negative
-            gamma = gamma_max if denom <= 0 else min(gamma_max, -slope / (2.0 * denom))
-            w *= 1.0 + gamma
-            w[a_idx] -= gamma
-            if w[a_idx] < 0.0:  # gamma_max step lands exactly on the face
-                w[a_idx] = 0.0
-            f = (1 + gamma) ** 2 * f - gamma * (1 + gamma) * float(grad[a_idx]) \
-                + gamma ** 2 * float(A[a_idx, a_idx])
-            grad *= 1.0 + gamma
-            grad -= (2.0 * gamma) * col
+        f += gamma * slope + gamma * gamma * curv
         if not f <= f_prev * (1.0 + 1e-10) + 1e-14:
             raise RuntimeError(
                 f"objective did not decrease at iteration {it}: {f_prev} -> {f}")
+        np.subtract(A[s], A[a], out=buf)
+        buf *= 2.0 * gamma
+        grad += buf
+        if pos[s] < 0:
+            act[m], wa[m], pos[s] = s, 0.0, m
+            m += 1
+        wa[pos[s]] += gamma
+        if gamma >= w_a:  # a is emptied: move the last slot into its place
+            m -= 1
+            act[k], wa[k] = act[m], wa[m]
+            pos[act[k]] = k
+            pos[a] = -1
+        else:
+            wa[k] = w_a - gamma
         if it % 512 == 0:
             # shed accumulated drift in the incremental updates
-            np.maximum(w, 0.0, out=w)
-            w /= w.sum()
-            grad = 2.0 * (A @ w)
-            f = 0.5 * float(grad @ w)
-    np.maximum(w, 0.0, out=w)
-    w /= w.sum()
+            wa[:m] /= wa[:m].sum()
+            w[act[:m]] = wa[:m]
+            np.dot(A, w, out=grad)
+            grad *= 2.0
+            w[act[:m]] = 0.0
+            f = 0.5 * float(grad[act[:m]] @ wa[:m])
+    w[act[:m]] = wa[:m] / wa[:m].sum()
     f = float(w @ (A @ w))
     converged = gap <= 10.0 * tol * abs(f)
     return f, w, gap, it, converged

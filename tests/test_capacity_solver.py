@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,3 +526,108 @@ def test_parabolic_diagonal_replays_per_cell_samples():
         ref.append(vals.reshape(idx.size, samples).mean(axis=1))
     assert np.array_equal(np.diag(km.entries), np.concatenate(ref))
     assert km.provenance["diag_strategy"] == "within-cell pair sampling per cell"
+
+
+def _kkt_oracle(K):
+    """Support of min w^T K w on the simplex for a PD K, by an active-set
+    (Lawson-Hanson) solve of min v^T K v / 2 - sum(v) over v >= 0, whose
+    minimizer is the equilibrium scaled by 1/E."""
+    n = K.shape[0]
+    v = np.zeros(n)
+    support = np.zeros(n, dtype=bool)
+    while True:
+        r = 1.0 - K @ v
+        r[support] = -np.inf
+        j = int(np.argmax(r))
+        if r[j] <= 1e-12:
+            return np.flatnonzero(support)
+        support[j] = True
+        while True:
+            idx = np.flatnonzero(support)
+            z = np.zeros(n)
+            z[idx] = np.linalg.solve(K[np.ix_(idx, idx)], np.ones(idx.size))
+            if np.all(z[idx] > 0):
+                v = z
+                break
+            neg = idx[z[idx] <= 0]
+            v = v + np.min(v[neg] / (v[neg] - z[neg])) * (z - v)
+            support &= v > 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [5, 40, 200])
+def test_minimize_matches_exact_kkt_oracle(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.0, 1.0, (n, n))
+    K = m @ m.T + np.eye(n)
+    f, w, _, _, converged = minimize_energy(K, tol=1e-10)
+    assert converged
+    support = _kkt_oracle(K)
+    assert np.array_equal(np.flatnonzero(w > 0), support)
+    v = np.linalg.solve(K[np.ix_(support, support)], np.ones(support.size))
+    assert f == pytest.approx(1.0 / v.sum(), rel=1e-8)
+    off = np.setdiff1d(np.arange(n), support)
+    assert np.all((K @ w)[off] >= f * (1.0 - 1e-9))
+
+
+def test_minimize_empties_the_start_vertex_exactly():
+    # the start vertex 0 (smallest diagonal) is off the optimum's support:
+    # its potential 0.8 exceeds E = 0.7 at w = (0, 1/2, 1/2)
+    K = np.array([[1.0, 0.8, 0.8], [0.8, 1.2, 0.2], [0.8, 0.2, 1.2]])
+    f, w, _, _, converged = minimize_energy(K, tol=1e-12)
+    assert converged
+    assert w[0] == 0.0
+    assert f == pytest.approx(0.7, rel=1e-12)
+
+
+def test_minimize_support_grows_then_shrinks():
+    # a PD hub: FW starts at the hub 0, brings in every other cell, then
+    # drains the hub, whose potential 0.6 exceeds E = 0.54 at the optimum
+    n = 6
+    K = np.full((n, n), 0.3)
+    K[0, :] = K[:, 0] = 0.6
+    np.fill_diagonal(K, 1.5)
+    K[0, 0] = 1.0
+    iters = minimize_energy(K, tol=1e-12)[3]
+    sizes = []
+    for k in range(1, iters + 1):
+        w = minimize_energy(K, tol=1e-12, max_iter=k)[1]
+        assert np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        sizes.append(int(np.count_nonzero(w)))
+    assert max(sizes) == n
+    assert sizes[-1] == n - 1
+    assert w[0] == 0.0
+
+
+def test_minimize_allocates_no_support_by_cells_block():
+    # every cell is on the support; a refresh that gathered the support's
+    # rows (wa @ A[act]) would allocate 1500 * 1500 * 8 B = 18 MB
+    n = 1500
+    b = np.random.default_rng(3).uniform(0.0, 1.0, (n, n))
+    K = np.eye(n) + 0.005 * (b + b.T)
+    tracemalloc.start()
+    try:
+        _, w, _, iters, converged = minimize_energy(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert converged
+    assert iters > 512  # at least one refresh ran
+    assert np.count_nonzero(w) == n
+    assert peak < 2 ** 20
+
+
+def test_result_reports_support_size_and_kkt_residual():
+    region = TimeSliceBall(1.0, (0.0, 0.0), 0.45)
+    res = capacity(region, PARABOLIC, 0.1, tol=1e-6, seed=6, diag_samples=16)
+    w, e = res.equilibrium.weights, res.energy_min
+    km = assemble_kernel_matrix(discretize(region, 0.1), PARABOLIC, diag_samples=16, seed=6)
+    kw = km.entries @ w
+    ref = max(np.max(np.abs(kw[w > 0] - e)), max(0.0, e - kw.min())) / e
+    assert res.kkt_residual == pytest.approx(ref, rel=1e-12)
+    assert res.kkt_residual >= res.gap / (2.0 * e) * (1.0 - 1e-9)
+    assert res.support_size == np.count_nonzero(w > 0)
+    bare = dataclasses.replace(res, potentials=None)
+    assert bare.support_size is None
+    assert bare.kkt_residual is None

@@ -53,6 +53,10 @@ __all__ = [
     "translation_noninvariance_demo",
 ]
 
+STENCIL_BLOCK = 131_072   # offsets per stencil row block: 1 MB, which stays in cache
+SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
+NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
+
 
 @dataclass
 class KernelMatrix:
@@ -226,12 +230,12 @@ def _stencil_table(kind, k, pitch):
     return table, strides
 
 
-def _fill_stencil(a, k, table, strides, target=131_072):
+def _fill_stencil(a, k, table, strides):
     """a[i, j] = table[sum_axis |k_j - k_i| * stride], in blocks of whole rows
-    holding about ``target`` offsets (1 MB, which stays in cache)."""
+    holding about STENCIL_BLOCK offsets."""
     n = a.shape[0]
     ks = np.ascontiguousarray((k * strides).T)  # one contiguous row per axis
-    rows = max(1, target // n)
+    rows = max(1, STENCIL_BLOCK // n)
     off = np.empty((min(rows, n), n), dtype=np.intp)
     step = np.empty_like(off)
     for lo in range(0, n, rows):
@@ -282,7 +286,7 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         raise ValueError("empty cell cloud")
     if diag_samples < 1:
         raise ValueError(f"diag_samples must be at least 1, got {diag_samples!r}")
-    _check_kind_cloud(kind, cloud)
+    kind.check(cloud.times is not None, cloud.d, "cloud")
     n = cloud.n
     a = np.zeros((n, n))
     stencil = None
@@ -322,16 +326,6 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     km = KernelMatrix(a, prov)
     km.check()
     return km
-
-
-def _check_kind_cloud(kind, cloud):
-    if kind.tag == "newtonian":
-        if cloud.times is not None:
-            raise ValueError("newtonian kernel needs a spatial cloud")
-        if kind.d != cloud.d:
-            raise ValueError("kernel/cloud dimension mismatch")
-    elif cloud.times is None:
-        raise ValueError(f"{kind.tag} kernel needs a space-time cloud")
 
 
 def minimize_energy(K, tol=1e-6, max_iter=None):
@@ -427,10 +421,7 @@ def capacity_on_cloud(cloud, kind, tol=1e-6, seed=0, diag_samples=256,
     energy_min, w, gap, iters, converged = minimize_energy(km, tol=tol,
                                                            max_iter=max_iter)
     cap = math.inf if energy_min <= 0 else 1.0 / energy_min
-    if cloud.times is None:
-        eq = DiscreteMeasure.spatial(cloud.coords, w)
-    else:
-        eq = DiscreteMeasure(cloud.times, cloud.coords, w)
+    eq = DiscreteMeasure(cloud.times, cloud.coords, w)  # times None: spatial
     return CapacityResult(cap, energy_min, eq, gap, iters, converged, tol,
                           km.provenance, km.entries @ eq.weights)
 
@@ -442,10 +433,7 @@ def capacity(region, kind, resolution, tol=1e-6, seed=0, diag_samples=256,
     Space-time regions pair with the parabolic or cap_prime kernel, spatial
     regions with the newtonian kernel.
     """
-    if kind.tag == "newtonian" and getattr(region, "spacetime", False):
-        raise ValueError("newtonian capacity needs a spatial region")
-    if kind.tag != "newtonian" and not getattr(region, "spacetime", False):
-        raise ValueError(f"{kind.tag} capacity needs a space-time region")
+    kind.check(region.spacetime, region.d, "region")
     cloud = discretize(region, resolution)
     return capacity_on_cloud(cloud, kind, tol=tol, seed=seed,
                              diag_samples=diag_samples, max_iter=max_iter)
@@ -469,7 +457,7 @@ def _is_own_cloud(result, cloud):
             and np.array_equal(cloud.coords, eq.coords))
 
 
-def verify_duality(result, cloud, matrix=None, support_tol=1e-12):
+def verify_duality(result, cloud, matrix=None):
     """Equilibrium certificate for a converged parabolic run (others raise).
 
     The dual function f*(s, y) = capacity * sum_i w_i p(t_i-s, x_i-y)/p(t_i, x_i)
@@ -501,11 +489,10 @@ def verify_duality(result, cloud, matrix=None, support_tol=1e-12):
                                             seed=prov["seed"])
         kw = matrix.entries @ w
     potentials = result.capacity * kw
-    support = w > support_tol
-    min_potential = float(np.min(potentials[support]))
+    min_potential = float(np.min(potentials[w > SUPPORT_TOL]))
     min_potential_all = float(np.min(potentials))
 
-    idx = np.flatnonzero(w > 1e-10)
+    idx = np.flatnonzero(w > NORM_SUPPORT_TOL)
     ii, jj = np.meshgrid(idx, idx, indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
     xg, wg = gauss_legendre(96)

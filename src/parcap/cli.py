@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, runtime
 from .capacity_solver import capacity, capacity_growth_profile
-from .energy_kernel import CAP_PRIME, PARABOLIC, newtonian
-from .region import RegionError, SliceOf, Thorn, region_from_dict
+from .energy_kernel import PARABOLIC, KernelKind, newtonian
+from .region import SliceOf, Thorn, region_from_dict
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
@@ -42,63 +42,53 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg, field, kind=None):
-    if field not in cfg:
-        raise ConfigError(f"config missing field {field!r}")
-    val = cfg[field]
-    if kind is not None:
-        try:
-            val = kind(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config field {field!r} has invalid value {val!r}")
-    return val
+_REQUIRED = object()
 
 
-def _kernel_kind(tag, d=None):
-    if tag == "parabolic":
-        return PARABOLIC
-    if tag == "cap_prime":
-        return CAP_PRIME
-    if tag == "newtonian":
-        if d is None:
-            raise ConfigError("config field 'kind': newtonian needs the region dimension")
-        return newtonian(d)
-    raise ConfigError(f"config field 'kind' has invalid value {tag!r}")
+def _field(cfg, name, kind=None, default=_REQUIRED):
+    """Config field ``name`` converted by ``kind``, or ``default`` when it is
+    missing (or null where the default is None); ConfigError names the field."""
+    if name not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing field {name!r}")
+        return default
+    val = cfg[name]
+    if kind is None or (val is None and default is None):
+        return val
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {name!r} has invalid value {val!r}") from None
 
 
-def _config_hash(cfg):
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def _integer(val):
+    """int(val), refusing a float with a fraction (1e4 passes, 1.5 does not)."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(val)
+    return int(val)
 
 
-def _provenance_lines(cfg, seed):
-    return [
-        f"# parcap {__version__}",
-        f"# seed {seed}",
-        f"# config {_config_hash(cfg)}",
-    ]
+def _list_of(kind):
+    return lambda val: [kind(v) for v in val]
+
+
+def _kernel_kind(tag, d):
+    if tag not in ("parabolic", "cap_prime", "newtonian"):
+        raise ConfigError(f"config field 'kind' has invalid value {tag!r}")
+    return newtonian(d) if tag == "newtonian" else KernelKind(tag)
 
 
 def _write_csv(path, cfg, seed, header, rows):
+    """CSV under a provenance header: tool version, seed and config hash."""
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
     buf = io.StringIO()
-    for line in _provenance_lines(cfg, seed):
-        buf.write(line + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    buf.write(f"# parcap {__version__}\n# seed {seed}\n# config {digest}\n")
+    csv.writer(buf).writerows([header, *rows])
     _write_text(path, buf.getvalue())
 
 
 def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
@@ -116,15 +106,21 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _branching_config(sim_cfg, d):
-    return BranchingConfig(
-        n_particles=_require(sim_cfg, "n_particles", int),
-        dt=float(sim_cfg.get("dt", 0.01)),
-        horizon=float(sim_cfg.get("horizon", 1.0)),
-        d=d,
-        branch_rate=sim_cfg.get("branch_rate"),
-        max_particle_steps=int(sim_cfg.get("max_particle_steps", 10_000_000)),
-    )
+def _sim_fields(sim_cfg):
+    """BranchingConfig keywords of a sim config, all but the dimension."""
+    return {"n_particles": _field(sim_cfg, "n_particles", _integer),
+            "dt": _field(sim_cfg, "dt", float, 0.01),
+            "horizon": _field(sim_cfg, "horizon", float, 1.0),
+            "branch_rate": _field(sim_cfg, "branch_rate", float, None),
+            "max_particle_steps": _field(sim_cfg, "max_particle_steps", _integer,
+                                         10_000_000)}
+
+
+def _capacity_fields(cfg):
+    """capacity() keywords of the optional "capacity" section."""
+    cap_cfg = _field(cfg, "capacity", dict, {})
+    return {"tol": _field(cap_cfg, "tol", float, 1e-5),
+            "diag_samples": _field(cap_cfg, "diag_samples", _integer, 256)}
 
 
 def _fmt(x):
@@ -139,14 +135,13 @@ def _fmt(x):
 
 
 def cmd_capacity(cfg, seed, out):
-    region = region_from_dict(_require(cfg, "region"))
-    kind = _kernel_kind(_require(cfg, "kind"), getattr(region, "d", None))
-    resolution = _require(cfg, "resolution", float)
-    result = capacity(region, kind, resolution,
-                      tol=float(cfg.get("tol", 1e-6)),
+    region = region_from_dict(_field(cfg, "region"))
+    kind = _kernel_kind(_field(cfg, "kind"), region.d)
+    result = capacity(region, kind, _field(cfg, "resolution", float),
+                      tol=_field(cfg, "tol", float, 1e-6),
                       seed=seed,
-                      diag_samples=int(cfg.get("diag_samples", 256)),
-                      max_iter=cfg.get("max_iter"))
+                      diag_samples=_field(cfg, "diag_samples", _integer, 256),
+                      max_iter=_field(cfg, "max_iter", _integer, None))
     payload = result.to_json_dict()
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_json(out, payload)
@@ -154,27 +149,23 @@ def cmd_capacity(cfg, seed, out):
 
 
 def cmd_theorem1(cfg, seed, out):
-    entries = _require(cfg, "regions")
+    entries = _field(cfg, "regions", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'regions' is empty")
-    cap_cfg = cfg.get("capacity", {})
-    sim_cfg = _require(cfg, "sim")
+    resolution = _field(cfg, "resolution", float, 0.05)
+    cap_args = _capacity_fields(cfg)
+    sim_cfg = _field(cfg, "sim", dict)
+    sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
     rows = []
     ratios = []
     failed = False
     for k, entry in enumerate(entries):
         rid = entry.get("id", f"region_{k}")
         try:
-            region = region_from_dict(_require(entry, "region"))
-            resolution = float(entry.get("resolution",
-                                         cfg.get("resolution", 0.05)))
-            res = capacity(region, PARABOLIC, resolution,
-                           tol=float(cap_cfg.get("tol", 1e-5)),
-                           seed=seed,
-                           diag_samples=int(cap_cfg.get("diag_samples", 256)))
-            config = _branching_config(sim_cfg, region.d)
-            est = estimate_graph_hit(config, region,
-                                     int(_require(sim_cfg, "runs", int)), seed)
+            region = region_from_dict(_field(entry, "region"))
+            res = capacity(region, PARABOLIC, _field(entry, "resolution", float, resolution),
+                           seed=seed, **cap_args)
+            est = estimate_graph_hit(BranchingConfig(d=region.d, **sim), region, runs, seed)
             mass = est.implied_excursion_mass
             hw = est.mass_half_width()
             ratio = mass / res.capacity
@@ -185,7 +176,7 @@ def cmd_theorem1(cfg, seed, out):
                          _fmt(est.ci_high), est.exploded,
                          "OK" if ok else "BELOW_BOUND"])
             failed |= not ok
-        except (RegionError, ConfigError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             rows.append([rid, "", "", "", "", "", "", "", "", f"FAILED: {exc}"])
             failed = True
     if ratios:
@@ -201,41 +192,38 @@ def cmd_theorem1(cfg, seed, out):
 
 
 def cmd_prop51(cfg, seed, out):
-    entries = _require(cfg, "sets")
+    entries = _field(cfg, "sets", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'sets' is empty")
-    d = _require(cfg, "d", int)
-    t_slice = float(cfg.get("slice_time", 1.0))
-    resolution = _require(cfg, "resolution", float)
-    cap_cfg = cfg.get("capacity", {})
-    sim_cfg = _require(cfg, "sim")
-    runs = int(_require(sim_cfg, "runs", int))
+    d = _field(cfg, "d", _integer)
+    t_slice = _field(cfg, "slice_time", float, 1.0)
+    resolution = _field(cfg, "resolution", float)
+    cap_args = _capacity_fields(cfg)
+    sim_cfg = _field(cfg, "sim", dict)
+    sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
     rows = []
     ratios = []
     failed = False
     for k, entry in enumerate(entries):
         rid = entry.get("id", f"set_{k}")
         try:
-            base = region_from_dict(_require(entry, "region"))
+            base = region_from_dict(_field(entry, "region"))
             if getattr(base, "spacetime", False) or base.d != d:
                 raise ConfigError(f"set {rid!r} must be spatial of dimension {d}")
             if base.max_norm() > 1.0 + 1e-12:
                 raise ConfigError(f"set {rid!r} must lie inside the unit ball")
-            cap_n = capacity(base, newtonian(d), resolution,
-                             tol=float(cap_cfg.get("tol", 1e-5)), seed=seed,
-                             diag_samples=int(cap_cfg.get("diag_samples", 256)))
-            cap_p = capacity(SliceOf(t_slice, base), PARABOLIC, resolution,
-                             tol=float(cap_cfg.get("tol", 1e-5)), seed=seed,
-                             diag_samples=int(cap_cfg.get("diag_samples", 256)))
-            config = _branching_config(sim_cfg, d)
-            est = estimate_support_hit(config, t_slice, base, runs, seed)
+            cap_n = capacity(base, newtonian(d), resolution, seed=seed, **cap_args)
+            cap_p = capacity(SliceOf(t_slice, base), PARABOLIC, resolution, seed=seed,
+                             **cap_args)
+            est = estimate_support_hit(BranchingConfig(d=d, **sim), t_slice, base,
+                                       runs, seed)
             cap_ratio = cap_p.capacity / cap_n.capacity
             ratios.append(cap_ratio)
             rows.append([rid, _fmt(cap_n.capacity), _fmt(cap_p.capacity),
                          _fmt(cap_ratio), _fmt(est.p_hat), _fmt(est.ci_low),
                          _fmt(est.ci_high),
                          _fmt(est.p_hat / cap_n.capacity), "OK"])
-        except (RegionError, ConfigError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             rows.append([rid, "", "", "", "", "", "", "", f"FAILED: {exc}"])
             failed = True
     if ratios:
@@ -252,11 +240,11 @@ def cmd_hermite_verify(cfg, seed, out):
     from .hermite_ops import verification_report
     report = verification_report(
         seed=seed,
-        trials=int(cfg.get("trials", 200)),
-        max_degree=int(cfg.get("max_degree", 6)),
-        d=int(cfg.get("d", 2)),
-        grid_n=int(cfg.get("grid_n", 5)),
-        bound_overrides=cfg.get("bound_overrides"),
+        trials=_field(cfg, "trials", _integer, 200),
+        max_degree=_field(cfg, "max_degree", _integer, 6),
+        d=_field(cfg, "d", _integer, 2),
+        grid_n=_field(cfg, "grid_n", _integer, 5),
+        bound_overrides=_field(cfg, "bound_overrides", dict, None),
     )
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["seed"] = seed
@@ -272,16 +260,14 @@ def cmd_hermite_verify(cfg, seed, out):
 
 
 def cmd_profile(cfg, seed, out):
-    thorn_spec = _require(cfg, "thorn")
-    region = region_from_dict(thorn_spec)
+    region = region_from_dict(_field(cfg, "thorn"))
     if not isinstance(region, Thorn):
         raise ConfigError("config field 'thorn' must describe a thorn region")
-    eps_list = _require(cfg, "eps_list")
     rows_in = capacity_growth_profile(
-        region, [float(e) for e in eps_list],
-        pitch_factor=float(cfg.get("pitch_factor", 0.5)),
-        tol=float(cfg.get("tol", 1e-5)), seed=seed,
-        diag_samples=int(cfg.get("diag_samples", 128)))
+        region, _field(cfg, "eps_list", _list_of(float)),
+        pitch_factor=_field(cfg, "pitch_factor", float, 0.5),
+        tol=_field(cfg, "tol", float, 1e-5), seed=seed,
+        diag_samples=_field(cfg, "diag_samples", _integer, 128))
     rows = [[_fmt(r["eps"]), _fmt(r["resolution"]), _fmt(r["capacity"]),
              r["error"]] for r in rows_in]
     _write_csv(out, cfg, seed, ["eps", "resolution", "capacity", "error"], rows)
@@ -289,15 +275,15 @@ def cmd_profile(cfg, seed, out):
 
 
 def cmd_range_hit(cfg, seed, out):
-    d = _require(cfg, "d", int)
-    region = region_from_dict(_require(cfg, "region"))
+    d = _field(cfg, "d", _integer)
+    region = region_from_dict(_field(cfg, "region"))
     if "start" in cfg:
-        start_law = cfg["start"]  # fixed start point
+        start_law = _field(cfg, "start", _list_of(float))  # fixed start point
     elif "start_ball" in cfg:
         # uniform start law on a ball, e.g. {"center": [0,0], "radius": 1}
-        ball = cfg["start_ball"]
-        centre = np.asarray(_require(ball, "center"), dtype=float)
-        radius = float(_require(ball, "radius"))
+        ball = _field(cfg, "start_ball", dict)
+        centre = np.asarray(_field(ball, "center", _list_of(float)))
+        radius = _field(ball, "radius", float)
 
         def start_law(rng, runs):
             pts = np.empty((runs, d))
@@ -313,10 +299,10 @@ def cmd_range_hit(cfg, seed, out):
         raise ConfigError("config missing field 'start' (or 'start_ball')")
     est = estimate_range_hit(
         d, start_law, region,
-        dt=float(cfg.get("dt", 1e-3)),
-        runs=int(_require(cfg, "runs", int)),
+        dt=_field(cfg, "dt", float, 1e-3),
+        runs=_field(cfg, "runs", _integer),
         seed=seed,
-        kill_radius=float(cfg.get("kill_radius", 50.0)))
+        kill_radius=_field(cfg, "kill_radius", float, 50.0))
     payload = est.to_json_dict()
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     payload["seed"] = seed
@@ -325,11 +311,11 @@ def cmd_range_hit(cfg, seed, out):
 
 
 def cmd_sbm_extinction(cfg, seed, out):
-    times = [float(t) for t in _require(cfg, "times")]
+    times = _field(cfg, "times", _list_of(float))
     sim_cfg = dict(cfg)
     sim_cfg.setdefault("horizon", max(times))
-    config = _branching_config(sim_cfg, int(cfg.get("d", 1)))
-    runs = int(_require(cfg, "runs", int))
+    config = BranchingConfig(d=_field(cfg, "d", _integer, 1), **_sim_fields(sim_cfg))
+    runs = _field(cfg, "runs", _integer)
     estimates = estimate_survival(config, times, runs, seed)
     payload = {
         "n_particles": config.n_particles,
@@ -394,29 +380,26 @@ def main(argv=None):
             return 1
         seed = 0
     out = args.out or os.environ.get("PARCAP_OUT")
-    if args.threads is not None:
-        runtime.set_threads(args.threads)
 
     cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                cfg = dict(json.load(fh))
         except FileNotFoundError:
             print(f"config file not found: {args.config}", file=sys.stderr)
             return 1
-        except json.JSONDecodeError as exc:
+        except (TypeError, ValueError) as exc:  # a JSONDecodeError, or not an object
             print(f"malformed JSON config: {exc}", file=sys.stderr)
             return 1
     elif args.command != "hermite-verify":
         print(f"{args.command}: --config is required", file=sys.stderr)
         return 1
 
-    try:
+    try:  # ConfigError and RegionError are ValueErrors
+        if args.threads is not None:
+            runtime.set_threads(args.threads)
         return fn(cfg, seed, out)
-    except (ConfigError, RegionError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

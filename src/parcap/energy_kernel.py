@@ -33,6 +33,7 @@ from .quadrature import (
     gauss_legendre,
     geometric_edges,
     panel_rule,
+    tensor_rule,
 )
 
 __all__ = [
@@ -52,6 +53,12 @@ __all__ = [
     "energy_mc_paths",
 ]
 
+MUTUAL_REL_TOL = 1e-9      # relative tolerances of the adaptive mutual_kernel
+CAP_PRIME_REL_TOL = 1e-10  # and cap_prime_kernel
+# cap_prime_bruteforce: s panel nodes, y nodes per axis, s range
+CP_ORACLE_N_S, CP_ORACLE_N_Y, CP_ORACLE_SPAN = 240, 64, 160.0
+MC_PATH_CHUNK = 256        # Brownian paths per block of energy_mc_paths
+
 
 @dataclass(frozen=True)
 class KernelKind:
@@ -63,6 +70,17 @@ class KernelKind:
             raise ValueError(f"unknown kernel kind {self.tag!r}")
         if self.tag == "newtonian" and (self.d is None or self.d < 2):
             raise ValueError("newtonian kernel needs d >= 2")
+
+    def check(self, spacetime, d, what):
+        """ValueError unless the kernel fits a ``what`` ("region", "cloud", ..):
+        newtonian(d) a spatial one of dimension d, the others a space-time one."""
+        if self.tag != "newtonian":
+            if not spacetime:
+                raise ValueError(f"{self.tag} kernel needs a space-time {what}")
+        elif spacetime:
+            raise ValueError(f"newtonian kernel needs a spatial {what}")
+        elif d != self.d:
+            raise ValueError(f"kernel/{what} dimension mismatch: d={self.d} vs {d}")
 
 
 PARABOLIC = KernelKind("parabolic")
@@ -280,7 +298,7 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
     return _table_exp_sum(t1 + 1j * t2, feats, tables, rows, rho.size, block)
 
 
-def mutual_kernel(z, z2, rel_tol=1e-9):
+def mutual_kernel(z, z2):
     """Parabolic pair energy K(z, z2); +inf on the diagonal for d >= 2.
 
     Evaluated as a 1-D adaptive quadrature with a square-root substitution
@@ -302,7 +320,7 @@ def mutual_kernel(z, z2, rel_tol=1e-9):
         A, E, B, C = reduced_log_coefs(t1, t2, tmin - u * u, z.d)
         return 2.0 * u * _exp_floor(A + E * (dx @ dx) + (B * (x1 @ x1) + C * (x2 @ x2)))
 
-    return adaptive_gauss_kronrod(f, 0.0, math.sqrt(tmin), rel_tol=rel_tol)
+    return adaptive_gauss_kronrod(f, 0.0, math.sqrt(tmin), rel_tol=MUTUAL_REL_TOL)
 
 
 _BATCH_UNIT_NODES, _BATCH_UNIT_WEIGHTS = panel_rule(
@@ -343,7 +361,7 @@ def mutual_kernel_bruteforce(z, z2, n_s=160, n_y=64):
         ]),
         order=10,
     )
-    gl_x, gl_w = gauss_legendre(n_y)
+    unit, wunit = tensor_rule(*gauss_legendre(n_y), d)
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
         # precision-weighted centre/width of p(s,y) p(t1-s,x1-y) p(t2-s,x2-y)
@@ -351,12 +369,8 @@ def mutual_kernel_bruteforce(z, z2, n_s=160, n_y=64):
         width = 1.0 / math.sqrt(prec)
         centre = (x1 / (t1 - s) + x2 / (t2 - s)) / prec
         half = 10.0 * width
-        axes = [centre[i] + half * gl_x for i in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        wmesh = gl_w
-        for _ in range(d - 1):
-            wmesh = np.outer(wmesh, gl_w).ravel()
-        wmesh = wmesh * half ** d
+        mesh = centre + half * unit
+        wmesh = wunit * half ** d
         log_f = (log_heat_density(s, np.sum(mesh * mesh, axis=1), d)
                  + log_heat_density(t1 - s, np.sum((x1 - mesh) ** 2, axis=1), d)
                  + log_heat_density(t2 - s, np.sum((x2 - mesh) ** 2, axis=1), d))
@@ -369,7 +383,7 @@ def mutual_kernel_bruteforce(z, z2, n_s=160, n_y=64):
 _CAP_PRIME_SPAN = 300.0  # e^{-150} tail is negligible at any shipped tolerance
 
 
-def cap_prime_kernel(z, z2, rel_tol=1e-10):
+def cap_prime_kernel(z, z2):
     """Damped kernel K'(z, z2) = 1/2 int_{|t-t'|}^inf p(u, x-x') e^{-u/2} du."""
     z, z2 = _as_point(z), _as_point(z2)
     if z.d != z2.d:
@@ -387,7 +401,7 @@ def cap_prime_kernel(z, z2, rel_tol=1e-10):
         return 2.0 * w * _exp_floor(log_heat_density(u, sq, d) - 0.5 * u) * 0.5
 
     return adaptive_gauss_kronrod(f, 0.0, math.sqrt(_CAP_PRIME_SPAN),
-                                  rel_tol=rel_tol)
+                                  rel_tol=CAP_PRIME_REL_TOL)
 
 
 _CP_UNIT_NODES, _CP_UNIT_WEIGHTS = panel_rule(
@@ -418,7 +432,7 @@ def cap_prime_kernel_batch(t1, x1, t2, x2, block=1024):
     return _table_exp_sum(gap, sq, tables, rows, _CP_UNIT_NODES.size, block)
 
 
-def cap_prime_bruteforce(z, z2, n_s=240, n_y=64, span=160.0):
+def cap_prime_bruteforce(z, z2):
     """Oracle: tensor (s, y) quadrature of the defining damped double integral."""
     z, z2 = _as_point(z), _as_point(z2)
     d = z.d
@@ -428,9 +442,9 @@ def cap_prime_bruteforce(z, z2, n_s=240, n_y=64, span=160.0):
     # s runs over (-inf, t^t'); the e^{-(t+t'-2s)/2} damping truncates the
     # tail. Edges decrease from tmin, so panel weights come out negative and
     # abs() below restores the orientation.
-    s_nodes, s_weights = panel_rule(
-        geometric_edges(tmin, tmin - span, n_s // 10, ratio=0.55), order=10)
-    gl_x, gl_w = gauss_legendre(n_y)
+    s_nodes, s_weights = panel_rule(geometric_edges(
+        tmin, tmin - CP_ORACLE_SPAN, CP_ORACLE_N_S // 10, ratio=0.55), order=10)
+    unit, wunit = tensor_rule(*gauss_legendre(CP_ORACLE_N_Y), d)
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
         a, b = t1 - s, t2 - s
@@ -438,12 +452,8 @@ def cap_prime_bruteforce(z, z2, n_s=240, n_y=64, span=160.0):
         width = 1.0 / math.sqrt(prec)
         centre = (x1 / a + x2 / b) / prec
         half = 10.0 * width
-        axes = [centre[i] + half * gl_x for i in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        wmesh = gl_w
-        for _ in range(d - 1):
-            wmesh = np.outer(wmesh, gl_w).ravel()
-        wmesh = wmesh * half ** d
+        mesh = centre + half * unit
+        wmesh = wunit * half ** d
         log_f = (log_heat_density(a, np.sum((x1 - mesh) ** 2, axis=1), d) - 0.5 * a
                  + log_heat_density(b, np.sum((x2 - mesh) ** 2, axis=1), d) - 0.5 * b)
         total += abs(ws) * float(np.dot(wmesh, _exp_floor(log_f)))
@@ -497,13 +507,7 @@ def energy(measure, kind):
     Zero-weight atoms drop out (0 * inf = 0 convention); any +inf pair with
     positive weight product makes the energy +inf.
     """
-    if kind.tag == "newtonian":
-        if measure.is_spacetime:
-            raise ValueError("newtonian energy needs a spatial measure")
-        if kind.d != measure.d:
-            raise ValueError("kernel/measure dimension mismatch")
-    elif not measure.is_spacetime:
-        raise ValueError(f"{kind.tag} energy needs a space-time measure")
+    kind.check(measure.is_spacetime, measure.d, "measure")
     w = measure.weights
     total = 0.0
     for i in range(measure.n):
@@ -519,7 +523,7 @@ def energy(measure, kind):
     return total
 
 
-def energy_mc_paths(measure, n_paths, dt, seed, chunk=256):
+def energy_mc_paths(measure, n_paths, dt, seed):
     """Brownian-path Monte Carlo estimate of the parabolic energy.
 
     Simulates standard Brownian paths from the origin on [0, T] (T = max atom
@@ -540,7 +544,7 @@ def energy_mc_paths(measure, n_paths, dt, seed, chunk=256):
     vals = np.empty(n_paths)
     done = 0
     while done < n_paths:
-        m = min(chunk, n_paths - done)
+        m = min(MC_PATH_CHUNK, n_paths - done)
         steps = rng.normal(0.0, 1.0, size=(m, n_steps, d)) * np.sqrt(np.diff(grid))[None, :, None]
         paths = np.concatenate([np.zeros((m, 1, d)), np.cumsum(steps, axis=1)], axis=1)
         fw = bridge_weight_batch(measure.times, measure.coords,

@@ -15,12 +15,14 @@ is explicit because silently mixing them is the main correctness hazard.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import gauss_hermite_prob, gauss_legendre, panel_rule
+from .quadrature import (gauss_hermite_prob, gauss_legendre, panel_rule, panels,
+                         tensor_rule)
 
 __all__ = [
     "BumpProfile",
@@ -61,17 +63,6 @@ def _bump(t, alpha, beta, amplitude, poly):
     return out
 
 
-def _panels(edges, order):
-    """Gauss-Legendre nodes/weights on consecutive panels along the last axis.
-
-    ``edges`` has shape (..., P + 1); both results have shape (..., P, order).
-    """
-    x, w = gauss_legendre(order)
-    half = 0.5 * np.diff(edges, axis=-1)
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    return mid[..., None] + half[..., None] * x, half[..., None] * w
-
-
 @lru_cache(maxsize=4)
 def _interpolant_antiderivative(order):
     """(order, order + 1) matrix taking values at the ``order`` GL nodes of
@@ -95,8 +86,14 @@ def _interpolant_antiderivative(order):
     return out
 
 
+BUMP_PANELS, BUMP_ORDER = 24, 16  # GL panels per bump profile, nodes per panel
+LAMBDA_S_ORDER = 64  # s nodes of the direct smoothing-operator quadrature
+GH_ORDER = 40        # Gauss-Hermite nodes of that quadrature and of orthogonality
+FD_STEP = 1e-5       # central-difference step of hermite_derivative_check
+
+
 class _BumpBatch:
-    """K bump profiles, each on its own ``n_panels`` x ``order`` GL panels.
+    """K bump profiles, each on its own BUMP_PANELS x BUMP_ORDER GL panels.
 
     A running integral int_0^t s^q g(s) ds is the panel cumulative sum up to
     the panel holding t plus the exact integral, up to t, of the order-point
@@ -106,14 +103,13 @@ class _BumpBatch:
     1e-11 of the total; elsewhere by rounding.
     """
 
-    def __init__(self, alpha, beta, amplitude, poly=(1.0,), n_panels=24,
-                 order=16):
+    def __init__(self, alpha, beta, amplitude, poly=(1.0,)):
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
         self.amplitude = np.asarray(amplitude, dtype=float)
         self.poly = tuple(poly)
-        self.edges = np.linspace(self.alpha, self.beta, n_panels + 1, axis=-1)
-        self.nodes, self.weights = _panels(self.edges, order)
+        self.edges = np.linspace(self.alpha, self.beta, BUMP_PANELS + 1, axis=-1)
+        self.nodes, self.weights = panels(self.edges, BUMP_ORDER)
         self.values = _bump(self.nodes, self.alpha[:, None, None],
                             self.beta[:, None, None],
                             self.amplitude[:, None, None], self.poly)
@@ -171,16 +167,14 @@ class BumpProfile:
     beyond the tolerances used anywhere in the package.
     """
 
-    def __init__(self, alpha, beta, amplitude=1.0, poly=(1.0,), n_panels=24,
-                 order=16):
+    def __init__(self, alpha, beta, amplitude=1.0, poly=(1.0,)):
         if not 0.0 < alpha < beta:
             raise ValueError("need 0 < alpha < beta")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.amplitude = float(amplitude)
         self.poly = tuple(poly)
-        self._batch = _BumpBatch([self.alpha], [self.beta], [self.amplitude],
-                                 self.poly, n_panels, order)
+        self._batch = _BumpBatch([self.alpha], [self.beta], [self.amplitude], self.poly)
 
     @property
     def support(self):
@@ -285,16 +279,11 @@ def index_factorial(n):
 
 def multi_indices(d, max_total):
     """All n in N^d with |n| <= max_total, lexicographic."""
-    if d == 1:
-        return [(k,) for k in range(max_total + 1)]
-    out = []
-    for k in range(max_total + 1):
-        for rest in multi_indices(d - 1, max_total - k):
-            out.append((k,) + rest)
-    return sorted(out)
+    return [n for n in itertools.product(range(max_total + 1), repeat=d)
+            if sum(n) <= max_total]
 
 
-def hermite_derivative_check(n, i, x, fd_step=1e-5):
+def hermite_derivative_check(n, i, x):
     """(analytic, numeric) values of d/dx_i He_n at x; requires n_i >= 1."""
     n = tuple(int(k) for k in np.atleast_1d(n))
     if n[i] < 1:
@@ -304,13 +293,13 @@ def hermite_derivative_check(n, i, x, fd_step=1e-5):
     lowered[i] -= 1
     analytic = n[i] * float(hermite_value(tuple(lowered), x))
     e = np.zeros_like(x)
-    e[i] = fd_step
+    e[i] = FD_STEP
     numeric = (float(hermite_value(n, x + e)) - float(hermite_value(n, x - e))) \
-        / (2.0 * fd_step)
+        / (2.0 * FD_STEP)
     return analytic, numeric
 
 
-def hermite_orthogonality(n, m, t, quad_order=40):
+def hermite_orthogonality(n, m, t):
     """int p(t, x) He_n(x/sqrt t) He_m(x/sqrt t) dx by Gauss-Hermite nodes.
 
     Nodes are placed for the variance-t Gaussian weight and mapped through
@@ -320,7 +309,7 @@ def hermite_orthogonality(n, m, t, quad_order=40):
     m = tuple(int(k) for k in np.atleast_1d(m))
     if len(n) != len(m):
         raise ValueError("index dimension mismatch")
-    u, w = gauss_hermite_prob(quad_order)
+    u, w = gauss_hermite_prob(GH_ORDER)
     total = 1.0
     root_t = math.sqrt(t)
     for ni, mi in zip(n, m):
@@ -343,23 +332,23 @@ def h_field(n, profile, t, x):
                  * profile(np.asarray(t)))
 
 
-def _lambda_rule(support, t, s_order, gh_order):
+def _lambda_rule(support, t, gh_order):
     """Nodes and weights of the direct quadrature of the smoothing operator.
 
-    s: Gauss-Legendre with s_order // 4 points on each of 8 equal panels of
-    (max(0, a), min(t, b)) -- bump windows converge slowly on a single GL
-    interval; y: ``gh_order``-point Gauss-Hermite for the standard normal.
-    None when the window is empty, where the operator is 0.
+    s: Gauss-Legendre with LAMBDA_S_ORDER // 4 points on each of 8 equal
+    panels of (max(0, a), min(t, b)) -- bump windows converge slowly on a
+    single GL interval; y: ``gh_order``-point Gauss-Hermite for the standard
+    normal. None when the window is empty, where the operator is 0.
     """
     lo, hi = max(0.0, support[0]), min(t, support[1])
     if hi <= lo:
         return None
-    s, ws = _panels(np.linspace(lo, hi, 9), s_order // 4)
+    s, ws = panel_rule(np.linspace(lo, hi, 9), LAMBDA_S_ORDER // 4)
     u, w = gauss_hermite_prob(gh_order)
-    return s.ravel(), ws.ravel(), u, w
+    return s, ws, u, w
 
 
-def lambda_numeric(f, support, t, x, s_order=64, gh_order=40):
+def lambda_numeric(f, support, t, x, gh_order=GH_ORDER):
     """Smoothing operator p^{-1}[p * (p f)] at (t, x) by direct quadrature.
 
     The spatial convolution collapses onto a Gaussian average: the operator
@@ -371,15 +360,11 @@ def lambda_numeric(f, support, t, x, s_order=64, gh_order=40):
     """
     x = np.asarray(np.atleast_1d(x), dtype=float)
     d = x.size
-    rule = _lambda_rule(support, t, s_order, gh_order)
+    rule = _lambda_rule(support, t, gh_order)
     if rule is None:
         return 0.0
     s_nodes, s_weights, u, w = rule
-    axes = [u] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    wmesh = w
-    for _ in range(d - 1):
-        wmesh = np.outer(wmesh, w).ravel()
+    mesh, wmesh = tensor_rule(u, w, d)
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
         sig = s * (t - s) / t
@@ -389,7 +374,7 @@ def lambda_numeric(f, support, t, x, s_order=64, gh_order=40):
     return total
 
 
-def lambda_numeric_on_hermite(n, profile, ts, xs, s_order=64, gh_order=40):
+def lambda_numeric_on_hermite(n, profile, ts, xs):
     """:func:`lambda_numeric` of the field h(n, profile) on a grid.
 
     Returns the (len(ts), len(xs)) values at every t in ``ts`` and every
@@ -403,7 +388,7 @@ def lambda_numeric_on_hermite(n, profile, ts, xs, s_order=64, gh_order=40):
     xs = np.asarray(xs, dtype=float).reshape(-1, len(n))
     out = np.zeros((ts.size, xs.shape[0]))
     for r, t in enumerate(ts):
-        rule = _lambda_rule(profile.support, t, s_order, gh_order)
+        rule = _lambda_rule(profile.support, t, GH_ORDER)
         if rule is None:
             continue
         s, ws, u, w = rule
@@ -417,17 +402,37 @@ def lambda_numeric_on_hermite(n, profile, ts, xs, s_order=64, gh_order=40):
     return out
 
 
-def _lowered(n, i, by=2):
-    out = list(n)
-    out[i] -= by
-    return tuple(out)
+def _terms(which, indices, i):
+    """(identity, [(j, coef)]): the operator maps coefficient profile n (row n
+    of ``indices``) to coef[n] J_n(t) / t at output n (j None) or n - 2 e_j,
+    plus the profile itself if ``identity``; J_n as in :func:`_apply_operator`."""
+    ni = indices[:, i]
+    if which == "lambda0":
+        return False, [(None, np.ones(len(indices)))]
+    if which == "lambda2i":
+        return False, [(i, 0.5 * ni * (ni - 1))]
+    if which == "lambda3i":
+        return False, [(None, -ni), (i, -ni * (ni - 1))]
+    if which == "lambda4i":
+        return False, [(None, -ni)]
+    if which == "lambda1":
+        # identity part plus sum_j (Lambda_{4,j} - Lambda_{2,j})
+        terms = []
+        for j in range(indices.shape[1]):
+            nj = indices[:, j]
+            terms += [(None, -nj), (j, -0.5 * nj * (nj - 1))]
+        return True, terms
+    raise ValueError(f"unknown operator {which!r}")
 
 
 def lambda_family_on_hermite(which, n, profile, t, x, i=0):
     """Closed-form action of the operator family on h(n, g) at (t, x).
 
-    which: "lambda" | "lambda1" | "lambda2i" | "lambda3i" | "lambda4i".
-    Negative lowered indices contribute zero by convention.
+    which: "lambda" (the smoothing operator, He_n(x/sqrt t) t^{-|n|/2} G(t)
+    with G(t) = int_0^t g) or an operator of :func:`_terms`: "lambda0" (the
+    time-scaled one, lambda / t), "lambda1", "lambda2i", "lambda3i" or
+    "lambda4i". Terms with coefficient 0 are skipped, so lowered indices
+    never go negative.
     """
     n = tuple(int(k) for k in np.atleast_1d(n))
     if t <= 0:
@@ -436,32 +441,19 @@ def lambda_family_on_hermite(which, n, profile, t, x, i=0):
     tot = sum(n)
     root_t = math.sqrt(t)
     big_g = float(profile.weighted_integral(0.0, np.asarray(t)))
-    decay = t ** (-1.0 - 0.5 * tot) * big_g
-
     if which == "lambda":
         return float(hermite_value(n, x / root_t)) * t ** (-0.5 * tot) * big_g
-    if which == "lambda2i":
-        ni = n[i]
-        if ni < 2:
-            return 0.0
-        he = float(hermite_value(_lowered(n, i), x / root_t))
-        return 0.5 * ni * (ni - 1) * he * decay
-    if which == "lambda4i":
-        ni = n[i]
-        if ni < 1:
-            return 0.0
-        return -ni * float(hermite_value(n, x / root_t)) * decay
-    if which == "lambda3i":
-        return (lambda_family_on_hermite("lambda4i", n, profile, t, x, i)
-                - 2.0 * lambda_family_on_hermite("lambda2i", n, profile, t, x, i))
-    if which == "lambda1":
-        # identity part plus sum_i (Lambda_{4,i} - Lambda_{2,i})
-        val = h_field(n, profile, t, x)
-        for j in range(len(n)):
-            val += lambda_family_on_hermite("lambda4i", n, profile, t, x, j)
-            val -= lambda_family_on_hermite("lambda2i", n, profile, t, x, j)
-        return val
-    raise ValueError(f"unknown operator {which!r}")
+    identity, terms = _terms(which, np.array([n]), i)
+    decay = t ** (-1.0 - 0.5 * tot) * big_g
+    val = h_field(n, profile, t, x) if identity else 0.0
+    for j, coef in terms:
+        c = float(coef[0])
+        if c != 0.0:
+            m = list(n)
+            if j is not None:
+                m[j] -= 2
+            val += c * float(hermite_value(m, x / root_t)) * decay
+    return val
 
 
 # --- operator norms in the coefficient domain ------------------------------------
@@ -508,26 +500,8 @@ def _apply_operator(which, indices, profiles, nodes, T=None, i=0):
     J *= nodes ** -q[:, None]  # J = C t^{-q} beyond the support
     if which == "e_t_lambda":
         return np.where(nodes < T, J, 0.0), np.zeros((len(q), 2))  # grid capped at T
-    # terms (j, coef): coef_n J_n(t) / t goes to output n (j None) or n - 2 e_j
-    ni = indices[:, i]
-    vals = np.zeros_like(J)
-    if which == "lambda0":
-        terms = [(None, np.ones(len(q)))]
-    elif which == "lambda2i":
-        terms = [(i, 0.5 * ni * (ni - 1))]
-    elif which == "lambda3i":
-        terms = [(None, -ni), (i, -ni * (ni - 1))]
-    elif which == "lambda4i":
-        terms = [(None, -ni)]
-    elif which == "lambda1":
-        # identity part plus sum_j (Lambda_{4,j} - Lambda_{2,j})
-        vals = profiles.at(nodes)
-        terms = []
-        for j in range(indices.shape[1]):
-            nj = indices[:, j]
-            terms += [(None, -nj), (j, -0.5 * nj * (nj - 1))]
-    else:
-        raise ValueError(f"unknown operator {which!r}")
+    identity, terms = _terms(which, indices, i)
+    vals = profiles.at(nodes) if identity else np.zeros_like(J)
     tail = np.zeros((len(q), 2))
     J /= nodes
     for j, coef in terms:

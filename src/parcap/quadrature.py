@@ -1,7 +1,7 @@
-"""1-D quadrature building blocks shared by the kernel and operator modules.
+"""Every quadrature rule of the kernel and operator modules.
 
-Everything here works on vectorized integrands: ``f(x)`` receives an ndarray
-of abscissae and must return an ndarray of the same shape.
+Integrands are vectorized: ``f(x)`` receives an ndarray of abscissae and
+must return an ndarray of the same shape.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ __all__ = [
     "QuadratureError",
     "adaptive_gauss_kronrod",
     "gauss_legendre",
+    "panels",
     "panel_rule",
+    "tensor_rule",
     "geometric_edges",
     "gauss_hermite_prob",
 ]
@@ -59,18 +61,22 @@ def _gk15(f, a, b):
     return k, abs(k - g)
 
 
-def adaptive_gauss_kronrod(f, a, b, rel_tol=1e-9, abs_tol=1e-13, max_subdiv=2000):
+GK_ABS_TOL = 1e-13     # absolute error floor of the adaptive rule
+GK_MAX_SUBDIV = 2000   # bisections before the adaptive rule gives up
+
+
+def adaptive_gauss_kronrod(f, a, b, rel_tol=1e-9):
     """Globally adaptive GK15 on [a, b]: bisect the worst interval until the
-    summed error estimate meets max(abs_tol, rel_tol*|result|).
+    summed error estimate meets max(GK_ABS_TOL, rel_tol*|result|).
     """
     if not b > a:
         return 0.0
     val, err = _gk15(f, a, b)
     intervals = [(err, a, b, val)]
-    for _ in range(max_subdiv):
+    for _ in range(GK_MAX_SUBDIV):
         total = sum(iv[3] for iv in intervals)
         total_err = sum(iv[0] for iv in intervals)
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
+        if total_err <= max(GK_ABS_TOL, rel_tol * abs(total)):
             return total
         intervals.sort(key=lambda iv: iv[0])
         _, lo, hi, _ = intervals.pop()
@@ -83,29 +89,42 @@ def adaptive_gauss_kronrod(f, a, b, rel_tol=1e-9, abs_tol=1e-13, max_subdiv=2000
         intervals.append((e1, lo, mid, v1))
         intervals.append((e2, mid, hi, v2))
     raise QuadratureError(
-        f"adaptive quadrature did not converge after {max_subdiv} subdivisions"
+        f"adaptive quadrature did not converge after {GK_MAX_SUBDIV} subdivisions"
     )
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def panel_rule(edges, order=16):
-    """Composite Gauss-Legendre nodes/weights over consecutive panels.
+def panels(edges, order):
+    """Gauss-Legendre nodes/weights on consecutive panels along the last axis.
 
-    ``edges`` is an increasing 1-D array; returns flat (nodes, weights).
+    ``edges`` has shape (..., P + 1); both results have shape (..., P, order).
     """
     edges = np.asarray(edges, dtype=float)
     x, w = gauss_legendre(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * np.diff(edges, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
+
+
+def panel_rule(edges, order):
+    """Flat (nodes, weights) of :func:`panels` on one increasing 1-D ``edges``."""
+    nodes, weights = panels(edges, order)
+    return nodes.ravel(), weights.ravel()
+
+
+def tensor_rule(x, w, d):
+    """d-fold tensor product of the 1-D rule (x, w): an (n^d, d) node mesh,
+    last axis fastest, and its (n^d,) product weights."""
+    mesh = np.stack(np.meshgrid(*[x] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    wmesh = w
+    for _ in range(d - 1):
+        wmesh = np.outer(wmesh, w).ravel()
+    return mesh, wmesh
 
 
 def geometric_edges(a, b, n_panels, ratio=0.6):

@@ -104,8 +104,8 @@ class SliceOf(Region):
     def d(self):
         return self.base.d
 
-    def mask(self, pts, slab_eps=SLAB_EPS):
-        return (np.abs(pts[:, 0] - self.t0) <= slab_eps) & self.base.mask(pts[:, 1:])
+    def mask(self, pts):
+        return (np.abs(pts[:, 0] - self.t0) <= SLAB_EPS) & self.base.mask(pts[:, 1:])
 
     def bounds(self):
         lo, hi = self.base.bounds()
@@ -170,7 +170,7 @@ class SpaceTimeBox(Region):
     def d(self):
         return len(self.corner_lo)
 
-    def mask(self, pts, slab_eps=SLAB_EPS):
+    def mask(self, pts):
         t, x = pts[:, 0], pts[:, 1:]
         return ((t > self.t_lo) & (t < self.t_hi)
                 & np.all(x > np.asarray(self.corner_lo), axis=1)
@@ -211,7 +211,7 @@ class Thorn(Region):
         s = np.linspace(max(self.t_lo, 1e-12), self.t_hi, 1025)
         return float(np.max(np.sqrt(s) * self.h(s)))
 
-    def mask(self, pts, slab_eps=SLAB_EPS):
+    def mask(self, pts):
         t, x = pts[:, 0], pts[:, 1:]
         ok = (t > self.t_lo) & (t < self.t_hi)
         lim = np.zeros_like(t)
@@ -242,7 +242,7 @@ class SpatialBall(Region):
     def d(self):
         return len(self.center)
 
-    def mask(self, pts, slab_eps=SLAB_EPS):
+    def mask(self, pts):
         return np.linalg.norm(pts - np.asarray(self.center), axis=1) < self.radius
 
     def bounds(self):
@@ -279,7 +279,7 @@ class SpatialAnnulus(Region):
     def d(self):
         return len(self.center)
 
-    def mask(self, pts, slab_eps=SLAB_EPS):
+    def mask(self, pts):
         r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
         return (r > self.r_in) & (r < self.r_out)
 
@@ -331,8 +331,8 @@ class RegionUnion(Region):
     def d(self):
         return self.members[0].d
 
-    def mask(self, pts, slab_eps=SLAB_EPS):
-        return np.any([m.mask(pts, slab_eps) for m in self.members], axis=0)
+    def mask(self, pts):
+        return np.any([m.mask(pts) for m in self.members], axis=0)
 
     def bounds(self):
         parts = [m.bounds() for m in self.members]
@@ -375,7 +375,7 @@ class RegionUnion(Region):
                       axis=0)
 
 
-def contains(region, points, slab_eps=SLAB_EPS):
+def contains(region, points):
     """Vectorized membership test.
 
     Space-time regions take rows (t, x); spatial regions take rows x.
@@ -386,7 +386,7 @@ def contains(region, points, slab_eps=SLAB_EPS):
     want = (region.d + 1) if region.spacetime else region.d
     if pts.shape[1] != want:
         raise RegionError(f"point dimension {pts.shape[1]} != expected {want}")
-    out = region.mask(pts, slab_eps)
+    out = region.mask(pts)
     return bool(out[0]) if scalar else out
 
 

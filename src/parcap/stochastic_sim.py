@@ -96,8 +96,12 @@ class BranchingConfig:
         return 1.0 / self.n_particles
 
 
-def wilson_interval(hits, runs, z=1.96):
+WILSON_Z = 1.96  # normal quantile of the 95% Wilson interval
+
+
+def wilson_interval(hits, runs):
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if runs == 0:
         return 0.0, 1.0
     p = hits / runs

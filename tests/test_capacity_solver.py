@@ -631,3 +631,29 @@ def test_result_reports_support_size_and_kkt_residual():
     bare = dataclasses.replace(res, potentials=None)
     assert bare.support_size is None
     assert bare.kkt_residual is None
+
+
+def _no_discretize(region, resolution):
+    raise AssertionError("the kernel/space check must run before discretizing")
+
+
+@pytest.mark.parametrize("region,kind,match", [
+    (SpatialBall((0.0, 0.0), 0.5), newtonian(3), "kernel/region dimension mismatch"),
+    (SpatialBall((0.0, 0.0), 0.5), PARABOLIC, "needs a space-time region"),
+    (SpatialBall((0.0, 0.0), 0.5), CAP_PRIME, "needs a space-time region"),
+    (TimeSliceBall(1.0, (0.0, 0.0), 0.5), newtonian(2), "needs a spatial region"),
+], ids=["newtonian_dim", "parabolic_spatial", "cap_prime_spatial", "newtonian_slice"])
+def test_capacity_checks_kernel_against_region_first(region, kind, match, monkeypatch):
+    monkeypatch.setattr(capacity_solver, "discretize", _no_discretize)
+    with pytest.raises(ValueError, match=match):
+        capacity(region, kind, 0.2)
+
+
+@pytest.mark.parametrize("region,kind,match", [
+    (SpatialBall((0.0, 0.0), 0.5), CAP_PRIME, "needs a space-time cloud"),
+    (SpatialBall((0.0, 0.0), 0.5), newtonian(3), "kernel/cloud dimension mismatch"),
+    (TimeSliceBall(1.0, (0.0, 0.0), 0.5), newtonian(2), "needs a spatial cloud"),
+], ids=["cap_prime_spatial", "newtonian_dim", "newtonian_slice"])
+def test_assemble_checks_kernel_against_cloud(region, kind, match):
+    with pytest.raises(ValueError, match=match):
+        assemble_kernel_matrix(discretize(region, 0.25), kind)

@@ -266,3 +266,98 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert main(["sbm-extinction", "--config", cfg, "--seed", "21",
                  "--out", out2]) == 0
     assert strip_timestamp(read_json(out1)) == strip_timestamp(read_json(out2))
+
+
+BASE_CONFIGS = {
+    "capacity": {"region": {"kind": "ball", "center": [0, 0], "radius": 0.5},
+                 "kind": "newtonian", "resolution": 0.5},
+    "theorem1": {"regions": [{"region": {"kind": "time_slice_ball", "t0": 1.0,
+                                         "center": [0, 0], "radius": 0.3}}],
+                 "sim": {"n_particles": 10, "runs": 5}},
+    "prop51": {"d": 2, "resolution": 0.5,
+               "sets": [{"region": {"kind": "ball", "center": [0, 0], "radius": 0.5}}],
+               "sim": {"n_particles": 10, "runs": 5}},
+    "sbm-extinction": {"n_particles": 10, "times": [0.5], "runs": 10},
+    "range-hit": {"d": 3, "start": [2.0, 0.0, 0.0], "runs": 10,
+                  "region": {"kind": "ball", "center": [0, 0, 0], "radius": 1.0}},
+    "hermite-verify": {"trials": 1, "grid_n": 1},
+    "profile": {"thorn": {"kind": "thorn", "profile": "constant", "param": 1.0,
+                          "t_lo": 0.0, "t_hi": 0.5, "d": 1}, "eps_list": [0.2]},
+}
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("capacity", ("tol",), None),
+    ("capacity", ("max_iter",), 1.5),
+    ("capacity", ("max_iter",), "many"),
+    ("capacity", ("diag_samples",), "x"),
+    ("capacity", ("resolution",), "fine"),
+    ("theorem1", ("sim", "branch_rate"), "fast"),
+    ("theorem1", ("sim", "runs"), 2.5),
+    ("theorem1", ("capacity", "tol"), None),
+    ("theorem1", ("resolution",), "coarse"),
+    ("theorem1", ("regions",), 5),
+    ("prop51", ("slice_time",), "late"),
+    ("prop51", ("capacity", "diag_samples"), 1.5),
+    ("prop51", ("sim",), "x"),
+    ("sbm-extinction", ("branch_rate",), "fast"),
+    ("sbm-extinction", ("times",), 5),
+    ("sbm-extinction", ("dt",), None),
+    ("range-hit", ("kill_radius",), None),
+    ("range-hit", ("start",), "x"),
+    ("range-hit", ("dt",), "small"),
+    ("hermite-verify", ("trials",), "many"),
+    ("hermite-verify", ("bound_overrides",), 3),
+    ("profile", ("eps_list",), 0.1),
+    ("profile", ("pitch_factor",), None),
+])
+def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
+                                                  value):
+    cfg = json.loads(json.dumps(BASE_CONFIGS[command]))
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    out = str(tmp_path / "o.out")
+    rc = main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+               "--seed", "1", "--out", out])
+    assert rc == 1
+    assert f"config field {path[-1]!r} has invalid value" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_null_and_integral_float_fields_are_accepted(tmp_path):
+    base = BASE_CONFIGS["capacity"]
+    outs = []
+    for extra in ({}, {"max_iter": None}, {"max_iter": 1e4}, {"max_iter": 10000}):
+        out = str(tmp_path / f"o{len(outs)}.json")
+        cfg = write_cfg(tmp_path, "c.json", dict(base, **extra))
+        assert main(["capacity", "--config", cfg, "--out", out]) == 0
+        outs.append(strip_timestamp(read_json(out)))
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+    sim = BASE_CONFIGS["sbm-extinction"]
+    payloads = []
+    for extra in ({}, {"branch_rate": None}):
+        out = str(tmp_path / f"e{len(payloads)}.json")
+        cfg = write_cfg(tmp_path, "e.json", dict(sim, **extra))
+        assert main(["sbm-extinction", "--config", cfg, "--seed", "2", "--out", out]) == 0
+        payloads.append(strip_timestamp(read_json(out)))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["branch_rate"] == 40.0
+
+
+def test_threads_below_one_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "ext.json", BASE_CONFIGS["sbm-extinction"])
+    out = str(tmp_path / "o.json")
+    assert main(["sbm-extinction", "--config", cfg, "--seed", "1", "--threads", "0",
+                 "--out", out]) == 1
+    assert "thread count must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "\"ball\""])
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["capacity", "--config", str(path)]) == 1
+    assert "malformed JSON config" in capsys.readouterr().err

@@ -382,3 +382,16 @@ def test_reduced_log_coefs_match_the_two_division_form(d):
             assert E == pytest.approx(float(E0), rel=1e-13, abs=0.0)
             assert abs(B - B0) <= 1e-13 * 0.5 / t1
             assert abs(C - C0) <= 1e-13 * 0.5 / t2
+
+
+@pytest.mark.parametrize("measure,kind,match", [
+    (DiscreteMeasure.spacetime([(1.0, [0.0, 0.0])], [1.0]), newtonian(2),
+     "needs a spatial measure"),
+    (DiscreteMeasure.spatial([[0.0, 0.0]], [1.0]), newtonian(3),
+     "kernel/measure dimension mismatch"),
+    (DiscreteMeasure.spatial([[0.0]], [1.0]), PARABOLIC, "needs a space-time measure"),
+    (DiscreteMeasure.spatial([[0.0]], [1.0]), CAP_PRIME, "needs a space-time measure"),
+], ids=["newtonian_spacetime", "newtonian_dim", "parabolic_spatial", "cap_prime_spatial"])
+def test_energy_checks_kernel_against_measure(measure, kind, match):
+    with pytest.raises(ValueError, match=match):
+        energy(measure, kind)

@@ -225,3 +225,16 @@ def test_verification_report_negative_control():
     assert not bad["ok"]
     assert any(b["operator"] == "lambda2i" and not b["pass"]
                for b in bad["bounds"])
+
+
+@pytest.mark.parametrize("n", [(0,), (3,), (2, 1), (0, 4)])
+def test_lambda0_is_the_time_scaled_smoothing_operator(n):
+    # "lambda0" comes from the probes' term list, "lambda" from the closed form
+    prof = BumpProfile(0.2, 1.2, amplitude=0.8)
+    x = np.linspace(-0.6, 0.9, len(n))
+    for t in (0.15, 0.5, 0.9, 1.7):
+        want = lambda_family_on_hermite("lambda", n, prof, t, x) / t
+        got = lambda_family_on_hermite("lambda0", n, prof, t, x)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+    with pytest.raises(ValueError, match="unknown operator"):
+        lambda_family_on_hermite("lambda5", n, prof, 0.5, x)

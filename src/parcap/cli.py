@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__, runtime
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import PARABOLIC, KernelKind, newtonian
-from .region import SliceOf, Thorn, region_from_dict
+from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _field, _integer,
+                     _list_of, region_from_dict, sample_uniform)
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
@@ -36,40 +37,6 @@ from .stochastic_sim import (
 )
 
 __all__ = ["main"]
-
-
-class ConfigError(ValueError):
-    pass
-
-
-_REQUIRED = object()
-
-
-def _field(cfg, name, kind=None, default=_REQUIRED):
-    """Config field ``name`` converted by ``kind``, or ``default`` when it is
-    missing (or null where the default is None); ConfigError names the field."""
-    if name not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(f"config missing field {name!r}")
-        return default
-    val = cfg[name]
-    if kind is None or (val is None and default is None):
-        return val
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {name!r} has invalid value {val!r}") from None
-
-
-def _integer(val):
-    """int(val), refusing a float with a fraction (1e4 passes, 1.5 does not)."""
-    if isinstance(val, float) and not val.is_integer():
-        raise ValueError(val)
-    return int(val)
-
-
-def _list_of(kind):
-    return lambda val: [kind(v) for v in val]
 
 
 def _kernel_kind(tag, d):
@@ -94,6 +61,8 @@ def _json_default(obj):
 
 
 def _write_json(path, payload):
+    """The payload as sorted JSON, stamped with the current UTC time."""
+    payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
                                  default=_json_default) + "\n")
 
@@ -142,9 +111,7 @@ def cmd_capacity(cfg, seed, out):
                       seed=seed,
                       diag_samples=_field(cfg, "diag_samples", _integer, 256),
                       max_iter=_field(cfg, "max_iter", _integer, None))
-    payload = result.to_json_dict()
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(out, payload)
+    _write_json(out, result.to_json_dict())
     return 0 if result.converged else 2
 
 
@@ -246,7 +213,6 @@ def cmd_hermite_verify(cfg, seed, out):
         grid_n=_field(cfg, "grid_n", _integer, 5),
         bound_overrides=_field(cfg, "bound_overrides", dict, None),
     )
-    report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["seed"] = seed
     _write_json(out, report)
     if not report["ok"]:
@@ -281,20 +247,12 @@ def cmd_range_hit(cfg, seed, out):
         start_law = _field(cfg, "start", _list_of(float))  # fixed start point
     elif "start_ball" in cfg:
         # uniform start law on a ball, e.g. {"center": [0,0], "radius": 1}
-        ball = _field(cfg, "start_ball", dict)
-        centre = np.asarray(_field(ball, "center", _list_of(float)))
-        radius = _field(ball, "radius", float)
+        ball_cfg = _field(cfg, "start_ball", dict)
+        ball = SpatialBall(_field(ball_cfg, "center", _list_of(float)),
+                           _field(ball_cfg, "radius", float))
 
         def start_law(rng, runs):
-            pts = np.empty((runs, d))
-            got = 0
-            while got < runs:
-                cand = rng.uniform(-radius, radius, size=(2 * (runs - got), d))
-                cand = cand[np.sum(cand * cand, axis=1) < radius * radius]
-                take = min(cand.shape[0], runs - got)
-                pts[got:got + take] = centre + cand[:take]
-                got += take
-            return pts
+            return sample_uniform(ball, runs, rng)
     else:
         raise ConfigError("config missing field 'start' (or 'start_ball')")
     est = estimate_range_hit(
@@ -303,10 +261,7 @@ def cmd_range_hit(cfg, seed, out):
         runs=_field(cfg, "runs", _integer),
         seed=seed,
         kill_radius=_field(cfg, "kill_radius", float, 50.0))
-    payload = est.to_json_dict()
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    payload["seed"] = seed
-    _write_json(out, payload)
+    _write_json(out, dict(est.to_json_dict(), seed=seed))
     return 0
 
 
@@ -323,7 +278,6 @@ def cmd_sbm_extinction(cfg, seed, out):
         "runs": runs,
         "seed": seed,
         "times": {},
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     ok = True
     for t, est in estimates.items():

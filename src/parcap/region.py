@@ -5,17 +5,18 @@ and their points are rows (t, x_1, .., x_d); spatial variants live in R^d.
 Each region class carries its own geometry: membership on validated points
 (``mask``), an axis-aligned bounding box in ambient coordinates (``bounds``),
 its canonical JSON encoding {"kind": ..., parameters...} (``to_dict``) and
-its time-slice decomposition (``slices``). Spatial regions add ``distance``,
-the largest norm of a point (``max_norm``) and an exact straight-segment test
-(``segment_hits``); space-time regions add the graph detector's per-segment
-test (``graph_segment_hits``). The module functions validate their input
-and call these methods.
+its time-slice decomposition (``slices``). Spatial regions add ``distance``
+and the largest norm of a point (``max_norm``); space-time regions add the
+graph detector's per-segment test (``graph_segment_hits``). The module
+functions validate their input and call these methods; ``region_from_dict``
+reads JSON specs with ``_field``, the typed reader the CLI configs share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,15 +75,6 @@ class Region:
         full-dimensional space-time set: endpoint membership at the
         reporting pitch."""
         return self.mask(np.column_stack([tb, pb]))
-
-
-def _segment_min_dist(center, p0, p1):
-    """Distance from center to the nearest point of each segment p0 -> p1."""
-    c = np.asarray(center)
-    q = p1 - p0
-    qq = np.sum(q * q, axis=1)
-    tstar = np.clip(np.sum((c - p0) * q, axis=1) / np.maximum(qq, 1e-300), 0.0, 1.0)
-    return np.linalg.norm(p0 + tstar[:, None] * q - c, axis=1)
 
 
 @dataclass(frozen=True)
@@ -260,9 +252,6 @@ class SpatialBall(Region):
         r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
         return np.maximum(r - self.radius, 0.0)
 
-    def segment_hits(self, p0, p1):
-        return _segment_min_dist(self.center, p0, p1) < self.radius
-
 
 @dataclass(frozen=True)
 class SpatialAnnulus(Region):
@@ -298,13 +287,6 @@ class SpatialAnnulus(Region):
     def distance(self, pos):
         r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
         return np.maximum(np.maximum(self.r_in - r, r - self.r_out), 0.0)
-
-    def segment_hits(self, p0, p1):
-        """The segment meets the radial band: it comes inside r_out and
-        one of its endpoints lies beyond r_in."""
-        c = np.asarray(self.center)
-        dmax = np.maximum(np.linalg.norm(p0 - c, axis=1), np.linalg.norm(p1 - c, axis=1))
-        return (_segment_min_dist(c, p0, p1) < self.r_out) & (dmax > self.r_in)
 
 
 @dataclass(frozen=True)
@@ -367,9 +349,6 @@ class RegionUnion(Region):
     def distance(self, pos):
         return np.min([m.distance(pos) for m in self.members], axis=0)
 
-    def segment_hits(self, p0, p1):
-        return np.any([m.segment_hits(p0, p1) for m in self.members], axis=0)
-
     def graph_segment_hits(self, ta, tb, pa, pb):
         return np.any([m.graph_segment_hits(ta, tb, pa, pb) for m in self.members],
                       axis=0)
@@ -416,9 +395,6 @@ class CellCloud:
     @property
     def is_slice(self):
         return self.parent.slices() is not None
-
-    def volumes(self):
-        return np.full(self.n, self.volume)
 
     def translated(self, dt, dx):
         """Same cell topology, shifted centers; times must stay positive."""
@@ -471,7 +447,8 @@ def sample_uniform(region, n, seed):
 
     Time slices are sampled in their spatial base (the union of the bases
     for a union of slices), which needs a single slice time. Deterministic
-    per seed; aborts if the acceptance rate falls below 1e-4.
+    per seed, or drawn from ``seed`` in place when it is a Generator; aborts
+    if the acceptance rate falls below 1e-4.
     """
     slices = region.slices()
     if slices is not None:
@@ -501,6 +478,40 @@ def sample_uniform(region, n, seed):
 
 # --- canonical JSON encoding -------------------------------------------------
 
+class ConfigError(ValueError):
+    pass
+
+
+_REQUIRED = object()
+
+
+def _field(cfg, name, kind=None, default=_REQUIRED):
+    """Config field ``name`` converted by ``kind``, or ``default`` when it is
+    missing (or null where the default is None); ConfigError names the field."""
+    if name not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing field {name!r}")
+        return default
+    val = cfg[name]
+    if kind is None or (val is None and default is None):
+        return val
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {name!r} has invalid value {val!r}") from None
+
+
+def _integer(val):
+    """int(val), refusing a float with a fraction (1e4 passes, 1.5 does not)."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(val)
+    return int(val)
+
+
+def _list_of(kind):
+    return lambda val: [kind(v) for v in val]
+
+
 def region_to_dict(region):
     if not isinstance(region, Region):
         raise RegionError(f"unknown region type {type(region).__name__}")
@@ -512,23 +523,24 @@ def region_from_dict(spec):
         kind = spec["kind"]
     except (TypeError, KeyError):
         raise RegionError("region spec missing 'kind'") from None
+    get, floats = partial(_field, spec), _list_of(float)
     try:
         if kind == "time_slice_ball":
-            return TimeSliceBall(spec["t0"], spec["center"], spec["radius"])
+            return TimeSliceBall(get("t0", float), get("center", floats), get("radius", float))
         if kind == "slice_of":
-            return SliceOf(spec["t0"], region_from_dict(spec["base"]))
+            return SliceOf(get("t0", float), region_from_dict(get("base")))
         if kind == "box":
-            return SpaceTimeBox(spec["t_lo"], spec["t_hi"],
-                                spec["corner_lo"], spec["corner_hi"])
+            return SpaceTimeBox(get("t_lo", float), get("t_hi", float),
+                                get("corner_lo", floats), get("corner_hi", floats))
         if kind == "thorn":
-            return Thorn(spec["profile"], spec["param"], spec["t_lo"],
-                         spec["t_hi"], spec.get("d", 1))
+            return Thorn(get("profile", str), get("param", float), get("t_lo", float),
+                         get("t_hi", float), get("d", _integer, 1))
         if kind == "ball":
-            return SpatialBall(spec["center"], spec["radius"])
+            return SpatialBall(get("center", floats), get("radius", float))
         if kind == "annulus":
-            return SpatialAnnulus(spec["center"], spec["r_in"], spec["r_out"])
+            return SpatialAnnulus(get("center", floats), get("r_in", float), get("r_out", float))
         if kind == "union":
-            return RegionUnion(tuple(region_from_dict(m) for m in spec["members"]))
-    except KeyError as exc:
-        raise RegionError(f"region spec {kind!r} missing field {exc}") from None
+            return RegionUnion(tuple(map(region_from_dict, get("members", _list_of(dict)))))
+    except ConfigError as exc:
+        raise RegionError(f"region spec {kind!r}: {exc}") from None
     raise RegionError(f"unknown region kind {kind!r}")

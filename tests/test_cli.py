@@ -203,6 +203,34 @@ def test_range_hit_command_with_start_law(tmp_path):
     assert 0.0 < read_json(out)["p_hat"] < 1.0
 
 
+def test_range_hit_start_ball_matches_closed_form(tmp_path):
+    # uniform start on B(0, 1) in d = 3, target B(0, a), killed at |x| = R:
+    # P = a^3 + int_a^1 3 r^2 (a / r)(1 - r / R) / (1 - a / R) dr
+    a, R = 0.4, 200.0
+    exact = a ** 3 + 3 * a * ((1 - a ** 2) / 2 - (1 - a ** 3) / (3 * R)) / (1 - a / R)
+    assert exact == pytest.approx(0.567134, abs=1e-6)
+    cfg = write_cfg(tmp_path, "rh.json", {
+        "d": 3, "start_ball": {"center": [0, 0, 0], "radius": 1.0},
+        "region": {"kind": "ball", "center": [0, 0, 0], "radius": a},
+        "runs": 200_000, "kill_radius": R})
+    out = str(tmp_path / "rh.json.out")
+    assert main(["range-hit", "--config", cfg, "--seed", "11", "--out", out]) == 0
+    payload = read_json(out)
+    half = 0.5 * (payload["ci_high"] - payload["ci_low"])
+    assert abs(payload["p_hat"] - exact) <= 3.0 * half
+
+
+def test_range_hit_start_ball_dimension_mismatch_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "rh.json", {
+        "d": 3, "start_ball": {"center": [0, 0], "radius": 1.0},
+        "region": {"kind": "ball", "center": [0, 0, 0], "radius": 0.4},
+        "runs": 10})
+    out = str(tmp_path / "rh.json.out")
+    assert main(["range-hit", "--config", cfg, "--seed", "1", "--out", out]) == 1
+    assert "shape" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_prop51_rejects_set_outside_unit_ball(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "p51.json", {
         "d": 2, "resolution": 0.1,
@@ -310,6 +338,9 @@ BASE_CONFIGS = {
     ("hermite-verify", ("bound_overrides",), 3),
     ("profile", ("eps_list",), 0.1),
     ("profile", ("pitch_factor",), None),
+    ("capacity", ("region", "radius"), "big"),
+    ("range-hit", ("region", "center"), "x"),
+    ("profile", ("thorn", "t_lo"), "a"),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

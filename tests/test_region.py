@@ -159,6 +159,37 @@ def test_json_round_trip():
         region_from_dict({"kind": "ball", "radius": 1.0})
 
 
+BALL = {"kind": "ball", "center": [0.0], "radius": 0.3}
+
+
+@pytest.mark.parametrize("spec,kind,field,value", [
+    (dict(BALL, kind="time_slice_ball", t0="late"), "time_slice_ball", "t0", "late"),
+    ({"kind": "slice_of", "t0": None, "base": BALL}, "slice_of", "t0", None),
+    ({"kind": "slice_of", "t0": 1.0, "base": dict(BALL, radius="big")},
+     "ball", "radius", "big"),
+    ({"kind": "box", "t_lo": "a", "t_hi": 2.0, "corner_lo": [0.0], "corner_hi": [1.0]},
+     "box", "t_lo", "a"),
+    ({"kind": "box", "t_lo": 1.0, "t_hi": 2.0, "corner_lo": 0.0, "corner_hi": [1.0]},
+     "box", "corner_lo", 0.0),
+    ({"kind": "thorn", "profile": "power", "param": [1.0], "t_lo": 0.0, "t_hi": 0.5},
+     "thorn", "param", [1.0]),
+    ({"kind": "thorn", "profile": "power", "param": 1.0, "t_lo": 0.0, "t_hi": 0.5,
+      "d": 1.5}, "thorn", "d", 1.5),
+    (dict(BALL, center=["x"]), "ball", "center", ["x"]),
+    ({"kind": "annulus", "center": [0.0], "r_in": 0.2, "r_out": {}},
+     "annulus", "r_out", {}),
+    ({"kind": "union", "members": 5}, "union", "members", 5),
+    ({"kind": "union", "members": [BALL, {"kind": "annulus", "center": [0.0],
+                                          "r_in": "in", "r_out": 0.4}]},
+     "annulus", "r_in", "in"),
+])
+def test_mistyped_field_names_kind_and_field(spec, kind, field, value):
+    with pytest.raises(RegionError) as err:
+        region_from_dict(spec)
+    assert str(err.value) == (f"region spec {kind!r}: config field {field!r} "
+                              f"has invalid value {value!r}")
+
+
 def test_time_slice_ball_equals_slice_of_ball():
     tsb = TimeSliceBall(1.0, (0.1, -0.2), 0.45)
     gen = SliceOf(1.0, SpatialBall((0.1, -0.2), 0.45))

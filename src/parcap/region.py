@@ -502,14 +502,20 @@ def _field(cfg, name, kind=None, default=_REQUIRED):
 
 
 def _integer(val):
-    """int(val), refusing a float with a fraction (1e4 passes, 1.5 does not)."""
-    if isinstance(val, float) and not val.is_integer():
+    """int(val), refusing a bool and a float with a fraction (1e4 passes)."""
+    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
         raise ValueError(val)
     return int(val)
 
 
 def _list_of(kind):
-    return lambda val: [kind(v) for v in val]
+    """Reader of a JSON list, each item converted by ``kind``; refuses a
+    string, a dict or any other non-list."""
+    def read(val):
+        if not isinstance(val, list):
+            raise TypeError(val)
+        return [kind(v) for v in val]
+    return read
 
 
 def region_to_dict(region):

@@ -17,6 +17,8 @@ Three equivalent-in-law engines, each exact for what it samples:
   genealogy of particles alive at the slice (inhomogeneous binary pure-birth
   along the conditioned tree) and their Brownian positions; this is the same
   process restricted to survivors, at a cost proportional to survivor count.
+  A run retires once it has hit every region (its flags are final), so no
+  further generation is drawn for it.
 * count engine -- for survival probabilities, steps the population count
   through a time grid with the exact offspring law (binomial survivors plus
   negative-binomial excess), since motion is irrelevant to extinction.
@@ -313,7 +315,7 @@ def _forward_chunks(config, regions, runs, seed):
 TREE_CHUNK_RUNS = 128  # runs per lock-step chunk of the reduced-tree engine
 
 
-def _slice_leaves(n_roots, rate, t_slice, d, runs, rng):
+def _slice_leaves(n_roots, rate, t_slice, d, runs, rng, settled):
     """Yield (run ids, positions) of the particles alive at t_slice, one batch
     per generation of the conditioned genealogy of ``runs`` runs.
 
@@ -321,7 +323,8 @@ def _slice_leaves(n_roots, rate, t_slice, d, runs, rng):
     branch as a binary pure-birth process with rate rate/(2 + rate (t - s))
     and carry Brownian displacements along edges. Lineages are rows
     (birth time, run id, position), so one repeat per generation both drops
-    the leaves and doubles the branching lines.
+    the leaves and doubles the branching lines. The rows of runs the consumer
+    marks in the boolean mask ``settled`` are dropped before the next draw.
     """
     if rate == 0.0:
         yield (np.repeat(np.arange(runs), n_roots),
@@ -337,7 +340,9 @@ def _slice_leaves(n_roots, rate, t_slice, d, runs, rng):
         step = np.minimum(tau, rem)  # leaves move on to the slice
         z[:, 2:] += rng.normal(size=(rem.size, d)) * np.sqrt(step)[:, None]
         z[:, 0] += step
-        yield z[leaf, 1].astype(np.intp), z[leaf, 2:]
+        run = z[:, 1].astype(np.intp)
+        yield run[leaf], z[leaf, 2:]
+        leaf |= settled[run]
         z = np.repeat(z, np.where(leaf, 0, 2), axis=0)
 
 
@@ -349,7 +354,8 @@ def reduced_slice_positions(n_roots, rate, t_slice, d, rng):
     engine's time-t population (motion is independent of genealogy); pinned
     by tests.
     """
-    pts = [x for _, x in _slice_leaves(n_roots, rate, t_slice, d, 1, rng)]
+    pts = [x for _, x in _slice_leaves(n_roots, rate, t_slice, d, 1, rng,
+                                       np.zeros(1, dtype=bool))]
     return np.concatenate(pts) if pts else np.zeros((0, d))
 
 
@@ -358,7 +364,12 @@ def _slice_hits(config, t_slice, spatial, runs, seed):
 
     Leaves outside the union of the regions' bounding boxes are dropped
     before any membership test, which is exact since each box holds its set.
+    A run that has hit every region is settled: its flags are final, so it
+    retires before the next generation. The open runs keep fresh draws, so
+    the law of every flag is unchanged.
     """
+    if t_slice < 0:
+        raise ValueError(f"slice time {t_slice} is negative")
     if t_slice > config.horizon:
         raise ValueError("slice time beyond horizon")
     for reg in spatial:
@@ -369,12 +380,14 @@ def _slice_hits(config, t_slice, spatial, runs, seed):
     hit = np.zeros((len(spatial), runs), dtype=bool)
     for first in range(0, runs, TREE_CHUNK_RUNS):
         n = min(TREE_CHUNK_RUNS, runs - first)
+        chunk, settled = hit[:, first:first + n], np.zeros(n, dtype=bool)
         for run, x in _slice_leaves(config.n_particles, config.branch_rate, t_slice,
-                                    config.d, n, rng):
+                                    config.d, n, rng, settled):
             near = np.all((x >= lo) & (x <= hi), axis=1)
-            run, x = run[near] + first, x[near]
+            run, x = run[near], x[near]
             for k, reg in enumerate(spatial):
-                hit[k, run[reg.mask(x)]] = True
+                chunk[k, run[reg.mask(x)]] = True
+            np.all(chunk, axis=0, out=settled)
     return hit
 
 
@@ -406,6 +419,8 @@ def estimate_survival(config, times, runs, seed):
     times are read off a single population path per run.
     """
     times = sorted(float(t) for t in times)
+    if times and times[0] < 0:
+        raise ValueError(f"requested time {times[0]} is negative")
     if times and times[-1] > config.horizon:
         raise ValueError("requested time beyond horizon")
     rng = run_rng(seed, 0)
@@ -453,6 +468,8 @@ def estimate_graph_hits(config, regions, runs, seed):
     for reg in regions:
         if not getattr(reg, "spacetime", False):
             raise ValueError("graph hits need space-time regions")
+    if not regions:
+        return []
     fam = _slice_family(regions)
     if fam is not None:
         hits = _slice_hits(config, fam[0], fam[1], runs, seed).sum(axis=1)

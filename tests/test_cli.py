@@ -341,6 +341,11 @@ BASE_CONFIGS = {
     ("capacity", ("region", "radius"), "big"),
     ("range-hit", ("region", "center"), "x"),
     ("profile", ("thorn", "t_lo"), "a"),
+    ("theorem1", ("sim", "runs"), True),
+    ("sbm-extinction", ("runs",), True),
+    ("range-hit", ("start",), "20"),
+    ("capacity", ("region", "center"), "12"),
+    ("range-hit", ("start",), {"2": 0.0, "0": 0.0, "1": 0.0}),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

@@ -182,6 +182,11 @@ BALL = {"kind": "ball", "center": [0.0], "radius": 0.3}
     ({"kind": "union", "members": [BALL, {"kind": "annulus", "center": [0.0],
                                           "r_in": "in", "r_out": 0.4}]},
      "annulus", "r_in", "in"),
+    (dict(BALL, center="12"), "ball", "center", "12"),
+    (dict(BALL, center={"1": 0.5, "2": 0.5}), "ball", "center", {"1": 0.5, "2": 0.5}),
+    ({"kind": "union", "members": BALL}, "union", "members", BALL),
+    ({"kind": "thorn", "profile": "power", "param": 1.0, "t_lo": 0.0, "t_hi": 0.5,
+      "d": True}, "thorn", "d", True),
 ])
 def test_mistyped_field_names_kind_and_field(spec, kind, field, value):
     with pytest.raises(RegionError) as err:

@@ -385,3 +385,67 @@ def test_batched_forward_keeps_per_run_tallies():
         if not tr.survived:
             assert tr.counts_at[0.5] == 0 and 0 < tr.extinction_time <= 0.5
     assert len({tr.particle_steps for tr in traces}) > 1
+
+
+def test_support_hit_full_space_matches_survival_law_at_100k_runs():
+    # every run that survives to the slice hits the whole space, so it settles
+    # at its first generation of leaves
+    cfg = BranchingConfig(n_particles=2000, dt=0.01, horizon=1.0, d=2)
+    runs = 100_000
+    est = estimate_support_hit(cfg, 1.0, SpatialBall((0.0, 0.0), 1e6), runs, seed=139)
+    want = theory_survival(2000, cfg.branch_rate, 1.0)
+    half = 0.5 * (est.ci_high - est.ci_low)
+    assert est.runs == runs
+    assert abs(est.p_hat - want) <= 3.0 * half
+
+
+def test_retiring_engine_matches_run_by_run_populations():
+    # reference without retirement: whole populations from the single-run call
+    n, t, runs = 40, 1.0, 4000
+    cfg = BranchingConfig(n_particles=n, dt=0.01, horizon=t, d=2)
+    balls = [SpatialBall((0.0, 0.0), r) for r in (0.2, 0.5, 0.9)] \
+        + [SpatialBall((0.6, 0.0), 0.25)]
+    ref = np.zeros(len(balls), dtype=np.int64)
+    for r in range(runs):
+        pts = reduced_slice_positions(n, cfg.branch_rate, t, 2, run_rng(141, r))
+        ref += [bool(np.any(b.mask(pts))) for b in balls]
+    ests = estimate_graph_hits(cfg, [SliceOf(t, b) for b in balls], runs, seed=142)
+    for est, hits in zip(ests, ref):
+        lo, hi = wilson_interval(int(hits), runs)
+        sep = abs(est.p_hat - hits / runs)
+        assert sep <= 0.5 * (hi - lo) + 0.5 * (est.ci_high - est.ci_low)
+
+
+def test_slice_hit_flags_nested_per_run():
+    from parcap.stochastic_sim import _slice_hits
+    cfg = BranchingConfig(n_particles=200, dt=0.01, horizon=1.0, d=2)
+    balls = [SpatialBall((0.0, 0.0), 0.3), SpatialBall((0.3, 0.0), 0.2),
+             SpatialBall((0.0, 0.0), 0.6), SpatialBall((-0.5, 0.4), 0.3)]
+    hit = _slice_hits(cfg, 1.0, balls, 600, seed=143)
+    assert 0 < hit[0].sum() < hit[2].sum() < 600 and 0 < hit[3].sum()
+    inside = [(0, 2), (1, 2)]  # (ball, ball that contains it)
+    for k, j in inside:
+        assert not np.any(hit[k] & ~hit[j])
+
+
+def test_reduced_slice_positions_pinned_output():
+    # the single-run call returns the whole population; its draws are pinned
+    import hashlib
+    for args, seed, shape, digest in [
+        ((10, 4.0, 1.0, 2), 7, (12, 2),
+         "4b493ec9c0eff748e45481404929e8d789af03427793ba07bc4b6e3f753ad86a"),
+        ((200, 800.0, 1.0, 3), 13, (564, 3),
+         "62ea622c35000a09f62cf54d9b18a90c1cd344a4fa82eb77cdefd596d1b9b5db"),
+    ]:
+        pts = reduced_slice_positions(*args, run_rng(seed, 0))
+        assert pts.shape == shape
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+
+def test_estimator_edge_cases():
+    cfg = BranchingConfig(n_particles=20, dt=0.01, horizon=1.0, d=2)
+    assert estimate_graph_hits(cfg, [], 10, seed=1) == []
+    with pytest.raises(ValueError, match="-0.5"):
+        estimate_support_hit(cfg, -0.5, SpatialBall((0.0, 0.0), 1.0), 10, seed=1)
+    with pytest.raises(ValueError, match="-0.25"):
+        estimate_survival(cfg, [0.5, -0.25], 10, seed=1)

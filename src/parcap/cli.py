@@ -27,12 +27,11 @@ from . import __version__, runtime
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import PARABOLIC, KernelKind, newtonian
 from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _field, _integer,
-                     _list_of, region_from_dict, sample_uniform)
+                     _list_of, _real, region_from_dict, sample_uniform)
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
     estimate_range_hit,
-    estimate_support_hit,
     estimate_survival,
 )
 
@@ -78,9 +77,9 @@ def _write_text(path, text):
 def _sim_fields(sim_cfg):
     """BranchingConfig keywords of a sim config, all but the dimension."""
     return {"n_particles": _field(sim_cfg, "n_particles", _integer),
-            "dt": _field(sim_cfg, "dt", float, 0.01),
-            "horizon": _field(sim_cfg, "horizon", float, 1.0),
-            "branch_rate": _field(sim_cfg, "branch_rate", float, None),
+            "dt": _field(sim_cfg, "dt", _real, 0.01),
+            "horizon": _field(sim_cfg, "horizon", _real, 1.0),
+            "branch_rate": _field(sim_cfg, "branch_rate", _real, None),
             "max_particle_steps": _field(sim_cfg, "max_particle_steps", _integer,
                                          10_000_000)}
 
@@ -88,7 +87,7 @@ def _sim_fields(sim_cfg):
 def _capacity_fields(cfg):
     """capacity() keywords of the optional "capacity" section."""
     cap_cfg = _field(cfg, "capacity", dict, {})
-    return {"tol": _field(cap_cfg, "tol", float, 1e-5),
+    return {"tol": _field(cap_cfg, "tol", _real, 1e-5),
             "diag_samples": _field(cap_cfg, "diag_samples", _integer, 256)}
 
 
@@ -106,8 +105,8 @@ def _fmt(x):
 def cmd_capacity(cfg, seed, out):
     region = region_from_dict(_field(cfg, "region"))
     kind = _kernel_kind(_field(cfg, "kind"), region.d)
-    result = capacity(region, kind, _field(cfg, "resolution", float),
-                      tol=_field(cfg, "tol", float, 1e-6),
+    result = capacity(region, kind, _field(cfg, "resolution", _real),
+                      tol=_field(cfg, "tol", _real, 1e-6),
                       seed=seed,
                       diag_samples=_field(cfg, "diag_samples", _integer, 256),
                       max_iter=_field(cfg, "max_iter", _integer, None))
@@ -119,7 +118,7 @@ def cmd_theorem1(cfg, seed, out):
     entries = _field(cfg, "regions", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'regions' is empty")
-    resolution = _field(cfg, "resolution", float, 0.05)
+    resolution = _field(cfg, "resolution", _real, 0.05)
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
     sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
@@ -130,7 +129,7 @@ def cmd_theorem1(cfg, seed, out):
         rid = entry.get("id", f"region_{k}")
         try:
             region = region_from_dict(_field(entry, "region"))
-            res = capacity(region, PARABOLIC, _field(entry, "resolution", float, resolution),
+            res = capacity(region, PARABOLIC, _field(entry, "resolution", _real, resolution),
                            seed=seed, **cap_args)
             est = estimate_graph_hit(BranchingConfig(d=region.d, **sim), region, runs, seed)
             mass = est.implied_excursion_mass
@@ -163,8 +162,8 @@ def cmd_prop51(cfg, seed, out):
     if not entries:
         raise ConfigError("config field 'sets' is empty")
     d = _field(cfg, "d", _integer)
-    t_slice = _field(cfg, "slice_time", float, 1.0)
-    resolution = _field(cfg, "resolution", float)
+    t_slice = _field(cfg, "slice_time", _real, 1.0)
+    resolution = _field(cfg, "resolution", _real)
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
     sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
@@ -180,10 +179,9 @@ def cmd_prop51(cfg, seed, out):
             if base.max_norm() > 1.0 + 1e-12:
                 raise ConfigError(f"set {rid!r} must lie inside the unit ball")
             cap_n = capacity(base, newtonian(d), resolution, seed=seed, **cap_args)
-            cap_p = capacity(SliceOf(t_slice, base), PARABOLIC, resolution, seed=seed,
-                             **cap_args)
-            est = estimate_support_hit(BranchingConfig(d=d, **sim), t_slice, base,
-                                       runs, seed)
+            sliced = SliceOf(t_slice, base)
+            cap_p = capacity(sliced, PARABOLIC, resolution, seed=seed, **cap_args)
+            est = estimate_graph_hit(BranchingConfig(d=d, **sim), sliced, runs, seed)
             cap_ratio = cap_p.capacity / cap_n.capacity
             ratios.append(cap_ratio)
             rows.append([rid, _fmt(cap_n.capacity), _fmt(cap_p.capacity),
@@ -211,7 +209,8 @@ def cmd_hermite_verify(cfg, seed, out):
         max_degree=_field(cfg, "max_degree", _integer, 6),
         d=_field(cfg, "d", _integer, 2),
         grid_n=_field(cfg, "grid_n", _integer, 5),
-        bound_overrides=_field(cfg, "bound_overrides", dict, None),
+        bound_overrides=_field(cfg, "bound_overrides",
+                               lambda v: {k: _real(b) for k, b in dict(v).items()}, None),
     )
     report["seed"] = seed
     _write_json(out, report)
@@ -230,9 +229,9 @@ def cmd_profile(cfg, seed, out):
     if not isinstance(region, Thorn):
         raise ConfigError("config field 'thorn' must describe a thorn region")
     rows_in = capacity_growth_profile(
-        region, _field(cfg, "eps_list", _list_of(float)),
-        pitch_factor=_field(cfg, "pitch_factor", float, 0.5),
-        tol=_field(cfg, "tol", float, 1e-5), seed=seed,
+        region, _field(cfg, "eps_list", _list_of(_real)),
+        pitch_factor=_field(cfg, "pitch_factor", _real, 0.5),
+        tol=_field(cfg, "tol", _real, 1e-5), seed=seed,
         diag_samples=_field(cfg, "diag_samples", _integer, 128))
     rows = [[_fmt(r["eps"]), _fmt(r["resolution"]), _fmt(r["capacity"]),
              r["error"]] for r in rows_in]
@@ -244,12 +243,12 @@ def cmd_range_hit(cfg, seed, out):
     d = _field(cfg, "d", _integer)
     region = region_from_dict(_field(cfg, "region"))
     if "start" in cfg:
-        start_law = _field(cfg, "start", _list_of(float))  # fixed start point
+        start_law = _field(cfg, "start", _list_of(_real))  # fixed start point
     elif "start_ball" in cfg:
         # uniform start law on a ball, e.g. {"center": [0,0], "radius": 1}
         ball_cfg = _field(cfg, "start_ball", dict)
-        ball = SpatialBall(_field(ball_cfg, "center", _list_of(float)),
-                           _field(ball_cfg, "radius", float))
+        ball = SpatialBall(_field(ball_cfg, "center", _list_of(_real)),
+                           _field(ball_cfg, "radius", _real))
 
         def start_law(rng, runs):
             return sample_uniform(ball, runs, rng)
@@ -257,16 +256,16 @@ def cmd_range_hit(cfg, seed, out):
         raise ConfigError("config missing field 'start' (or 'start_ball')")
     est = estimate_range_hit(
         d, start_law, region,
-        dt=_field(cfg, "dt", float, 1e-3),
+        dt=_field(cfg, "dt", _real, 1e-3),
         runs=_field(cfg, "runs", _integer),
         seed=seed,
-        kill_radius=_field(cfg, "kill_radius", float, 50.0))
+        kill_radius=_field(cfg, "kill_radius", _real, 50.0))
     _write_json(out, dict(est.to_json_dict(), seed=seed))
     return 0
 
 
 def cmd_sbm_extinction(cfg, seed, out):
-    times = _field(cfg, "times", _list_of(float))
+    times = _field(cfg, "times", _list_of(_real))
     sim_cfg = dict(cfg)
     sim_cfg.setdefault("horizon", max(times))
     config = BranchingConfig(d=_field(cfg, "d", _integer, 1), **_sim_fields(sim_cfg))

@@ -86,7 +86,7 @@ class SliceOf(Region):
 
     def __post_init__(self):
         if self.t0 <= 0:
-            raise RegionError("slice time must be positive")
+            raise RegionError(f"slice time {self.t0} must be positive")
         if getattr(self.base, "spacetime", True):
             raise RegionError("slice base must be a spatial region")
 
@@ -398,11 +398,8 @@ class CellCloud:
 
     def translated(self, dt, dx):
         """Same cell topology, shifted centers; times must stay positive."""
-        if self.times is None:
-            return CellCloud(self.parent, self.resolution, self.coords + np.asarray(dx),
-                             None, self.volume)
-        times = self.times + dt
-        if np.any(times <= 0):
+        times = None if self.times is None else self.times + dt
+        if times is not None and np.any(times <= 0):
             raise RegionError("translated cloud leaves E (nonpositive times)")
         return CellCloud(self.parent, self.resolution, self.coords + np.asarray(dx),
                          times, self.volume)
@@ -508,6 +505,13 @@ def _integer(val):
     return int(val)
 
 
+def _real(val):
+    """float(val), refusing a bool."""
+    if isinstance(val, bool):
+        raise ValueError(val)
+    return float(val)
+
+
 def _list_of(kind):
     """Reader of a JSON list, each item converted by ``kind``; refuses a
     string, a dict or any other non-list."""
@@ -529,22 +533,22 @@ def region_from_dict(spec):
         kind = spec["kind"]
     except (TypeError, KeyError):
         raise RegionError("region spec missing 'kind'") from None
-    get, floats = partial(_field, spec), _list_of(float)
+    get, reals = partial(_field, spec), _list_of(_real)
     try:
         if kind == "time_slice_ball":
-            return TimeSliceBall(get("t0", float), get("center", floats), get("radius", float))
+            return TimeSliceBall(get("t0", _real), get("center", reals), get("radius", _real))
         if kind == "slice_of":
-            return SliceOf(get("t0", float), region_from_dict(get("base")))
+            return SliceOf(get("t0", _real), region_from_dict(get("base")))
         if kind == "box":
-            return SpaceTimeBox(get("t_lo", float), get("t_hi", float),
-                                get("corner_lo", floats), get("corner_hi", floats))
+            return SpaceTimeBox(get("t_lo", _real), get("t_hi", _real),
+                                get("corner_lo", reals), get("corner_hi", reals))
         if kind == "thorn":
-            return Thorn(get("profile", str), get("param", float), get("t_lo", float),
-                         get("t_hi", float), get("d", _integer, 1))
+            return Thorn(get("profile", str), get("param", _real), get("t_lo", _real),
+                         get("t_hi", _real), get("d", _integer, 1))
         if kind == "ball":
-            return SpatialBall(get("center", floats), get("radius", float))
+            return SpatialBall(get("center", reals), get("radius", _real))
         if kind == "annulus":
-            return SpatialAnnulus(get("center", floats), get("r_in", float), get("r_out", float))
+            return SpatialAnnulus(get("center", reals), get("r_in", _real), get("r_out", _real))
         if kind == "union":
             return RegionUnion(tuple(map(region_from_dict, get("members", _list_of(dict)))))
     except ConfigError as exc:

@@ -17,11 +17,14 @@ Three equivalent-in-law engines, each exact for what it samples:
   genealogy of particles alive at the slice (inhomogeneous binary pure-birth
   along the conditioned tree) and their Brownian positions; this is the same
   process restricted to survivors, at a cost proportional to survivor count.
-  A run retires once it has hit every region (its flags are final), so no
-  further generation is drawn for it.
 * count engine -- for survival probabilities, steps the population count
   through a time grid with the exact offspring law (binomial survivors plus
   negative-binomial excess), since motion is irrelevant to extinction.
+
+``estimate_graph_hits`` is the one front door for graph hits: every region
+must be space-time of the config's dimension (else RegionError), a family
+whose union has exactly one slice time runs the reduced-tree engine on the
+regions' spatial bases, and any other family runs the forward engine.
 
 The forward and reduced-tree engines advance a fixed-size chunk of runs in
 lock-step: every lineage carries its run id, one set of array operations
@@ -33,8 +36,6 @@ single-run calls are batches of one of the same engines.
 The range estimator jumps each walker to the boundary of the largest ball
 about it that avoids the target (walk on spheres), with the d >= 3 kill
 sphere and the d = 2 Exp(1) killing both applied exactly.
-
-Cross-engine agreement and the range oracles are pinned by tests.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import RegionError, RegionUnion
+from .region import RegionError, RegionUnion, SliceOf
 
 __all__ = [
     "BranchingConfig",
@@ -368,13 +369,8 @@ def _slice_hits(config, t_slice, spatial, runs, seed):
     retires before the next generation. The open runs keep fresh draws, so
     the law of every flag is unchanged.
     """
-    if t_slice < 0:
-        raise ValueError(f"slice time {t_slice} is negative")
     if t_slice > config.horizon:
         raise ValueError("slice time beyond horizon")
-    for reg in spatial:
-        if reg.spacetime or reg.d != config.d:
-            raise RegionError(f"slice hits need spatial regions of dimension {config.d}")
     rng = run_rng(seed, 0)
     lo, hi = RegionUnion(tuple(spatial)).bounds()
     hit = np.zeros((len(spatial), runs), dtype=bool)
@@ -437,42 +433,29 @@ def estimate_survival(config, times, runs, seed):
 # --- hit estimators -------------------------------------------------------------------
 
 
-def _slice_family(regions):
-    """(t0, spatial regions) if every region is a slice at one common time."""
-    t0 = None
-    spatial = []
-    for reg in regions:
-        try:
-            slices = reg.slices()
-        except RegionError:  # slices mixed with full-dimensional members
-            return None
-        if slices is None or len(slices) != 1:
-            return None
-        t, base = slices[0]
-        if t0 is None:
-            t0 = t
-        elif abs(t - t0) > 1e-15:
-            return None
-        spatial.append(base)
-    return t0, spatial
+def _check_graph_regions(config, regions):
+    if any(not getattr(reg, "spacetime", False) or reg.d != config.d for reg in regions):
+        raise RegionError(f"graph hits need space-time regions of dimension {config.d}")
 
 
 def estimate_graph_hits(config, regions, runs, seed):
     """Hit estimates for several space-time regions on one trajectory stream.
 
-    Families of time-slice regions at a common slice time go through the
-    reduced-tree engine (exact positions at the slice); anything else runs
-    the forward engine with a streaming detector. Shared trajectories make
-    hit flags monotone across nested regions by construction.
+    Each region must be space-time of dimension config.d (else RegionError).
+    One slice time in ``RegionUnion(regions).slices()`` selects the
+    reduced-tree engine on the regions' spatial bases, anything else the
+    forward engine; shared trajectories keep nested regions' flags monotone.
     """
-    for reg in regions:
-        if not getattr(reg, "spacetime", False):
-            raise ValueError("graph hits need space-time regions")
+    _check_graph_regions(config, regions)
     if not regions:
         return []
-    fam = _slice_family(regions)
-    if fam is not None:
-        hits = _slice_hits(config, fam[0], fam[1], runs, seed).sum(axis=1)
+    try:
+        slices = RegionUnion(tuple(regions)).slices()
+    except RegionError:  # slices mixed with full-dimensional members
+        slices = None
+    if slices is not None and len(slices) == 1:
+        bases = [reg.slices()[0][1] for reg in regions]
+        hits = _slice_hits(config, slices[0][0], bases, runs, seed).sum(axis=1)
         return [HitEstimate.from_counts(int(h), runs) for h in hits]
     hits = np.zeros(len(regions), dtype=np.int64)
     exploded = 0
@@ -491,9 +474,10 @@ def estimate_graph_hit(config, region, runs, seed):
 def graph_hit_run_records(config, region, runs, seed):
     """Per-run forward-engine records: index, hit flag, extinction time,
     max particles, exploded flag. Always runs the forward engine, since only
-    it carries full traces; the stream is the one ``estimate_graph_hits``
-    draws for non-slice regions.
+    it carries full traces; the stream and the region check are the ones
+    ``estimate_graph_hits`` uses for non-slice regions.
     """
+    _check_graph_regions(config, [region])
     return [{
         "run": first + i,
         "hit": bool(flags[0, i]) and not tr.exploded,
@@ -516,9 +500,9 @@ def write_run_records_csv(records, path):
 
 
 def estimate_support_hit(config, t_slice, spatial_region, runs, seed):
-    """P[support at time t_slice meets the spatial region]."""
-    hits = _slice_hits(config, t_slice, [spatial_region], runs, seed)
-    return HitEstimate.from_counts(int(hits.sum()), runs)
+    """P[support at time t_slice meets the spatial region]: ``estimate_graph_hit``
+    of ``SliceOf(t_slice, spatial_region)``, one slice time, so the reduced tree."""
+    return estimate_graph_hit(config, SliceOf(t_slice, spatial_region), runs, seed)
 
 
 # --- Brownian range ---------------------------------------------------------------------
@@ -567,8 +551,8 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     """
     if d < 2:
         raise ValueError("range hitting needs d >= 2")
-    if region.spacetime:
-        raise ValueError("range hitting needs a spatial region")
+    if region.spacetime or region.d != d:
+        raise RegionError(f"range hitting needs a spatial region of dimension {d}")
     rng = run_rng(seed, 0)
     pos = _draw_starts(start_law, d, runs, rng)
     hits = 0

@@ -231,6 +231,16 @@ def test_range_hit_start_ball_dimension_mismatch_exits_1(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_range_hit_region_of_other_dimension_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "rh.json", {
+        "d": 2, "start": [2.0, 0.0], "runs": 2000,
+        "region": {"kind": "ball", "center": [0.0], "radius": 1.0}})
+    out = str(tmp_path / "rh.json.out")
+    assert main(["range-hit", "--config", cfg, "--seed", "1", "--out", out]) == 1
+    assert "spatial region of dimension 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_prop51_rejects_set_outside_unit_ball(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "p51.json", {
         "d": 2, "resolution": 0.1,
@@ -346,6 +356,11 @@ BASE_CONFIGS = {
     ("range-hit", ("start",), "20"),
     ("capacity", ("region", "center"), "12"),
     ("range-hit", ("start",), {"2": 0.0, "0": 0.0, "1": 0.0}),
+    ("capacity", ("resolution",), True),
+    ("capacity", ("region", "radius"), True),
+    ("range-hit", ("start",), [True, False, False]),
+    ("theorem1", ("sim", "dt"), False),
+    ("hermite-verify", ("bound_overrides",), {"lambda0": "x"}),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

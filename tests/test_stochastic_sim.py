@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parcap.region import (
+    RegionError,
     RegionUnion,
     SliceOf,
     SpaceTimeBox,
@@ -14,11 +15,13 @@ from parcap.region import (
 from parcap.stochastic_sim import (
     BranchingConfig,
     GraphHitDetector,
+    HitEstimate,
     estimate_graph_hit,
     estimate_graph_hits,
     estimate_range_hit,
     estimate_support_hit,
     estimate_survival,
+    graph_hit_run_records,
     reduced_slice_positions,
     run_rng,
     simulate_branching,
@@ -222,6 +225,12 @@ def test_range_hit_ball_oracle_d3():
 def test_range_hit_rejects_space_time_region():
     with pytest.raises(ValueError, match="spatial region"):
         estimate_range_hit(2, [2.0, 0.0], TimeSliceBall(1.0, (0.0, 0.0), 1.0),
+                           dt=1e-3, runs=10, seed=1)
+
+
+def test_range_hit_rejects_region_of_other_dimension():
+    with pytest.raises(ValueError, match="spatial region of dimension 2"):
+        estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0,), 1.0),
                            dt=1e-3, runs=10, seed=1)
 
 
@@ -449,3 +458,51 @@ def test_estimator_edge_cases():
         estimate_support_hit(cfg, -0.5, SpatialBall((0.0, 0.0), 1.0), 10, seed=1)
     with pytest.raises(ValueError, match="-0.25"):
         estimate_survival(cfg, [0.5, -0.25], 10, seed=1)
+
+
+def test_graph_hits_refuse_region_of_other_dimension():
+    cfg = BranchingConfig(n_particles=20, dt=0.02, horizon=1.0, d=2)
+    box = SpaceTimeBox(0.5, 1.0, (-0.3,), (0.3,))
+    with pytest.raises(RegionError, match="space-time regions of dimension 2"):
+        estimate_graph_hit(cfg, box, 20, seed=1)
+    with pytest.raises(RegionError, match="space-time regions of dimension 2"):
+        graph_hit_run_records(cfg, box, 20, seed=1)
+
+
+def test_support_hit_is_the_slice_graph_hit():
+    cfg = BranchingConfig(n_particles=100, dt=0.01, horizon=1.0, d=2)
+    ann = SpatialAnnulus((0.0, 0.0), 0.2, 0.6)
+    est = estimate_support_hit(cfg, 1.0, ann, 300, seed=151)
+    # pinned output of the reduced-tree stream at seed 151
+    assert est == HitEstimate(300, 101, 0.33666666666666667, 0.28555447659565275,
+                              0.3919090438702742, 0.41047764993170865, 0)
+    assert est == estimate_graph_hit(cfg, SliceOf(1.0, ann), 300, seed=151)
+    with pytest.raises(RegionError, match="slice time 0.0 must be positive"):
+        estimate_support_hit(cfg, 0.0, ann, 10, seed=1)
+
+
+def test_one_time_family_takes_the_tree_engine():
+    from parcap.stochastic_sim import _slice_hits
+    cfg = BranchingConfig(n_particles=100, dt=0.01, horizon=1.0, d=2)
+    ann = SpatialAnnulus((0.0, 0.0), 0.2, 0.6)
+    pair = (SpatialBall((0.5, 0.0), 0.2), SpatialBall((-0.5, 0.0), 0.2))
+    family = [TimeSliceBall(1.0, (0.0, 0.0), 0.4), SliceOf(1.0, ann),
+              RegionUnion(tuple(SliceOf(1.0, b) for b in pair))]
+    bases = [SpatialBall((0.0, 0.0), 0.4), ann, RegionUnion(pair)]
+    want = _slice_hits(cfg, 1.0, bases, 300, seed=157).sum(axis=1)
+    assert 0 < want.min() and want.max() < 300
+    assert [e.hits for e in estimate_graph_hits(cfg, family, 300, seed=157)] \
+        == want.tolist()
+
+
+@pytest.mark.parametrize("family", [
+    [TimeSliceBall(0.5, (0.0, 0.0), 0.3), TimeSliceBall(1.0, (0.0, 0.0), 0.3)],
+    [TimeSliceBall(1.0, (0.0, 0.0), 0.3), SpaceTimeBox(0.5, 1.0, (-0.3, -0.3), (0.3, 0.3))],
+])
+def test_other_families_take_the_forward_engine(family):
+    # detectors draw no randomness, so each region alone replays the same runs
+    cfg = BranchingConfig(n_particles=20, dt=0.02, horizon=1.0, d=2)
+    ests = estimate_graph_hits(cfg, family, 40, seed=163)
+    for est, reg in zip(ests, family):
+        recs = graph_hit_run_records(cfg, reg, 40, seed=163)
+        assert 0 < est.hits == sum(rec["hit"] for rec in recs) < 40

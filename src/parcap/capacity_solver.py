@@ -5,7 +5,9 @@ The capacity of a region is 1 / min_w w^T K w over the probability simplex,
 where K is the mutual-energy matrix of the region's grid cells. Off-diagonal
 entries are kernel values of cell centers; diagonal entries are cell
 self-energies estimated by within-cell pair sampling, which keeps the
-discretized energy from collapsing to zero under refinement. The Newtonian and
+discretized energy from collapsing to zero under refinement. Parabolic pairs
+of a cloud on several time levels are evaluated one pair of time levels per
+kernel call, so each call shares one time key. The Newtonian and
 cap-prime kernels are translation invariant, so a cell's self-energy depends
 only on the offsets of the pair from the centre: one seeded draw of offset
 pairs gives every cell the same estimate. The parabolic kernel is not, and
@@ -54,6 +56,8 @@ __all__ = [
 ]
 
 STENCIL_BLOCK = 131_072   # offsets per stencil row block: 1 MB, which stays in cache
+LEVEL_MIN_CELLS = 16      # mean cells per time level below which level-pair chunks
+                          # cost more in kernel calls than their one-key blocks save
 SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
 NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
 
@@ -147,6 +151,27 @@ def _triangle_chunks(n, target=1_500_000):
         ii += i0  # in place: a shifted copy would double the chunk's index memory
         jj += i0
         yield ii, jj
+
+
+def _time_levels(times):
+    """Cell indices of each distinct time, in time order, each in index order."""
+    order = np.argsort(times, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(times[order])) + 1)
+
+
+def _level_pair_chunks(levels, target=1_500_000):
+    """Yield (i, j) index arrays covering the strict upper triangle, i < j,
+    in chunks that each hold one time pair: per ordered pair of ``levels``
+    (from ``_time_levels``), runs of whole rows of at most ``target`` pairs."""
+    for rows in levels:
+        for cols in levels:
+            step = max(1, target // cols.size)
+            for r0 in range(0, rows.size, step):
+                r = rows[r0:r0 + step]
+                ii, jj = np.nonzero(r[:, None] < cols)
+                if ii.size:
+                    ii, jj = r[ii], cols[jj]  # rebound: the positions are freed
+                    yield ii, jj
 
 
 def _pair_values(kind, times1, coords1, times2, coords2):
@@ -252,8 +277,17 @@ def _fill_stencil(a, k, table, strides):
 
 
 def _fill_pairwise(a, cloud, kind):
-    """Kernel of each pair of centres over the upper triangle, mirrored."""
-    for ii, jj in _triangle_chunks(cloud.n):  # lazy: only one chunk is alive
+    """Kernel of each pair of centres over the upper triangle, mirrored.
+
+    A parabolic cloud on more than one time level is filled one level pair
+    at a time, so every kernel block shares one time key, unless its levels
+    average fewer than LEVEL_MIN_CELLS cells."""
+    levels = _time_levels(cloud.times) if kind.tag == "parabolic" else []
+    if 1 < len(levels) <= cloud.n // LEVEL_MIN_CELLS:
+        chunks = _level_pair_chunks(levels)
+    else:
+        chunks = _triangle_chunks(cloud.n)
+    for ii, jj in chunks:  # lazy: only one chunk is alive
         if cloud.times is None:
             a[ii, jj] = _pair_values(kind, None, cloud.coords[ii], None, cloud.coords[jj])
         else:
@@ -269,9 +303,14 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     cap-prime kernels are translation invariant, so on a cloud whose centres
     sit on the pitch lattice they are read from one table of the kernel over
     lattice offsets (a stencil), which makes the matrix exactly symmetric.
-    The parabolic kernel, clouds off the lattice (e.g. slices at times that
-    are not a whole number of pitches apart) and clouds whose offset table
-    would outnumber their pairs are evaluated pair by pair.
+    Clouds off the lattice (e.g. slices at times that are not a whole number
+    of pitches apart) and clouds whose offset table would outnumber their
+    pairs are evaluated pair by pair over the row-major upper triangle. So
+    is the parabolic kernel, except that a cloud on several time levels is
+    evaluated one ordered pair of levels at a time (``_level_pair_chunks``), so
+    every kernel block takes the one-key matrix-product route; a single
+    level (a time slice), or levels that average fewer than LEVEL_MIN_CELLS
+    cells, keep the row-major triangle.
 
     Diagonal i: mean kernel over ``diag_samples`` independent point pairs
     drawn uniformly in cell i, from ``default_rng(seed)``. For the Newtonian

@@ -31,6 +31,7 @@ from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _field, _integer,
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
+    estimate_graph_hits,
     estimate_range_hit,
     estimate_survival,
 )
@@ -115,6 +116,9 @@ def cmd_capacity(cfg, seed, out):
 
 
 def cmd_theorem1(cfg, seed, out):
+    """Capacity and hit estimate per region. Slices that share a dimension
+    and a slice time form one family, drawn in one reduced-tree pass, so
+    nested rows stay monotone run by run; any other region is drawn alone."""
     entries = _field(cfg, "regions", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'regions' is empty")
@@ -122,29 +126,42 @@ def cmd_theorem1(cfg, seed, out):
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
     sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
-    rows = []
+    rows = [None] * len(entries)
     ratios = []
-    failed = False
+    families = {}  # (d, slice time), or the entry's index: [(k, rid, region, cap)]
+
+    def fail(k, rid, exc):
+        rows[k] = [rid, "", "", "", "", "", "", "", "", f"FAILED: {exc}"]
+
     for k, entry in enumerate(entries):
         rid = entry.get("id", f"region_{k}")
         try:
             region = region_from_dict(_field(entry, "region"))
             res = capacity(region, PARABOLIC, _field(entry, "resolution", _real, resolution),
                            seed=seed, **cap_args)
-            est = estimate_graph_hit(BranchingConfig(d=region.d, **sim), region, runs, seed)
+            slices = region.slices()
+        except (ValueError, RuntimeError) as exc:
+            fail(k, rid, exc)
+            continue
+        key = (region.d, slices[0][0]) if slices is not None and len(slices) == 1 else k
+        families.setdefault(key, []).append((k, rid, region, res.capacity))
+    for family in families.values():
+        try:
+            ests = estimate_graph_hits(BranchingConfig(d=family[0][2].d, **sim),
+                                       [region for _, _, region, _ in family], runs, seed)
+        except (ValueError, RuntimeError) as exc:
+            for k, rid, _, _ in family:
+                fail(k, rid, exc)
+            continue
+        for (k, rid, _, cap), est in zip(family, ests):
             mass = est.implied_excursion_mass
             hw = est.mass_half_width()
-            ratio = mass / res.capacity
-            ratios.append(ratio)
-            ok = mass >= 0.25 * res.capacity - 2.0 * hw
-            rows.append([rid, _fmt(res.capacity), _fmt(mass), _fmt(hw),
-                         _fmt(ratio), _fmt(est.p_hat), _fmt(est.ci_low),
-                         _fmt(est.ci_high), est.exploded,
-                         "OK" if ok else "BELOW_BOUND"])
-            failed |= not ok
-        except (ValueError, RuntimeError) as exc:
-            rows.append([rid, "", "", "", "", "", "", "", "", f"FAILED: {exc}"])
-            failed = True
+            ratios.append(mass / cap)
+            ok = mass >= 0.25 * cap - 2.0 * hw
+            rows[k] = [rid, _fmt(cap), _fmt(mass), _fmt(hw), _fmt(mass / cap),
+                       _fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high),
+                       est.exploded, "OK" if ok else "BELOW_BOUND"]
+    failed = any(row[-1] != "OK" for row in rows)
     if ratios:
         rows.append(["SUMMARY", "", "", "", "", "", "", "", "",
                      f"ratio_min={min(ratios):.6g} ratio_max={max(ratios):.6g} "

@@ -177,7 +177,7 @@ def reduced_log_coefs(t1, t2, s, d):
     return 0.5 * d * np.log(2.0 * t1 * t2 * h), -s * h, 0.5 / t1 - b * h, 0.5 / t2 - a * h
 
 
-_ROWS_NODES = 1 << 15  # nodes per in-place sub-block: five buffers in 1.3 MB
+_ROWS_NODES = 1 << 15  # nodes per in-place sub-block: three buffers in 0.8 MB
 
 
 def _table_exp_sum(key, feats, tables, rows, width, block):
@@ -200,15 +200,17 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
     """
     n = key.shape[0]
     out = np.empty(n)
-    # buffers reused across blocks: fresh large temporaries cost page faults
+    # buffers reused across blocks: fresh large temporaries cost page faults.
+    # The gather buffer is made on first use: a second large buffer per call
+    # is mapped afresh each time, which dominates short one-key calls
     log_buf = np.empty((min(block, n), width))
-    tmp_buf = np.empty_like(log_buf)
+    tmp_buf = None
     ext_buf = np.ones((min(block, n), feats.shape[1] + 1))  # column 0 stays 1
     ones = np.ones(width)
     sub = max(1, _ROWS_NODES // width)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        log_val, tmp, ext = log_buf[:hi - lo], tmp_buf[:hi - lo], ext_buf[:hi - lo]
+        log_val, ext = log_buf[:hi - lo], ext_buf[:hi - lo]
         k = key[lo:hi]
         if np.all(k == k[0]):
             ext[:, 1:] = feats[lo:hi]
@@ -231,6 +233,9 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
             continue
         inv = np.empty(hi - lo, dtype=np.intp)
         inv[perm] = np.cumsum(first) - 1
+        if tmp_buf is None:
+            tmp_buf = np.empty_like(log_buf)
+        tmp = tmp_buf[:hi - lo]
         A, *coefs = tables(srt[first])
         np.take(A, inv, axis=0, out=log_val, mode="clip")
         for coef, f in zip(coefs, feats[lo:hi].T):
@@ -249,7 +254,10 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
     with any endpoint substitution folded into omega. Blocks that share time
     pairs use one coefficient table per distinct (t1, t2), log tmin + log
     omega folded into A; blocks of distinct time pairs form the same sum in
-    place, pair by pair.
+    place, with the coefficients regrouped in u = tmin rho and g = |t1-t2|:
+    1/(2h) = tmin (g + tmin sigma), sigma = 2 rho - rho^2 per node, and the
+    quadratic part P + u Q with P and Q per pair, formed per sub-block. A
+    node then costs one log, one division and a few multiply-adds.
     """
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
@@ -267,32 +275,30 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
         A, E, B, C = reduced_log_coefs(T1, T2, tmin - tmin * rho, d)
         return A + np.log(tmin) + log_omega, E, B, C
 
+    sigma = rho * (2.0 - rho)
+    nodes = np.stack([np.ones_like(rho), sigma, rho, log_omega, sigma * log_omega])
+
     def rows(lo, hi, out):
-        # the coefficients of reduced_log_coefs, regrouped as
-        # L = (d/2) log h + log omega + c - h (s f0 + b f1 + a f2), with
-        # c = (d/2) log(2 t1 t2) + log tmin + f1 / (2 t1) + f2 / (2 t2) per pair
-        T1, T2 = t1[lo:hi, None], t2[lo:hi, None]
-        f0, f1, f2 = (f[:, None] for f in feats[lo:hi].T)
+        # reduced_log_coefs regrouped with u = tmin rho and g = |t1-t2|:
+        # 1/(2h) = D = tmin g + tmin^2 sigma and s f0 + b f1 + a f2 = P + u Q,
+        # P = tmin f0 + g (f1 if t1 <= t2 else f2), Q = f1 + f2 - f0. Then
+        # L = N / D - (d/2) log D, N = (c + log omega) D - (P + u Q) / 2 and
+        # c = (d/2) log(t1 t2) + log tmin + f1 / (2 t1) + f2 / (2 t2); D and N
+        # are per-pair scalars times the node rows, one matrix product each
+        T1, T2 = t1[lo:hi], t2[lo:hi]
+        f0, f1, f2 = feats[lo:hi].T
         tmin = np.minimum(T1, T2)
-        s = np.multiply(tmin, rho)
-        np.subtract(tmin, s, out=s)
-        a = np.subtract(T1, s)
-        b = np.subtract(T2, s)
-        h = np.add(a, b)
-        h *= s
-        h += np.multiply(a, b, out=out)
-        np.divide(0.5, h, out=h)
-        s *= f0
-        b *= f1
-        s += b
-        a *= f2
-        s += a
-        s *= h
-        np.log(h, out=out)
-        out *= 0.5 * d
-        out += log_omega
-        out += 0.5 * d * np.log(2.0 * T1 * T2) + np.log(tmin) + 0.5 * f1 / T1 + 0.5 * f2 / T2
-        out -= s
+        g = np.abs(T1 - T2)
+        tg, tt = tmin * g, tmin * tmin
+        c = 0.5 * d * np.log(T1 * T2) + np.log(tmin) + 0.5 * f1 / T1 + 0.5 * f2 / T2
+        p = tmin * f0 + g * np.where(T1 <= T2, f1, f2)
+        den = np.stack([tg, tt], axis=1) @ nodes[:2]
+        num = np.stack([c * tg - 0.5 * p, c * tt, -0.5 * tmin * (f1 + f2 - f0),
+                        tg, tt], axis=1) @ nodes
+        num /= den
+        np.log(den, out=out)
+        out *= -0.5 * d
+        out += num
 
     # (t1, t2) packed into one complex key, so one 1-D sort groups the pairs
     return _table_exp_sum(t1 + 1j * t2, feats, tables, rows, rho.size, block)

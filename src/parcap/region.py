@@ -499,17 +499,21 @@ def _field(cfg, name, kind=None, default=_REQUIRED):
 
 
 def _integer(val):
-    """int(val), refusing a bool and a float with a fraction (1e4 passes)."""
-    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+    """int(val), refusing a bool, a string and a float that is not a whole
+    number (1e4 passes; nan and inf do not)."""
+    if isinstance(val, (bool, str)) or (isinstance(val, float) and not val.is_integer()):
         raise ValueError(val)
     return int(val)
 
 
 def _real(val):
-    """float(val), refusing a bool."""
-    if isinstance(val, bool):
+    """float(val), refusing a bool, a string and a non-finite value."""
+    if isinstance(val, (bool, str)):
         raise ValueError(val)
-    return float(val)
+    val = float(val)
+    if not math.isfinite(val):
+        raise ValueError(val)
+    return val
 
 
 def _list_of(kind):

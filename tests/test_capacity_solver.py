@@ -1,15 +1,19 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from parcap import capacity_solver
+from parcap import capacity_solver, energy_kernel
 from parcap.capacity_solver import (
     CapacityResult,
     KernelMatrix,
+    _fill_pairwise,
     _lattice_index,
+    _level_pair_chunks,
+    _time_levels,
     _pair_values,
     _stencil_table,
     _triangle_chunks,
@@ -34,7 +38,9 @@ from parcap.heat_kernel import log_heat_density
 from parcap.quadrature import gauss_legendre
 from parcap.region import (
     RegionUnion,
+    SliceOf,
     SpaceTimeBox,
+    SpatialAnnulus,
     SpatialBall,
     Thorn,
     TimeSliceBall,
@@ -657,3 +663,88 @@ def test_capacity_checks_kernel_against_region_first(region, kind, match, monkey
 def test_assemble_checks_kernel_against_cloud(region, kind, match):
     with pytest.raises(ValueError, match=match):
         assemble_kernel_matrix(discretize(region, 0.25), kind)
+
+
+LEVEL_CLOUDS = {
+    "box_d1": discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1),
+    "thorn_d1": discretize(Thorn("constant", 1.0, 0.05, 0.5, d=1), 0.025),
+    "cone_d2": discretize(Thorn("constant", 1.0, 0.1, 0.5, d=2), 0.1),
+    "slices_1_and_1.37": discretize(RegionUnion((TimeSliceBall(1.0, (0.0, 0.0), 0.3),
+                                                 TimeSliceBall(1.37, (0.0, 0.0), 0.3))), 0.1),
+    "slices_1.37_and_1": discretize(RegionUnion((TimeSliceBall(1.37, (0.0, 0.0), 0.3),
+                                                 TimeSliceBall(1.0, (0.0, 0.0), 0.3))), 0.1),
+}
+
+
+@pytest.mark.parametrize("target", [7, 1_500_000])
+@pytest.mark.parametrize("name", list(LEVEL_CLOUDS))
+def test_level_pair_chunks_cover_the_upper_triangle_once_one_time_pair_each(name, target):
+    cloud = LEVEL_CLOUDS[name]
+    levels = np.unique(cloud.times)
+    assert levels.size > 1
+    widest = max(np.count_nonzero(cloud.times == t) for t in levels)
+    count = np.zeros((cloud.n, cloud.n), dtype=int)
+    for ii, jj in _level_pair_chunks(_time_levels(cloud.times), target):
+        assert ii.size == jj.size and 0 < ii.size <= max(target, widest)
+        assert np.all(ii < jj)
+        assert np.all(cloud.times[ii] == cloud.times[ii[0]])
+        assert np.all(cloud.times[jj] == cloud.times[jj[0]])
+        np.add.at(count, (ii, jj), 1)
+    assert np.array_equal(count, np.triu(np.ones_like(count), k=1))
+
+
+def _block_routes(monkeypatch):
+    """Record the route of every block of _table_exp_sum."""
+    routes = []
+    real = energy_kernel._table_exp_sum
+
+    def spy(key, feats, tables, rows, width, block):
+        def counted_tables(keys):
+            routes.append("one key" if keys.size == 1 else "gathered tables")
+            return tables(keys)
+
+        def counted_rows(lo, hi, out):
+            routes.append("in place")
+            rows(lo, hi, out)
+
+        return real(key, feats, counted_tables, counted_rows, width, block)
+
+    monkeypatch.setattr(energy_kernel, "_table_exp_sum", spy)
+    return routes
+
+
+@pytest.mark.parametrize("region, pitch", [
+    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.05),
+    (Thorn("constant", 1.0, 0.05, 0.5, d=1), 0.025),
+], ids=["box", "thorn_eps0.05"])
+def test_parabolic_offdiagonal_takes_one_key_blocks_and_matches_whole_triangle(
+        region, pitch, monkeypatch):
+    cloud = discretize(region, pitch)
+    ii, jj = np.triu_indices(cloud.n, k=1)
+    ref = parabolic_kernel_batch(cloud.times[ii], cloud.coords[ii],
+                                 cloud.times[jj], cloud.coords[jj])
+    routes = _block_routes(monkeypatch)
+    a = np.zeros((cloud.n, cloud.n))
+    _fill_pairwise(a, cloud, PARABOLIC)
+    assert set(routes) == {"one key"}
+    assert a[ii, jj] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert np.array_equal(a[ii, jj], a[jj, ii])
+    assert np.all(np.diag(a) == 0.0)
+
+
+@pytest.mark.parametrize("region, pitch, n, digest", [
+    (TimeSliceBall(1.0, (0.0, 0.0), 0.3), 0.05, 112,
+     "31a1e7b5b656ff808e5619d2d17b1e565b17eac7026eac7ea6160ba896d6c93c"),
+    (RegionUnion((SliceOf(1.0, SpatialBall((-0.5, 0.0), 0.25)),
+                  SliceOf(1.0, SpatialAnnulus((0.3, 0.0), 0.1, 0.3)))), 0.08, 70,
+     "46a5de246a3e46c358b16ad49c8db4288fe9f9b080d61f1b7d76ea76dc8ea626"),
+], ids=["slice_ball", "slice_union"])
+def test_single_level_slice_matrix_is_pinned(region, pitch, n, digest):
+    # one time level: the row-major triangle in one kernel call, bit for bit
+    cloud = discretize(region, pitch)
+    assert cloud.n == n
+    a = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=32, seed=3).entries
+    ii, jj = np.triu_indices(cloud.n, k=1)
+    assert np.array_equal(a[ii, jj], parabolic_kernel_batch(
+        cloud.times[ii], cloud.coords[ii], cloud.times[jj], cloud.coords[jj]))
+    assert hashlib.sha256(a.tobytes()).hexdigest() == digest

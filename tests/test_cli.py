@@ -101,6 +101,43 @@ def test_theorem1_command(tmp_path):
     assert open(out).read() == open(out2).read()
 
 
+def test_theorem1_draws_one_pass_per_slice_family(tmp_path, monkeypatch):
+    # slices at t = 1 form one family; the t = 1.5 slice, the box and the
+    # failed entry do not join it, and a failed entry keeps its own row
+    from parcap import cli
+    calls = []
+    real = cli.estimate_graph_hits
+
+    def spy(config, regions, runs, seed):
+        calls.append([r.to_dict()["kind"] for r in regions])
+        return real(config, regions, runs, seed)
+
+    monkeypatch.setattr(cli, "estimate_graph_hits", spy)
+    ball = {"kind": "time_slice_ball", "center": [0, 0]}
+    cfg = write_cfg(tmp_path, "t1.json", {
+        "regions": [
+            {"id": "small", "region": dict(ball, t0=1.0, radius=0.3)},
+            {"id": "late", "region": dict(ball, t0=1.5, radius=0.3)},
+            {"id": "bad", "region": {"kind": "ball", "center": [0, 0], "radius": 0.3}},
+            {"id": "box", "region": {"kind": "box", "t_lo": 0.5, "t_hi": 1.0,
+                                     "corner_lo": [-0.3, -0.3], "corner_hi": [0.3, 0.3]}},
+            {"id": "large", "region": {"kind": "slice_of", "t0": 1.0, "base":
+                                       {"kind": "ball", "center": [0, 0], "radius": 0.6}}},
+        ],
+        "resolution": 0.2,
+        "capacity": {"tol": 1e-3},
+        "sim": {"n_particles": 100, "runs": 60, "dt": 0.05, "horizon": 1.6},
+    })
+    out = str(tmp_path / "t1.csv")
+    main(["theorem1", "--config", cfg, "--seed", "3", "--out", out])
+    assert calls == [["time_slice_ball", "slice_of"], ["time_slice_ball"], ["box"]]
+    rows = {r.split(",")[0]: r.split(",") for r in open(out).read().splitlines()
+            if not r.startswith("#")}
+    assert list(rows) == ["region_id", "small", "late", "bad", "box", "large", "SUMMARY"]
+    assert rows["bad"][-1].startswith("FAILED: parabolic kernel needs a space-time region")
+    assert 0 < float(rows["small"][5]) <= float(rows["large"][5]) < 1
+
+
 def test_theorem1_empty_family_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "t1.json", {
         "regions": [], "sim": {"n_particles": 10, "runs": 5}})
@@ -361,6 +398,13 @@ BASE_CONFIGS = {
     ("range-hit", ("start",), [True, False, False]),
     ("theorem1", ("sim", "dt"), False),
     ("hermite-verify", ("bound_overrides",), {"lambda0": "x"}),
+    ("capacity", ("region", "radius"), "0.5"),
+    ("capacity", ("resolution",), "0.5"),
+    ("capacity", ("region", "radius"), "nan"),
+    ("capacity", ("region", "radius"), float("nan")),
+    ("range-hit", ("kill_radius",), float("inf")),
+    ("theorem1", ("sim", "runs"), "5"),
+    ("capacity", ("diag_samples",), float("inf")),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

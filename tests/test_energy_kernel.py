@@ -21,7 +21,7 @@ from parcap.energy_kernel import (
     parabolic_kernel_batch,
     reduced_log_coefs,
 )
-from parcap.heat_kernel import SpaceTimePoint, heat_density
+from parcap.heat_kernel import LOG_FLOOR, SpaceTimePoint, heat_density
 
 
 def random_pair(rng, d, min_gap=0.15):
@@ -351,6 +351,41 @@ def test_distinct_and_mixed_key_blocks_match_pairwise_evaluation(batch, d, monke
         assert vals == pytest.approx(mixed_one, rel=1e-12, abs=0.0)
         if block < 1024:
             assert routes == {"one key", "gathered tables", "in place"}
+
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_regrouped_in_place_route_matches_one_key_pairs(d, monkeypatch):
+    # four groups of pairs with distinct keys: t1 < t2, t1 > t2, t1 == t2,
+    # and far-apart pairs at small gaps whose nodes near s = t1^t2 fall
+    # below LOG_FLOOR while the rest do not
+    rng = np.random.default_rng(113 + d)
+    m = 60
+    t1 = rng.uniform(0.4, 1.6, 4 * m)
+    gap = np.concatenate([rng.uniform(0.01, 0.3, m), -rng.uniform(0.01, 0.3, m),
+                          np.zeros(m), rng.uniform(-0.02, 0.02, m)])
+    t2 = t1 + gap
+    x1 = rng.uniform(-1.0, 1.0, (4 * m, d))
+    x2 = x1 + rng.normal(0.0, 0.1, (4 * m, d))
+    x1[3 * m:, 0] += 6.0
+    x2[3 * m:, 0] = x1[3 * m:, 0] - 12.0
+    one = np.array([parabolic_kernel_batch(t1[i:i + 1], x1[i:i + 1], t2[i:i + 1],
+                                           x2[i:i + 1])[0] for i in range(4 * m)])
+    assert np.all(one > 0.0)
+    u0, w0 = energy_kernel._BATCH_UNIT_NODES, energy_kernel._BATCH_UNIT_WEIGHTS
+    for i in range(3 * m, 4 * m):
+        tmin = min(t1[i], t2[i])
+        A, E, B, C = reduced_log_coefs(t1[i], t2[i], tmin - tmin * u0 * u0, d)
+        dx = x1[i] - x2[i]
+        log_f = (A + E * (dx @ dx) + B * (x1[i] @ x1[i]) + C * (x2[i] @ x2[i])
+                 + np.log(2.0 * tmin * u0 * w0))
+        assert log_f.min() < LOG_FLOOR < log_f.max()
+    routes = _route_spy(monkeypatch)
+    for block in (64, 1024):
+        routes.clear()
+        vals = parabolic_kernel_batch(t1, x1, t2, x2, block=block)
+        assert routes == {"in place"}
+        assert vals == pytest.approx(one, rel=1e-12, abs=0.0)
 
 
 def _two_division_form_exact(t1, t2, s, d):

@@ -57,7 +57,7 @@ __all__ = [
 
 STENCIL_BLOCK = 131_072   # offsets per stencil row block: 1 MB, which stays in cache
 LEVEL_MIN_CELLS = 16      # mean cells per time level below which level-pair chunks
-                          # cost more in kernel calls than their one-key blocks save
+                          # cost more in kernel calls than the triangle's in-place route
 SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
 NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
 

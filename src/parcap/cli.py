@@ -219,15 +219,22 @@ def cmd_prop51(cfg, seed, out):
 
 
 def cmd_hermite_verify(cfg, seed, out):
-    from .hermite_ops import verification_report
+    from .hermite_ops import OPERATOR_BOUNDS, verification_report
+
+    def overrides(val):
+        # an object keyed by operator names only: a misspelt name would
+        # leave its bound in force and the negative control silent
+        if not isinstance(val, dict) or not val.keys() <= OPERATOR_BOUNDS.keys():
+            raise ValueError(val)
+        return {k: _real(b) for k, b in val.items()}
+
     report = verification_report(
         seed=seed,
         trials=_field(cfg, "trials", _integer, 200),
         max_degree=_field(cfg, "max_degree", _integer, 6),
         d=_field(cfg, "d", _integer, 2),
         grid_n=_field(cfg, "grid_n", _integer, 5),
-        bound_overrides=_field(cfg, "bound_overrides",
-                               lambda v: {k: _real(b) for k, b in dict(v).items()}, None),
+        bound_overrides=_field(cfg, "bound_overrides", overrides, None),
     )
     report["seed"] = seed
     _write_json(out, report)
@@ -261,11 +268,16 @@ def cmd_range_hit(cfg, seed, out):
     region = region_from_dict(_field(cfg, "region"))
     if "start" in cfg:
         start_law = _field(cfg, "start", _list_of(_real))  # fixed start point
+        if len(start_law) != d:
+            raise ConfigError(f"config field 'start' has shape ({len(start_law)},), not ({d},)")
     elif "start_ball" in cfg:
         # uniform start law on a ball, e.g. {"center": [0,0], "radius": 1}
         ball_cfg = _field(cfg, "start_ball", dict)
         ball = SpatialBall(_field(ball_cfg, "center", _list_of(_real)),
                            _field(ball_cfg, "radius", _real))
+        if ball.d != d:
+            raise ConfigError(f"config field 'start_ball' has a center of shape ({ball.d},), "
+                              f"not ({d},)")
 
         def start_law(rng, runs):
             return sample_uniform(ball, runs, rng)
@@ -283,6 +295,8 @@ def cmd_range_hit(cfg, seed, out):
 
 def cmd_sbm_extinction(cfg, seed, out):
     times = _field(cfg, "times", _list_of(_real))
+    if not times:
+        raise ConfigError("config field 'times' is empty")
     sim_cfg = dict(cfg)
     sim_cfg.setdefault("horizon", max(times))
     config = BranchingConfig(d=_field(cfg, "d", _integer, 1), **_sim_fields(sim_cfg))

@@ -185,26 +185,20 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
 
     ``tables(keys)`` returns (A, T_1, ..), each (len(keys), width), with
     L[p] = A[g] + sum_f T_f[g] feats[p, f] for the pair's key g. Each block
-    of ``block`` pairs forms L by the cheapest of three routes:
+    of ``block`` pairs forms L by one of two routes:
 
-    * one key (every block of a time slice): one matrix product,
-      [1, feats] @ [A; T_1; ..], and the sums as a second;
-    * at most half as many distinct keys as pairs (cell centres on a time
-      lattice): one table row per distinct key, gathered per pair;
-    * more distinct keys (sampled in-cell times): ``rows(lo, hi, out)``
-      writes L of pairs lo:hi into out in place, in sub-blocks that stay in
-      cache, with no table and no gather.
+    * one key (every block of a time slice or of a time-level pair): one
+      matrix product, [1, feats] @ [A; T_1; ..], and the sums as a second;
+    * any other block: ``rows(lo, hi, out)`` writes L of pairs lo:hi into
+      out in place, in sub-blocks that stay in cache, with no table.
 
     The floor keeps every exp clear of subnormals; a floored node adds
     e^LOG_FLOOR.
     """
     n = key.shape[0]
     out = np.empty(n)
-    # buffers reused across blocks: fresh large temporaries cost page faults.
-    # The gather buffer is made on first use: a second large buffer per call
-    # is mapped afresh each time, which dominates short one-key calls
+    # buffers reused across blocks: fresh large temporaries cost page faults
     log_buf = np.empty((min(block, n), width))
-    tmp_buf = None
     ext_buf = np.ones((min(block, n), feats.shape[1] + 1))  # column 0 stays 1
     ones = np.ones(width)
     sub = max(1, _ROWS_NODES // width)
@@ -218,32 +212,12 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
             np.maximum(log_val, LOG_FLOOR, out=log_val)
             np.matmul(np.exp(log_val, out=log_val), ones, out=out[lo:hi])
             continue
-        perm = np.argsort(k)
-        srt = k[perm]
-        first = np.empty(hi - lo, dtype=bool)  # first pair of each distinct key
-        first[0] = True
-        np.not_equal(srt[1:], srt[:-1], out=first[1:])
-        if 2 * np.count_nonzero(first) > hi - lo:
-            for s_lo in range(lo, hi, sub):
-                s_hi = min(s_lo + sub, hi)
-                part = log_val[:s_hi - s_lo]
-                rows(s_lo, s_hi, part)
-                np.maximum(part, LOG_FLOOR, out=part)
-                np.matmul(np.exp(part, out=part), ones, out=out[s_lo:s_hi])
-            continue
-        inv = np.empty(hi - lo, dtype=np.intp)
-        inv[perm] = np.cumsum(first) - 1
-        if tmp_buf is None:
-            tmp_buf = np.empty_like(log_buf)
-        tmp = tmp_buf[:hi - lo]
-        A, *coefs = tables(srt[first])
-        np.take(A, inv, axis=0, out=log_val, mode="clip")
-        for coef, f in zip(coefs, feats[lo:hi].T):
-            np.take(coef, inv, axis=0, out=tmp, mode="clip")
-            tmp *= f[:, None]
-            log_val += tmp
-        np.maximum(log_val, LOG_FLOOR, out=log_val)
-        np.exp(log_val, out=log_val).sum(axis=1, out=out[lo:hi])
+        for s_lo in range(lo, hi, sub):
+            s_hi = min(s_lo + sub, hi)
+            part = log_val[:s_hi - s_lo]
+            rows(s_lo, s_hi, part)
+            np.maximum(part, LOG_FLOOR, out=part)
+            np.matmul(np.exp(part, out=part), ones, out=out[s_lo:s_hi])
     return out
 
 
@@ -251,10 +225,10 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
     """Per pair: sum_k tmin omega_k * reduced integrand at s = tmin - tmin rho_k.
 
     tmin = t1^t2 and (rho, omega) is the caller's rule in units of tmin,
-    with any endpoint substitution folded into omega. Blocks that share time
-    pairs use one coefficient table per distinct (t1, t2), log tmin + log
-    omega folded into A; blocks of distinct time pairs form the same sum in
-    place, with the coefficients regrouped in u = tmin rho and g = |t1-t2|:
+    with any endpoint substitution folded into omega. A block whose pairs
+    share one (t1, t2) uses one coefficient table, log tmin + log omega
+    folded into A; any other block forms the same sum in place, with the
+    coefficients regrouped in u = tmin rho and g = |t1-t2|:
     1/(2h) = tmin (g + tmin sigma), sigma = 2 rho - rho^2 per node, and the
     quadratic part P + u Q with P and Q per pair, formed per sub-block. A
     node then costs one log, one division and a few multiply-adds.
@@ -300,7 +274,7 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
         out *= -0.5 * d
         out += num
 
-    # (t1, t2) packed into one complex key, so one 1-D sort groups the pairs
+    # (t1, t2) packed into one complex key, so one comparison tests a block
     return _table_exp_sum(t1 + 1j * t2, feats, tables, rows, rho.size, block)
 
 
@@ -417,9 +391,9 @@ _CP_UNIT_NODES, _CP_UNIT_WEIGHTS = panel_rule(
 def cap_prime_kernel_batch(t1, x1, t2, x2, block=1024):
     """Vectorized K' over aligned pair arrays (fixed composite rule).
 
-    The log integrand at u = |t-t'| + w^2 is affine in |x-x'|^2, with
-    coefficient tables per distinct |t-t'| in a block; a block of distinct
-    gaps forms each pair's own table row in place.
+    The log integrand at u = |t-t'| + w^2 is affine in |x-x'|^2, with one
+    coefficient table for a block whose pairs share |t-t'|; any other block
+    forms each pair's own table row in place.
     """
     dx = np.atleast_2d(np.asarray(x1, dtype=float)) - np.atleast_2d(x2)
     gap = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))

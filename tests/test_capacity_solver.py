@@ -713,12 +713,14 @@ def _block_routes(monkeypatch):
     return routes
 
 
-@pytest.mark.parametrize("region, pitch", [
-    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.05),
-    (Thorn("constant", 1.0, 0.05, 0.5, d=1), 0.025),
-], ids=["box", "thorn_eps0.05"])
+@pytest.mark.parametrize("region, pitch, route", [
+    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.05, "one key"),
+    (Thorn("constant", 1.0, 0.05, 0.5, d=1), 0.025, "one key"),
+    # about 7 cells per level, below LEVEL_MIN_CELLS: the row-major triangle
+    (Thorn("constant", 0.1, 0.05, 1.0, d=1), 0.02, "in place"),
+], ids=["box", "thorn_eps0.05", "thin_levels"])
 def test_parabolic_offdiagonal_takes_one_key_blocks_and_matches_whole_triangle(
-        region, pitch, monkeypatch):
+        region, pitch, route, monkeypatch):
     cloud = discretize(region, pitch)
     ii, jj = np.triu_indices(cloud.n, k=1)
     ref = parabolic_kernel_batch(cloud.times[ii], cloud.coords[ii],
@@ -726,7 +728,7 @@ def test_parabolic_offdiagonal_takes_one_key_blocks_and_matches_whole_triangle(
     routes = _block_routes(monkeypatch)
     a = np.zeros((cloud.n, cloud.n))
     _fill_pairwise(a, cloud, PARABOLIC)
-    assert set(routes) == {"one key"}
+    assert set(routes) == {route}
     assert a[ii, jj] == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert np.array_equal(a[ii, jj], a[jj, ii])
     assert np.all(np.diag(a) == 0.0)

@@ -268,6 +268,20 @@ def test_range_hit_start_ball_dimension_mismatch_exits_1(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("start", [2.0, 0.0]),
+    ("start_ball", {"center": [0.0, 0.0, 0.0, 0.0], "radius": 1.0}),
+])
+def test_range_hit_start_of_other_dimension_names_the_field(tmp_path, capsys, field, value):
+    cfg = write_cfg(tmp_path, "rh.json", {
+        "d": 3, field: value, "runs": 10,
+        "region": {"kind": "ball", "center": [0, 0, 0], "radius": 0.4}})
+    out = str(tmp_path / "rh.json.out")
+    assert main(["range-hit", "--config", cfg, "--seed", "1", "--out", out]) == 1
+    assert f"config field {field!r} has" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_range_hit_region_of_other_dimension_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "rh.json", {
         "d": 2, "start": [2.0, 0.0], "runs": 2000,
@@ -319,6 +333,15 @@ def test_sbm_extinction_command(tmp_path):
     for t, entry in payload["times"].items():
         assert entry["within_3_half_widths"]
         assert abs(entry["theory"] - (1 - math.exp(-1 / (2 * float(t))))) < 1e-12
+
+
+def test_sbm_extinction_empty_times_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "sbm.json", {
+        "n_particles": 10, "times": [], "horizon": 1.0, "runs": 10})
+    out = str(tmp_path / "sbm.out")
+    assert main(["sbm-extinction", "--config", cfg, "--seed", "1", "--out", out]) == 1
+    assert "config field 'times' is empty" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_out_env_override(tmp_path, monkeypatch):
@@ -405,6 +428,8 @@ BASE_CONFIGS = {
     ("range-hit", ("kill_radius",), float("inf")),
     ("theorem1", ("sim", "runs"), "5"),
     ("capacity", ("diag_samples",), float("inf")),
+    ("hermite-verify", ("bound_overrides",), {"lamda0": 1e-9}),
+    ("hermite-verify", ("bound_overrides",), [["lambda0", 1e-9]]),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

@@ -271,7 +271,7 @@ def test_batch_tables_match_pairwise_evaluation():
 def test_one_time_pair_blocks_match_pairwise_evaluation():
     # 1100 pairs at one time pair: whole blocks and a short last block take
     # the one-key matrix product. Each pair is checked against itself alone
-    # and against a call where a second time pair forces the gather path.
+    # and against a call where a second time pair forces the in-place route.
     rng = np.random.default_rng(73)
     n = 1100
     t = np.full(n, 1.0)
@@ -280,10 +280,10 @@ def test_one_time_pair_blocks_match_pairwise_evaluation():
     one = np.array([parabolic_kernel_batch(t[i:i + 1], x1[i:i + 1], t[i:i + 1],
                                            x2[i:i + 1])[0] for i in range(n)])
     decoy_t = np.array([1.0, 1.3])
-    gathered = np.array([parabolic_kernel_batch(decoy_t, np.stack([x1[i], x1[i]]),
+    two_keys = np.array([parabolic_kernel_batch(decoy_t, np.stack([x1[i], x1[i]]),
                                                 decoy_t, np.stack([x2[i], x2[i]]))[0]
                          for i in range(n)])
-    assert gathered == pytest.approx(one, rel=1e-12, abs=0.0)
+    assert two_keys == pytest.approx(one, rel=1e-12, abs=0.0)
     for block in (64, 1024):
         vals = parabolic_kernel_batch(t, x1, t, x2, block=block)
         assert vals == pytest.approx(one, rel=1e-12, abs=0.0)
@@ -326,8 +326,8 @@ def _route_spy(monkeypatch):
 def test_distinct_and_mixed_key_blocks_match_pairwise_evaluation(batch, d, monkeypatch):
     # i.i.d. in-cell pairs have distinct keys and take the in-place route.
     # The mixed set runs 300 pairs at one time pair, 300 cycling through
-    # three lattice time pairs and 300 in-cell pairs, so half its keys are
-    # shared and blocks of 64 and 256 pairs take all three routes.
+    # three lattice time pairs and 300 in-cell pairs, so blocks of 64 and
+    # 256 pairs take both routes.
     rng = np.random.default_rng(79)
     n = 900
     t1, x1, t2, x2 = _in_cell_pairs(rng, n, d)
@@ -350,7 +350,7 @@ def test_distinct_and_mixed_key_blocks_match_pairwise_evaluation(batch, d, monke
         vals = batch(mt1, x1, mt2, x2, block=block)
         assert vals == pytest.approx(mixed_one, rel=1e-12, abs=0.0)
         if block < 1024:
-            assert routes == {"one key", "gathered tables", "in place"}
+            assert routes == {"one key", "in place"}
 
 
 

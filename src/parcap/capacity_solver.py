@@ -5,13 +5,12 @@ The capacity of a region is 1 / min_w w^T K w over the probability simplex,
 where K is the mutual-energy matrix of the region's grid cells. Off-diagonal
 entries are kernel values of cell centers; diagonal entries are cell
 self-energies estimated by within-cell pair sampling, which keeps the
-discretized energy from collapsing to zero under refinement. Parabolic pairs
-of a cloud on several time levels are evaluated one pair of time levels per
-kernel call, so each call shares one time key. The Newtonian and
-cap-prime kernels are translation invariant, so a cell's self-energy depends
-only on the offsets of the pair from the centre: one seeded draw of offset
-pairs gives every cell the same estimate. The parabolic kernel is not, and
-each cell draws its own pairs.
+discretized energy from collapsing to zero under refinement. Pairs of a
+space-time cloud are evaluated one pair of its time levels per kernel call,
+so each call shares one time key. The Newtonian and cap-prime kernels are
+translation invariant, so a cell's self-energy depends only on the offsets of
+the pair from the centre: one seeded draw of offset pairs gives every cell the
+same estimate. The parabolic kernel is not, and each cell draws its own pairs.
 
 The energy is minimized by pairwise Frank-Wolfe: each step moves mass from
 the support atom with the largest potential to the cell with the smallest.
@@ -56,8 +55,8 @@ __all__ = [
 ]
 
 STENCIL_BLOCK = 131_072   # offsets per stencil row block: 1 MB, which stays in cache
-LEVEL_MIN_CELLS = 16      # mean cells per time level below which level-pair chunks
-                          # cost more in kernel calls than the triangle's in-place route
+LEVEL_MIN_CELLS = 16      # mean cells per time level below which a cloud is one level:
+                          # more kernel calls would cost more than the in-place route
 SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
 NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
 
@@ -142,17 +141,6 @@ class CapacityResult:
         }
 
 
-def _triangle_chunks(n, target=1_500_000):
-    """Yield (i, j) index arrays covering the strict upper triangle, row-major,
-    in chunks of whole rows."""
-    rows_per_chunk = max(1, target // max(n, 1))
-    for i0 in range(0, n - 1, rows_per_chunk):
-        ii, jj = np.triu_indices(min(rows_per_chunk, n - i0), k=1, m=n - i0)
-        ii += i0  # in place: a shifted copy would double the chunk's index memory
-        jj += i0
-        yield ii, jj
-
-
 def _time_levels(times):
     """Cell indices of each distinct time, in time order, each in index order."""
     order = np.argsort(times, kind="stable")
@@ -160,12 +148,13 @@ def _time_levels(times):
 
 
 def _level_pair_chunks(levels, target=1_500_000):
-    """Yield (i, j) index arrays covering the strict upper triangle, i < j,
-    in chunks that each hold one time pair: per ordered pair of ``levels``
-    (from ``_time_levels``), runs of whole rows of at most ``target`` pairs."""
+    """Yield (i, j) index arrays covering the strict upper triangle, i < j:
+    per ordered pair of ``levels`` (from ``_time_levels``), runs of whole rows
+    of at most ``target`` pairs. On one level, ``[np.arange(n)]``, that is the
+    row-major triangle in chunks of whole rows."""
     for rows in levels:
         for cols in levels:
-            step = max(1, target // cols.size)
+            step = max(1, target // max(cols.size, 1))
             for r0 in range(0, rows.size, step):
                 r = rows[r0:r0 + step]
                 ii, jj = np.nonzero(r[:, None] < cols)
@@ -279,15 +268,13 @@ def _fill_stencil(a, k, table, strides):
 def _fill_pairwise(a, cloud, kind):
     """Kernel of each pair of centres over the upper triangle, mirrored.
 
-    A parabolic cloud on more than one time level is filled one level pair
-    at a time, so every kernel block shares one time key, unless its levels
-    average fewer than LEVEL_MIN_CELLS cells."""
-    levels = _time_levels(cloud.times) if kind.tag == "parabolic" else []
-    if 1 < len(levels) <= cloud.n // LEVEL_MIN_CELLS:
-        chunks = _level_pair_chunks(levels)
-    else:
-        chunks = _triangle_chunks(cloud.n)
-    for ii, jj in chunks:  # lazy: only one chunk is alive
+    A space-time cloud is filled one pair of its time levels at a time, so
+    every kernel block shares one time key. A spatial cloud, a single level,
+    or levels that average fewer than LEVEL_MIN_CELLS cells are one level."""
+    levels = [np.arange(cloud.n)] if cloud.times is None else _time_levels(cloud.times)
+    if len(levels) > cloud.n // LEVEL_MIN_CELLS:
+        levels = [np.arange(cloud.n)]
+    for ii, jj in _level_pair_chunks(levels):  # lazy: only one chunk is alive
         if cloud.times is None:
             a[ii, jj] = _pair_values(kind, None, cloud.coords[ii], None, cloud.coords[jj])
         else:
@@ -304,13 +291,13 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     sit on the pitch lattice they are read from one table of the kernel over
     lattice offsets (a stencil), which makes the matrix exactly symmetric.
     Clouds off the lattice (e.g. slices at times that are not a whole number
-    of pitches apart) and clouds whose offset table would outnumber their
-    pairs are evaluated pair by pair over the row-major upper triangle. So
-    is the parabolic kernel, except that a cloud on several time levels is
-    evaluated one ordered pair of levels at a time (``_level_pair_chunks``), so
-    every kernel block takes the one-key matrix-product route; a single
-    level (a time slice), or levels that average fewer than LEVEL_MIN_CELLS
-    cells, keep the row-major triangle.
+    of pitches apart), clouds whose offset table would outnumber their pairs
+    and every parabolic cloud are evaluated pair by pair over the upper
+    triangle. A space-time cloud goes one ordered pair of its time levels at
+    a time (``_level_pair_chunks``), so every kernel block takes the one-key
+    matrix-product route; a spatial cloud, a single level (a time slice), or
+    levels that average fewer than LEVEL_MIN_CELLS cells are one level, the
+    row-major triangle.
 
     Diagonal i: mean kernel over ``diag_samples`` independent point pairs
     drawn uniformly in cell i, from ``default_rng(seed)``. For the Newtonian
@@ -542,8 +529,8 @@ def verify_duality(result, cloud, matrix=None):
                          norm_sq / result.capacity, result.capacity)
 
 
-def capacity_growth_profile(region, eps_list, kind=PARABOLIC, pitch_factor=0.5,
-                            tol=1e-5, seed=0, diag_samples=256, max_iter=None):
+def capacity_growth_profile(region, eps_list, pitch_factor=0.5, tol=1e-5, seed=0,
+                            diag_samples=256):
     """Capacity of the thorn truncated to {t > eps}, per eps, pitch = c * eps.
 
     Emits the series for divergence inspection; per-eps failures are recorded
@@ -560,8 +547,8 @@ def capacity_growth_profile(region, eps_list, kind=PARABOLIC, pitch_factor=0.5,
         res = pitch_factor * eps
         try:
             sub = Thorn(region.profile, region.param, eps, region.t_hi, region.d)
-            out = capacity(sub, kind, res, tol=tol, seed=seed,
-                           diag_samples=diag_samples, max_iter=max_iter)
+            out = capacity(sub, PARABOLIC, res, tol=tol, seed=seed,
+                           diag_samples=diag_samples)
             rows.append({"eps": eps, "resolution": res,
                          "capacity": out.capacity, "error": ""})
         except (RegionError, RuntimeError, ValueError) as exc:
@@ -571,7 +558,7 @@ def capacity_growth_profile(region, eps_list, kind=PARABOLIC, pitch_factor=0.5,
 
 
 def translation_noninvariance_demo(region, shift, kind, resolution, tol=1e-6,
-                                   seed=0, diag_samples=256, max_iter=None):
+                                   seed=0):
     """Capacity of a region and of its translate on the same cell topology.
 
     The shifted run reuses the original cells translated by (dt, dx), so the
@@ -579,9 +566,6 @@ def translation_noninvariance_demo(region, shift, kind, resolution, tol=1e-6,
     """
     dt, dx = shift
     cloud = discretize(region, resolution)
-    base = capacity_on_cloud(cloud, kind, tol=tol, seed=seed,
-                             diag_samples=diag_samples, max_iter=max_iter)
-    shifted = capacity_on_cloud(cloud.translated(dt, dx), kind, tol=tol,
-                                seed=seed, diag_samples=diag_samples,
-                                max_iter=max_iter)
+    base = capacity_on_cloud(cloud, kind, tol=tol, seed=seed)
+    shifted = capacity_on_cloud(cloud.translated(dt, dx), kind, tol=tol, seed=seed)
     return base, shifted

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__, runtime
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import PARABOLIC, KernelKind, newtonian
-from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _field, _integer,
-                     _list_of, _real, region_from_dict, sample_uniform)
+from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _count, _field,
+                     _integer, _list_of, _real, region_from_dict, sample_uniform)
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
@@ -77,11 +77,11 @@ def _write_text(path, text):
 
 def _sim_fields(sim_cfg):
     """BranchingConfig keywords of a sim config, all but the dimension."""
-    return {"n_particles": _field(sim_cfg, "n_particles", _integer),
+    return {"n_particles": _field(sim_cfg, "n_particles", _count),
             "dt": _field(sim_cfg, "dt", _real, 0.01),
             "horizon": _field(sim_cfg, "horizon", _real, 1.0),
             "branch_rate": _field(sim_cfg, "branch_rate", _real, None),
-            "max_particle_steps": _field(sim_cfg, "max_particle_steps", _integer,
+            "max_particle_steps": _field(sim_cfg, "max_particle_steps", _count,
                                          10_000_000)}
 
 
@@ -125,7 +125,7 @@ def cmd_theorem1(cfg, seed, out):
     resolution = _field(cfg, "resolution", _real, 0.05)
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
-    sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
+    sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _count)
     rows = [None] * len(entries)
     ratios = []
     families = {}  # (d, slice time), or the entry's index: [(k, rid, region, cap)]
@@ -163,9 +163,10 @@ def cmd_theorem1(cfg, seed, out):
                        est.exploded, "OK" if ok else "BELOW_BOUND"]
     failed = any(row[-1] != "OK" for row in rows)
     if ratios:
+        lo, hi = min(ratios), max(ratios)
+        band = hi / lo if lo > 0 else math.inf  # a region that no run hits
         rows.append(["SUMMARY", "", "", "", "", "", "", "", "",
-                     f"ratio_min={min(ratios):.6g} ratio_max={max(ratios):.6g} "
-                     f"band={max(ratios) / min(ratios):.6g} "
+                     f"ratio_min={lo:.6g} ratio_max={hi:.6g} band={band:.6g} "
                      "gate: mass >= 0.25*cap - 2*half_width (2 propagated "
                      "Wilson half-widths)"])
     _write_csv(out, cfg, seed, ["region_id", "capacity", "implied_mass",
@@ -183,7 +184,7 @@ def cmd_prop51(cfg, seed, out):
     resolution = _field(cfg, "resolution", _real)
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
-    sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _integer)
+    sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _count)
     rows = []
     ratios = []
     failed = False
@@ -252,8 +253,11 @@ def cmd_profile(cfg, seed, out):
     region = region_from_dict(_field(cfg, "thorn"))
     if not isinstance(region, Thorn):
         raise ConfigError("config field 'thorn' must describe a thorn region")
+    eps_list = _field(cfg, "eps_list", _list_of(_real))
+    if not eps_list:
+        raise ConfigError("config field 'eps_list' is empty")
     rows_in = capacity_growth_profile(
-        region, _field(cfg, "eps_list", _list_of(_real)),
+        region, eps_list,
         pitch_factor=_field(cfg, "pitch_factor", _real, 0.5),
         tol=_field(cfg, "tol", _real, 1e-5), seed=seed,
         diag_samples=_field(cfg, "diag_samples", _integer, 128))
@@ -286,7 +290,7 @@ def cmd_range_hit(cfg, seed, out):
     est = estimate_range_hit(
         d, start_law, region,
         dt=_field(cfg, "dt", _real, 1e-3),
-        runs=_field(cfg, "runs", _integer),
+        runs=_field(cfg, "runs", _count),
         seed=seed,
         kill_radius=_field(cfg, "kill_radius", _real, 50.0))
     _write_json(out, dict(est.to_json_dict(), seed=seed))
@@ -300,7 +304,7 @@ def cmd_sbm_extinction(cfg, seed, out):
     sim_cfg = dict(cfg)
     sim_cfg.setdefault("horizon", max(times))
     config = BranchingConfig(d=_field(cfg, "d", _integer, 1), **_sim_fields(sim_cfg))
-    runs = _field(cfg, "runs", _integer)
+    runs = _field(cfg, "runs", _count)
     estimates = estimate_survival(config, times, runs, seed)
     payload = {
         "n_particles": config.n_particles,

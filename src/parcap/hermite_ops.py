@@ -47,8 +47,8 @@ __all__ = [
 
 # --- time profiles -------------------------------------------------------------
 
-def _bump(t, alpha, beta, amplitude, poly):
-    """amplitude * P(u) * exp(1 - 1/(1 - u^2)) inside (alpha, beta), else 0.
+def _bump(t, alpha, beta, amplitude):
+    """amplitude * exp(1 - 1/(1 - u^2)) inside (alpha, beta), else 0.
 
     u is the affine map of [alpha, beta] onto [-1, 1]; the arguments
     broadcast against each other.
@@ -58,8 +58,7 @@ def _bump(t, alpha, beta, amplitude, poly):
     out = np.zeros(u.shape)
     inside = np.abs(u) < 1.0
     ui = u[inside]
-    out[inside] = (amp[inside] * np.polyval(poly[::-1], ui)
-                   * np.exp(1.0 - 1.0 / (1.0 - ui * ui)))
+    out[inside] = amp[inside] * np.exp(1.0 - 1.0 / (1.0 - ui * ui))
     return out
 
 
@@ -103,21 +102,20 @@ class _BumpBatch:
     1e-11 of the total; elsewhere by rounding.
     """
 
-    def __init__(self, alpha, beta, amplitude, poly=(1.0,)):
+    def __init__(self, alpha, beta, amplitude):
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
         self.amplitude = np.asarray(amplitude, dtype=float)
-        self.poly = tuple(poly)
         self.edges = np.linspace(self.alpha, self.beta, BUMP_PANELS + 1, axis=-1)
         self.nodes, self.weights = panels(self.edges, BUMP_ORDER)
         self.values = _bump(self.nodes, self.alpha[:, None, None],
                             self.beta[:, None, None],
-                            self.amplitude[:, None, None], self.poly)
+                            self.amplitude[:, None, None])
 
     def at(self, t):
         """(K, N) values of every profile at the 1-D points t."""
         return _bump(t, self.alpha[:, None], self.beta[:, None],
-                     self.amplitude[:, None], self.poly)
+                     self.amplitude[:, None])
 
     def sq_integrals(self):
         """int g_k(t)^2 dt for every profile, shape (K,)."""
@@ -158,31 +156,29 @@ class _BumpBatch:
 
 
 class BumpProfile:
-    """Polynomial-modulated smooth window supported on [alpha, beta].
+    """Smooth window supported on [alpha, beta].
 
-    g(t) = amplitude * P(u) * exp(1 - 1/(1 - u^2)) with u the affine map of
+    g(t) = amplitude * exp(1 - 1/(1 - u^2)) with u the affine map of
     [alpha, beta] onto [-1, 1]. Weighted running integrals int_0^t s^q g(s) ds
     use a fixed panel rule and the panels' Legendre interpolants (a batch of
     one, see ``_BumpBatch``); the profile is smooth, so this is accurate far
     beyond the tolerances used anywhere in the package.
     """
 
-    def __init__(self, alpha, beta, amplitude=1.0, poly=(1.0,)):
+    def __init__(self, alpha, beta, amplitude=1.0):
         if not 0.0 < alpha < beta:
             raise ValueError("need 0 < alpha < beta")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.amplitude = float(amplitude)
-        self.poly = tuple(poly)
-        self._batch = _BumpBatch([self.alpha], [self.beta], [self.amplitude], self.poly)
+        self._batch = _BumpBatch([self.alpha], [self.beta], [self.amplitude])
 
     @property
     def support(self):
         return (self.alpha, self.beta)
 
     def __call__(self, t):
-        return _bump(np.asarray(t, dtype=float), self.alpha, self.beta,
-                     self.amplitude, self.poly)
+        return _bump(np.asarray(t, dtype=float), self.alpha, self.beta, self.amplitude)
 
     def weighted_integral(self, q, t=None):
         """int_0^t s^q g(s) ds, vectorized over t (full integral if t is None)."""

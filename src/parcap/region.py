@@ -506,6 +506,14 @@ def _integer(val):
     return int(val)
 
 
+def _count(val):
+    """_integer(val), refusing a value below 1."""
+    val = _integer(val)
+    if val < 1:
+        raise ValueError(val)
+    return val
+
+
 def _real(val):
     """float(val), refusing a bool, a string and a non-finite value."""
     if isinstance(val, (bool, str)):

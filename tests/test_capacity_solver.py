@@ -16,7 +16,6 @@ from parcap.capacity_solver import (
     _time_levels,
     _pair_values,
     _stencil_table,
-    _triangle_chunks,
     assemble_kernel_matrix,
     capacity,
     capacity_growth_profile,
@@ -29,6 +28,7 @@ from parcap.energy_kernel import (
     CAP_PRIME,
     PARABOLIC,
     DiscreteMeasure,
+    cap_prime_kernel_batch,
     mutual_kernel,
     newtonian,
     newtonian_kernel,
@@ -264,7 +264,8 @@ def test_translation_leaving_domain_raises():
 
 
 def test_triangle_chunks_match_row_loop():
-    # same pairs, order and chunk boundaries as a per-row loop over whole rows
+    # one level: the same pairs, order and chunk boundaries as a per-row loop
+    # over whole rows
     for n in (0, 1, 2, 5, 37):
         for target in (1, 7, 40, 1_500_000):
             rows = max(1, target // max(n, 1))
@@ -275,7 +276,7 @@ def test_triangle_chunks_match_row_loop():
                 if pairs:
                     ref.append(pairs)
             got = [list(zip(ii.tolist(), jj.tolist()))
-                   for ii, jj in _triangle_chunks(n, target)]
+                   for ii, jj in _level_pair_chunks([np.arange(n)], target)]
             assert got == ref
 
 
@@ -437,8 +438,11 @@ def test_stencil_falls_back_to_pairwise(region, kind, on_lattice):
     times = cloud.times
     ref = _pair_values(kind, None if times is None else times[ii], cloud.coords[ii],
                        None if times is None else times[jj], cloud.coords[jj])
-    assert np.array_equal(a[ii, jj], ref)
-    assert np.array_equal(a[jj, ii], ref)
+    if on_lattice:  # one level, filled as the row-major triangle
+        assert np.array_equal(a[ii, jj], ref)
+    else:  # one time pair per block: the one-key route, not the whole triangle's
+        assert np.all(np.abs(a[ii, jj] - ref) <= 1e-13 * ref)
+    assert np.array_equal(a[jj, ii], a[ii, jj])
 
 
 def test_kernel_matrix_check():
@@ -713,21 +717,29 @@ def _block_routes(monkeypatch):
     return routes
 
 
-@pytest.mark.parametrize("region, pitch, route", [
-    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.05, "one key"),
-    (Thorn("constant", 1.0, 0.05, 0.5, d=1), 0.025, "one key"),
+THREE_SLICES_OFF_LATTICE = RegionUnion(tuple(SliceOf(t, SpatialBall((0.0,), 0.5))
+                                              for t in (1.0, 1.37, 1.81)))
+
+
+@pytest.mark.parametrize("region, pitch, kind, batch, route", [
+    (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.05, PARABOLIC, parabolic_kernel_batch,
+     "one key"),
+    (Thorn("constant", 1.0, 0.05, 0.5, d=1), 0.025, PARABOLIC, parabolic_kernel_batch,
+     "one key"),
     # about 7 cells per level, below LEVEL_MIN_CELLS: the row-major triangle
-    (Thorn("constant", 0.1, 0.05, 1.0, d=1), 0.02, "in place"),
-], ids=["box", "thorn_eps0.05", "thin_levels"])
+    (Thorn("constant", 0.1, 0.05, 1.0, d=1), 0.02, PARABOLIC, parabolic_kernel_batch,
+     "in place"),
+    # off the pitch lattice, so no stencil: 50 cells per level
+    (THREE_SLICES_OFF_LATTICE, 0.02, CAP_PRIME, cap_prime_kernel_batch, "one key"),
+], ids=["box", "thorn_eps0.05", "thin_levels", "cap_prime_slices_off_lattice"])
 def test_parabolic_offdiagonal_takes_one_key_blocks_and_matches_whole_triangle(
-        region, pitch, route, monkeypatch):
+        region, pitch, kind, batch, route, monkeypatch):
     cloud = discretize(region, pitch)
     ii, jj = np.triu_indices(cloud.n, k=1)
-    ref = parabolic_kernel_batch(cloud.times[ii], cloud.coords[ii],
-                                 cloud.times[jj], cloud.coords[jj])
+    ref = batch(cloud.times[ii], cloud.coords[ii], cloud.times[jj], cloud.coords[jj])
     routes = _block_routes(monkeypatch)
     a = np.zeros((cloud.n, cloud.n))
-    _fill_pairwise(a, cloud, PARABOLIC)
+    _fill_pairwise(a, cloud, kind)
     assert set(routes) == {route}
     assert a[ii, jj] == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert np.array_equal(a[ii, jj], a[jj, ii])

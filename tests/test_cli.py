@@ -145,6 +145,25 @@ def test_theorem1_empty_family_exits_1(tmp_path, capsys):
     assert "'regions'" in capsys.readouterr().err
 
 
+def test_theorem1_region_that_no_run_hits_reports_band_inf(tmp_path):
+    # the far slice's implied mass is 0, so the band has no finite value;
+    # each row keeps its own status
+    ball = {"kind": "time_slice_ball", "t0": 1.0}
+    cfg = write_cfg(tmp_path, "t1.json", {
+        "regions": [{"id": "near", "region": dict(ball, center=[0, 0], radius=0.5)},
+                    {"id": "far", "region": dict(ball, center=[6, 0], radius=0.3)}],
+        "resolution": 0.1,
+        "sim": {"n_particles": 200, "runs": 50},
+    })
+    out = str(tmp_path / "t1.csv")
+    assert main(["theorem1", "--config", cfg, "--seed", "1", "--out", out]) == 0
+    rows = {r.split(",")[0]: r.split(",") for r in open(out).read().splitlines()
+            if not r.startswith("#")}
+    assert rows["near"][-1] == rows["far"][-1] == "OK"
+    assert float(rows["far"][2]) == 0.0 and 0 < float(rows["far"][1]) < 1e-6
+    assert "band=inf" in rows["SUMMARY"][-1]
+
+
 def test_prop51_command(tmp_path):
     cfg = write_cfg(tmp_path, "p51.json", {
         "d": 2, "resolution": 0.1, "slice_time": 1.0,
@@ -204,16 +223,15 @@ def test_profile_command_cone_series(tmp_path):
     assert caps[1] >= caps[0] * 0.98
 
 
-def test_profile_command_empty_eps(tmp_path):
+def test_profile_command_empty_eps(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "prof.json", {
         "thorn": {"kind": "thorn", "profile": "constant", "param": 1.0,
                   "t_lo": 0.0, "t_hi": 0.5, "d": 1},
         "eps_list": []})
     out = str(tmp_path / "prof.csv")
-    assert main(["profile", "--config", cfg, "--out", out]) == 0
-    lines = [l for l in open(out).read().splitlines()
-             if l and not l.startswith("#")]
-    assert lines == ["eps,resolution,capacity,error"]
+    assert main(["profile", "--config", cfg, "--out", out]) == 1
+    assert "config field 'eps_list' is empty" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_range_hit_command(tmp_path):
@@ -430,6 +448,14 @@ BASE_CONFIGS = {
     ("capacity", ("diag_samples",), float("inf")),
     ("hermite-verify", ("bound_overrides",), {"lamda0": 1e-9}),
     ("hermite-verify", ("bound_overrides",), [["lambda0", 1e-9]]),
+    ("sbm-extinction", ("runs",), 0),
+    ("range-hit", ("runs",), 0),
+    ("range-hit", ("runs",), -5),
+    ("prop51", ("sim", "runs"), 0),
+    ("theorem1", ("sim", "runs"), 0),
+    ("theorem1", ("sim", "n_particles"), 0),
+    ("sbm-extinction", ("max_particle_steps",), -1),
+    ("prop51", ("sim", "max_particle_steps"), 0),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

@@ -39,6 +39,7 @@ from .energy_kernel import (  # noqa: F401
 from .capacity_solver import (  # noqa: F401
     CapacityResult,
     KernelMatrix,
+    LatticeKernel,
     assemble_kernel_matrix,
     capacity,
     capacity_growth_profile,

@@ -11,6 +11,10 @@ so each call shares one time key. The Newtonian and cap-prime kernels are
 translation invariant, so a cell's self-energy depends only on the offsets of
 the pair from the centre: one seeded draw of offset pairs gives every cell the
 same estimate. The parabolic kernel is not, and each cell draws its own pairs.
+On a cloud whose centres sit on the pitch lattice, an invariant kernel's
+matrix is a :class:`LatticeKernel`: a table of the kernel over lattice
+offsets plus that one self-energy, with no n x n array. Its rows are
+gathered from the table and its products K w are FFT convolutions.
 
 The energy is minimized by pairwise Frank-Wolfe: each step moves mass from
 the support atom with the largest potential to the cell with the smallest.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .region import RegionError, Thorn, discretize, region_to_dict
 
 __all__ = [
     "KernelMatrix",
+    "LatticeKernel",
     "CapacityResult",
     "DualityReport",
     "assemble_kernel_matrix",
@@ -54,15 +60,27 @@ __all__ = [
     "translation_noninvariance_demo",
 ]
 
-STENCIL_BLOCK = 131_072   # offsets per stencil row block: 1 MB, which stays in cache
 LEVEL_MIN_CELLS = 16      # mean cells per time level below which a cloud is one level:
                           # more kernel calls would cost more than the in-place route
 SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
 NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
 
 
+def _check_values(a):
+    """Raise unless every value of ``a`` is finite and non-negative; return
+    the largest. min and max carry any NaN or infinity."""
+    lo, hi = float(a.min()), float(a.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("kernel matrix has non-finite entries")
+    if lo < 0:
+        raise ValueError("kernel matrix has negative entries")
+    return hi
+
+
 @dataclass
 class KernelMatrix:
+    """A dense kernel matrix, read by the solver as a LatticeKernel is."""
+
     entries: np.ndarray
     provenance: dict
 
@@ -70,25 +88,106 @@ class KernelMatrix:
     def n(self):
         return self.entries.shape[0]
 
+    def row(self, i, out):
+        """Row i: a view of the matrix; ``out`` is not written."""
+        return self.entries[i]
+
+    def diagonal(self):
+        return np.diagonal(self.entries)
+
+    def matvec(self, w):
+        return self.entries @ w
+
     def check(self):
         """Finite, non-negative and symmetric to 1e-12 * max(1, max|a|).
 
-        min and max carry any NaN or infinity, and symmetry is compared on
-        256 x 256 block pairs, so it makes no n x n temporary.
+        Symmetry is compared on 256 x 256 block pairs, so it makes no n x n
+        temporary.
         """
         a = self.entries
-        lo, hi = float(a.min()), float(a.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("kernel matrix has non-finite entries")
-        if lo < 0:
-            raise ValueError("kernel matrix has negative entries")
-        tol = 1e-12 * max(1.0, hi)
+        tol = 1e-12 * max(1.0, _check_values(a))
         n, block = a.shape[0], 256
         for i in range(0, n, block):
             for j in range(i, n, block):
                 asym = np.abs(a[i:i + block, j:j + block] - a[j:j + block, i:i + block].T)
                 if asym.max() > tol:
                     raise ValueError("kernel matrix is not symmetric")
+
+
+def _fft_len(m):
+    """Smallest 2^a 3^b 5^c >= m (a divisor of 30^64): numpy.fft is fast on it."""
+    while pow(30, 64, m):
+        m += 1
+    return m
+
+
+class LatticeKernel:
+    """Kernel matrix of a translation-invariant kernel on cells at lattice
+    indices ``k`` (n, D), with no n x n array: entry (i, j) is
+    ``table[sum_a |k_ja - k_ia| * strides_a]`` (see ``_stencil_table``), and
+    offset 0, the diagonal, holds ``self_energy``. Rows are gathered from
+    the table; products are zero-padded FFT convolutions over the offset
+    grid, 2S - 1 wide on an axis where the cells span S lattice values."""
+
+    def __init__(self, k, table, strides, self_energy, provenance):
+        self.table = np.array(table, dtype=float)
+        self.table[0] = self_energy
+        self.provenance, self.n, self._cells = provenance, k.shape[0], tuple(k.T)
+        self._k = k.tolist()  # python ints index the _dist rows fastest
+        self._shape = tuple((k.max(axis=0) + 1).tolist())
+        self._fft_shape = [_fft_len(2 * s - 1) for s in self._shape]
+        # _dist[a][v] = |k_a - v| * strides_a for each value v on axis a, in the
+        # smallest integer type that holds every offset of the table
+        size = np.min_scalar_type(self.table.size - 1)
+        self._dist = [(np.abs(np.arange(s)[:, None] - kx) * st).astype(size)
+                      for s, kx, st in zip(self._shape, k.T, strides)]
+        self._off = np.empty(self.n, dtype=size)
+
+    def row(self, i, out):
+        """Row i, gathered from the table into ``out``, which is returned."""
+        ki = self._k[i]
+        off = self._dist[0][ki[0]]
+        for dist, v in zip(self._dist[1:], ki[1:]):
+            off = np.add(off, dist[v], out=self._off)
+        # in range by construction; "clip" writes into out with no buffer
+        return self.table.take(off, out=out, mode="clip")
+
+    def diagonal(self):
+        return np.full(self.n, self.table[0])
+
+    @cached_property
+    def _kernel_hat(self):
+        """FFT of the kernel on the offset grid: offset +-m sits at positions
+        m and L - m of an axis of length L; the positions in between are
+        never read by a product of two grids S wide."""
+        pos = [np.minimum(np.arange(m), m - np.arange(m)).clip(max=s - 1)
+               for s, m in zip(self._shape, self._fft_shape)]
+        return np.fft.rfftn(self.table.reshape(self._shape)[np.ix_(*pos)])
+
+    def matvec(self, w):
+        grid = np.zeros(self._shape)
+        grid[self._cells] = w
+        axes = range(grid.ndim)
+        conv = np.fft.irfftn(np.fft.rfftn(grid, self._fft_shape, axes) * self._kernel_hat,
+                             self._fft_shape, axes)
+        return conv[self._cells]
+
+    @property
+    def entries(self):
+        """The n x n matrix, stacked from its rows."""
+        a = np.empty((self.n, self.n))
+        for i in range(self.n):
+            self.row(i, a[i])
+        return a
+
+    def check(self):
+        """Table and self-energy finite and non-negative, one cell per site:
+        every entry is one of those values, symmetric by construction."""
+        _check_values(self.table)
+        occupied = np.zeros(self._shape, dtype=bool)
+        occupied[self._cells] = True
+        if np.count_nonzero(occupied) < self.n:
+            raise ValueError("kernel matrix has two cells on one lattice site")
 
 
 @dataclass
@@ -227,12 +326,12 @@ def _stencil_table(kind, k, pitch):
     """Kernel on every lattice offset m * pitch, m = 0..max(k) per axis.
 
     Returns the table flattened in C order and the axis strides of that
-    order, or None when the table would be larger than the cloud's
-    off-diagonal pair count.
+    order, or None when the FFT grid of offsets, (2 max(k) + 1) per axis,
+    would be larger than the cloud's off-diagonal pair count.
     """
     shape = k.max(axis=0) + 1
     n = k.shape[0]
-    if math.prod(shape.tolist()) > n * (n - 1) // 2:
+    if math.prod((2 * shape - 1).tolist()) > n * (n - 1) // 2:
         return None
     m = np.indices(shape).reshape(shape.size, -1).T * pitch
     if kind.tag == "newtonian":
@@ -242,27 +341,6 @@ def _stencil_table(kind, k, pitch):
                                        np.zeros_like(m[:, 1:]))
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     return table, strides
-
-
-def _fill_stencil(a, k, table, strides):
-    """a[i, j] = table[sum_axis |k_j - k_i| * stride], in blocks of whole rows
-    holding about STENCIL_BLOCK offsets."""
-    n = a.shape[0]
-    ks = np.ascontiguousarray((k * strides).T)  # one contiguous row per axis
-    rows = max(1, STENCIL_BLOCK // n)
-    off = np.empty((min(rows, n), n), dtype=np.intp)
-    step = np.empty_like(off)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        o, t = off[:hi - lo], step[:hi - lo]
-        o.fill(0)
-        for kx in ks:
-            np.subtract(kx[None, :], kx[lo:hi, None], out=t)
-            np.abs(t, out=t)
-            o += t
-        # offsets are in range by construction; "clip" lets take write into
-        # the matrix rows without the buffer that "raise" makes
-        np.take(table, o, out=a[lo:hi], mode="clip")
 
 
 def _fill_pairwise(a, cloud, kind):
@@ -288,16 +366,17 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
 
     Off-diagonal (i, j): kernel of the two centers. The Newtonian and
     cap-prime kernels are translation invariant, so on a cloud whose centres
-    sit on the pitch lattice they are read from one table of the kernel over
-    lattice offsets (a stencil), which makes the matrix exactly symmetric.
-    Clouds off the lattice (e.g. slices at times that are not a whole number
-    of pitches apart), clouds whose offset table would outnumber their pairs
-    and every parabolic cloud are evaluated pair by pair over the upper
-    triangle. A space-time cloud goes one ordered pair of its time levels at
-    a time (``_level_pair_chunks``), so every kernel block takes the one-key
-    matrix-product route; a spatial cloud, a single level (a time slice), or
-    levels that average fewer than LEVEL_MIN_CELLS cells are one level, the
-    row-major triangle.
+    sit on the pitch lattice the result is a :class:`LatticeKernel`: one
+    table of the kernel over lattice offsets (a stencil) and the shared
+    self-energy, exactly symmetric, with no n x n array. Every other cloud
+    gives a dense :class:`KernelMatrix`: clouds off the lattice (e.g. slices
+    at times that are not a whole number of pitches apart), clouds whose FFT
+    offset grid would outnumber their pairs and every parabolic cloud are
+    evaluated pair by pair over the upper triangle. A space-time cloud goes
+    one ordered pair of its time levels at a time (``_level_pair_chunks``),
+    so every kernel block takes the one-key matrix-product route; a spatial
+    cloud, a single level (a time slice), or levels that average fewer than
+    LEVEL_MIN_CELLS cells are one level, the row-major triangle.
 
     Diagonal i: mean kernel over ``diag_samples`` independent point pairs
     drawn uniformly in cell i, from ``default_rng(seed)``. For the Newtonian
@@ -314,16 +393,11 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         raise ValueError(f"diag_samples must be at least 1, got {diag_samples!r}")
     kind.check(cloud.times is not None, cloud.d, "cloud")
     n = cloud.n
-    a = np.zeros((n, n))
     stencil = None
     if kind.tag != "parabolic":
         k = _lattice_index(cloud)
         if k is not None:
             stencil = _stencil_table(kind, k, cloud.resolution)
-    if stencil is None:
-        _fill_pairwise(a, cloud, kind)
-    else:
-        _fill_stencil(a, k, *stencil)
 
     rng = np.random.default_rng(seed)
     if kind.tag == "parabolic":
@@ -338,7 +412,6 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         strategy = "within-cell pair sampling, one offset draw shared by every cell"
         diag = _mean_kernel(kind, lambda: _cell_offsets(cloud, (diag_samples,), rng),
                             (diag_samples,))
-    a[np.diag_indices(n)] = diag
 
     prov = {
         "kernel": kind.tag if kind.d is None else f"{kind.tag}(d={kind.d})",
@@ -349,7 +422,13 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         "seed": int(seed),
         "n_cells": n,
     }
-    km = KernelMatrix(a, prov)
+    if stencil is None:
+        a = np.zeros((n, n))
+        _fill_pairwise(a, cloud, kind)
+        a[np.diag_indices(n)] = diag
+        km = KernelMatrix(a, prov)
+    else:
+        km = LatticeKernel(k, *stencil, diag, prov)
     km.check()
     return km
 
@@ -369,25 +448,28 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
     tol * objective (Lacoste-Julien & Jaggi, NeurIPS 2015). Returns
     (energy_min, weights, gap, iterations, converged).
 
-    K must be symmetric: the gradient update reads row i of K in place of
-    column i, because a row is contiguous in memory.
+    K is a KernelMatrix or a LatticeKernel (an array is wrapped as a
+    KernelMatrix), read through ``row`` (s and a per step), ``diagonal`` and
+    ``matvec`` (each refresh and the final energy). K must be symmetric: the
+    gradient update reads row i of K in place of column i.
     """
-    A = K.entries if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
-    n = A.shape[0]
+    if not isinstance(K, (KernelMatrix, LatticeKernel)):
+        K = KernelMatrix(np.asarray(K, dtype=float), {})
+    n = K.n
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = 50 * n
 
-    i0 = int(np.argmin(np.diag(A)))
+    i0 = int(np.argmin(K.diagonal()))
     act = np.empty(n, dtype=np.intp)   # support indices, act[:m]
     wa = np.empty(n)                   # their weights, wa[:m]
     pos = np.full(n, -1, dtype=np.intp)  # slot of each atom in act, -1 if out
     act[0], wa[0], pos[i0], m = i0, 1.0, 0, 1
-    grad = 2.0 * A[i0]
-    buf = np.empty(n)
+    rs, ra, buf = np.empty((3, n))     # row buffers of a gathering K
+    grad = 2.0 * K.row(i0, rs)
     w = np.zeros(n)
-    f = float(A[i0, i0])
+    f = 0.5 * float(grad[i0])
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
@@ -402,14 +484,15 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
         a = int(act[k])
         w_a = float(wa[k])
         slope = g_s - float(g_act[k])  # < 0, since g_a >= gw > g_s
-        curv = float(A[s, s]) + float(A[a, a]) - 2.0 * float(A[s, a])
+        row_s, row_a = K.row(s, rs), K.row(a, ra)
+        curv = float(row_s[s]) + float(row_a[a]) - 2.0 * float(row_s[a])
         gamma = w_a if curv <= 0 else min(w_a, -slope / (2.0 * curv))
         f_prev = f
         f += gamma * slope + gamma * gamma * curv
         if not f <= f_prev * (1.0 + 1e-10) + 1e-14:
             raise RuntimeError(
                 f"objective did not decrease at iteration {it}: {f_prev} -> {f}")
-        np.subtract(A[s], A[a], out=buf)
+        np.subtract(row_s, row_a, out=buf)
         buf *= 2.0 * gamma
         grad += buf
         if pos[s] < 0:
@@ -427,12 +510,11 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
             # shed accumulated drift in the incremental updates
             wa[:m] /= wa[:m].sum()
             w[act[:m]] = wa[:m]
-            np.dot(A, w, out=grad)
-            grad *= 2.0
+            grad = 2.0 * K.matvec(w)
             w[act[:m]] = 0.0
             f = 0.5 * float(grad[act[:m]] @ wa[:m])
     w[act[:m]] = wa[:m] / wa[:m].sum()
-    f = float(w @ (A @ w))
+    f = float(w @ K.matvec(w))
     converged = gap <= 10.0 * tol * abs(f)
     return f, w, gap, it, converged
 
@@ -449,7 +531,7 @@ def capacity_on_cloud(cloud, kind, tol=1e-6, seed=0, diag_samples=256,
     cap = math.inf if energy_min <= 0 else 1.0 / energy_min
     eq = DiscreteMeasure(cloud.times, cloud.coords, w)  # times None: spatial
     return CapacityResult(cap, energy_min, eq, gap, iters, converged, tol,
-                          km.provenance, km.entries @ eq.weights)
+                          km.provenance, km.matvec(eq.weights))
 
 
 def capacity(region, kind, resolution, tol=1e-6, seed=0, diag_samples=256,
@@ -513,7 +595,7 @@ def verify_duality(result, cloud, matrix=None):
             matrix = assemble_kernel_matrix(cloud, PARABOLIC,
                                             diag_samples=prov["diag_samples"],
                                             seed=prov["seed"])
-        kw = matrix.entries @ w
+        kw = matrix.matvec(w)
     potentials = result.capacity * kw
     min_potential = float(np.min(potentials[w > SUPPORT_TOL]))
     min_potential_all = float(np.min(potentials))

@@ -89,7 +89,7 @@ def _capacity_fields(cfg):
     """capacity() keywords of the optional "capacity" section."""
     cap_cfg = _field(cfg, "capacity", dict, {})
     return {"tol": _field(cap_cfg, "tol", _real, 1e-5),
-            "diag_samples": _field(cap_cfg, "diag_samples", _integer, 256)}
+            "diag_samples": _field(cap_cfg, "diag_samples", _count, 256)}
 
 
 def _fmt(x):
@@ -109,8 +109,8 @@ def cmd_capacity(cfg, seed, out):
     result = capacity(region, kind, _field(cfg, "resolution", _real),
                       tol=_field(cfg, "tol", _real, 1e-6),
                       seed=seed,
-                      diag_samples=_field(cfg, "diag_samples", _integer, 256),
-                      max_iter=_field(cfg, "max_iter", _integer, None))
+                      diag_samples=_field(cfg, "diag_samples", _count, 256),
+                      max_iter=_field(cfg, "max_iter", _count, None))
     _write_json(out, result.to_json_dict())
     return 0 if result.converged else 2
 
@@ -260,7 +260,7 @@ def cmd_profile(cfg, seed, out):
         region, eps_list,
         pitch_factor=_field(cfg, "pitch_factor", _real, 0.5),
         tol=_field(cfg, "tol", _real, 1e-5), seed=seed,
-        diag_samples=_field(cfg, "diag_samples", _integer, 128))
+        diag_samples=_field(cfg, "diag_samples", _count, 128))
     rows = [[_fmt(r["eps"]), _fmt(r["resolution"]), _fmt(r["capacity"]),
              r["error"]] for r in rows_in]
     _write_csv(out, cfg, seed, ["eps", "resolution", "capacity", "error"], rows)

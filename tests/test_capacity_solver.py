@@ -10,6 +10,7 @@ from parcap import capacity_solver, energy_kernel
 from parcap.capacity_solver import (
     CapacityResult,
     KernelMatrix,
+    LatticeKernel,
     _fill_pairwise,
     _lattice_index,
     _level_pair_chunks,
@@ -419,6 +420,86 @@ def test_stencil_matches_pairwise(cloud, kind, monkeypatch):
     assert np.array_equal(np.diag(stencil), np.diag(pairwise))
     ref = _offdiag(pairwise)
     assert np.all(np.abs(_offdiag(stencil) - ref) <= 1e-13 * ref)
+
+
+LATTICE_CASES = [
+    (discretize(SpatialBall((0.0, 0.0), 0.5), 0.05), newtonian(2)),
+    (discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.1), newtonian(3)),
+    (discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1), CAP_PRIME),
+    (discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.4), 0.1), CAP_PRIME),
+]
+LATTICE_IDS = ["newtonian_d2", "newtonian_d3", "cap_prime_box", "cap_prime_slice"]
+
+
+@pytest.mark.parametrize("cloud, kind", LATTICE_CASES, ids=LATTICE_IDS)
+def test_lattice_kernel_solves_like_its_dense_matrix(cloud, kind):
+    km = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4)
+    assert isinstance(km, LatticeKernel)
+    dense = KernelMatrix(km.entries, {})
+    # before the first refresh every step reads gathered rows only
+    assert np.array_equal(minimize_energy(km, max_iter=511)[1],
+                          minimize_energy(dense, max_iter=511)[1])
+    f, w, _, iters, converged = minimize_energy(km, tol=1e-8)
+    f_ref, _, _, iters_ref, _ = minimize_energy(dense, tol=1e-8)
+    assert converged
+    assert iters == iters_ref
+    assert f == pytest.approx(f_ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("cloud, kind", LATTICE_CASES, ids=LATTICE_IDS)
+def test_lattice_kernel_fft_product_matches_the_dense_product(cloud, kind):
+    km = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4)
+    a = km.entries
+    rng = np.random.default_rng(8)
+    for w in (rng.uniform(0.0, 1.0, cloud.n), np.eye(cloud.n)[cloud.n // 3]):
+        ref = a @ w
+        assert np.all(np.abs(km.matvec(w) - ref) <= 1e-13 * ref)
+    assert np.array_equal(km.diagonal(), np.diag(a))
+
+
+def test_lattice_kernel_check():
+    cloud = discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.1)
+    k = _lattice_index(cloud)
+    table, strides = _stencil_table(newtonian(3), k, cloud.resolution)
+    assert table[0] == np.inf  # offset 0 is the diagonal: the self-energy replaces it
+    LatticeKernel(k, table, strides, 30.0, {}).check()
+    for value, self_energy, match in ((np.nan, 30.0, "non-finite"),
+                                      (np.inf, 30.0, "non-finite"),
+                                      (-0.5, 30.0, "negative"),
+                                      (table[5], np.inf, "non-finite"),
+                                      (table[5], np.nan, "non-finite"),
+                                      (table[5], -1.0, "negative")):
+        bad = table.copy()
+        bad[5] = value
+        with pytest.raises(ValueError, match=match):
+            LatticeKernel(k, bad, strides, self_energy, {}).check()
+    with pytest.raises(ValueError, match="one lattice site"):
+        LatticeKernel(np.vstack([k, k[:1]]), table, strides, 30.0, {}).check()
+
+
+def test_lattice_kernel_needs_its_fft_grid_to_fit_in_the_pairs():
+    # a 10-cell ball on a 3 x 3 x 3 lattice: its 27-entry table fits in its
+    # 45 pairs, but its 5 x 5 x 5 FFT grid does not, so it stays dense
+    cloud = discretize(SpatialBall((0.0, 0.0, 0.0), 0.2), 0.15)
+    k = _lattice_index(cloud)
+    assert cloud.n == 10
+    assert np.array_equal(k.max(axis=0), [2, 2, 2])
+    assert _stencil_table(newtonian(3), k, cloud.resolution) is None
+    km = assemble_kernel_matrix(cloud, newtonian(3), diag_samples=16, seed=4)
+    assert type(km) is KernelMatrix
+
+
+def test_lattice_capacity_allocates_no_cells_by_cells_array():
+    # the n = 4224 matrix alone would take 4224 * 4224 * 8 B = 136 MB
+    tracemalloc.start()
+    try:
+        res = capacity(SpatialBall((0.0, 0.0, 0.0), 1.0), newtonian(3), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.equilibrium.weights.size == 4224
+    assert res.converged
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("region, kind, on_lattice", [

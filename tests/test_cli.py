@@ -456,6 +456,12 @@ BASE_CONFIGS = {
     ("theorem1", ("sim", "n_particles"), 0),
     ("sbm-extinction", ("max_particle_steps",), -1),
     ("prop51", ("sim", "max_particle_steps"), 0),
+    ("capacity", ("max_iter",), -3),
+    ("capacity", ("max_iter",), 0),
+    ("capacity", ("diag_samples",), 0),
+    ("theorem1", ("capacity", "diag_samples"), 0),
+    ("prop51", ("capacity", "diag_samples"), -1),
+    ("profile", ("diag_samples",), 0),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

@@ -60,6 +60,8 @@ __all__ = [
     "translation_noninvariance_demo",
 ]
 
+PAIR_CHUNK = 1 << 16      # pairs per kernel call: a multiple of the kernels' 1024-pair
+                          # block, so every temporary sized by pairs stays a fixed size
 LEVEL_MIN_CELLS = 16      # mean cells per time level below which a cloud is one level:
                           # more kernel calls would cost more than the in-place route
 SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
@@ -246,11 +248,14 @@ def _time_levels(times):
     return np.split(order, np.flatnonzero(np.diff(times[order])) + 1)
 
 
-def _level_pair_chunks(levels, target=1_500_000):
+def _level_pair_chunks(levels, target=PAIR_CHUNK):
     """Yield (i, j) index arrays covering the strict upper triangle, i < j:
     per ordered pair of ``levels`` (from ``_time_levels``), runs of whole rows
-    of at most ``target`` pairs. On one level, ``[np.arange(n)]``, that is the
-    row-major triangle in chunks of whole rows."""
+    of at most ``target`` pairs (one row if a row alone is wider). On one
+    level, ``[np.arange(n)]``, that is the row-major triangle in chunks of
+    whole rows; any sorted index array gives the triangle over those cells.
+    Only one chunk is alive at a time, so its index arrays and the kernel's
+    temporaries stay a fixed size however many pairs there are."""
     for rows in levels:
         for cols in levels:
             step = max(1, target // max(cols.size, 1))
@@ -263,11 +268,19 @@ def _level_pair_chunks(levels, target=1_500_000):
 
 
 def _pair_values(kind, times1, coords1, times2, coords2):
-    if kind.tag == "parabolic":
-        return parabolic_kernel_batch(times1, coords1, times2, coords2)
-    if kind.tag == "cap_prime":
-        return cap_prime_kernel_batch(times1, coords1, times2, coords2)
-    return newtonian_kernel_batch(coords1, coords2, kind.d)
+    """Kernel of each aligned pair, evaluated PAIR_CHUNK pairs per call.
+
+    The slices start at multiples of the kernels' 1024-pair block, so every
+    block, and hence every value, is the one a single call would give."""
+    batch = parabolic_kernel_batch if kind.tag == "parabolic" else cap_prime_kernel_batch
+    out = np.empty(len(coords1))
+    for lo in range(0, out.size, PAIR_CHUNK):
+        s = slice(lo, lo + PAIR_CHUNK)
+        if kind.tag == "newtonian":
+            out[s] = newtonian_kernel_batch(coords1[s], coords2[s], kind.d)
+        else:
+            out[s] = batch(times1[s], coords1[s], times2[s], coords2[s])
+    return out
 
 
 def _cell_offsets(cloud, shape, rng):
@@ -344,21 +357,22 @@ def _stencil_table(kind, k, pitch):
 
 
 def _fill_pairwise(a, cloud, kind):
-    """Kernel of each pair of centres over the upper triangle, mirrored.
+    """Kernel of each pair of centres over the upper triangle of the zeroed
+    ``a``, each chunk written to both triangles as it is evaluated.
 
     A space-time cloud is filled one pair of its time levels at a time, so
     every kernel block shares one time key. A spatial cloud, a single level,
-    or levels that average fewer than LEVEL_MIN_CELLS cells are one level."""
+    or levels that average fewer than LEVEL_MIN_CELLS cells are one level.
+    Each chunk holds at most PAIR_CHUNK pairs (one row if it is wider), so
+    beyond ``a`` the fill's memory does not grow with the pair count."""
     levels = [np.arange(cloud.n)] if cloud.times is None else _time_levels(cloud.times)
     if len(levels) > cloud.n // LEVEL_MIN_CELLS:
         levels = [np.arange(cloud.n)]
+    times = cloud.times
     for ii, jj in _level_pair_chunks(levels):  # lazy: only one chunk is alive
-        if cloud.times is None:
-            a[ii, jj] = _pair_values(kind, None, cloud.coords[ii], None, cloud.coords[jj])
-        else:
-            a[ii, jj] = _pair_values(kind, cloud.times[ii], cloud.coords[ii],
-                                     cloud.times[jj], cloud.coords[jj])
-    a += a.T
+        a[ii, jj] = a[jj, ii] = _pair_values(
+            kind, None if times is None else times[ii], cloud.coords[ii],
+            None if times is None else times[jj], cloud.coords[jj])
 
 
 def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
@@ -579,6 +593,10 @@ def verify_duality(result, cloud, matrix=None):
     (0, t^t') per pair, with no endpoint substitution, so interior nodes
     truncate the diagonal singularity (the desk-scale smoothing the norm
     check tolerates). On a time slice that is one matrix product per block.
+    The kernel is symmetric, so the sum runs over the support's strict upper
+    triangle, counted twice, in chunks of at most PAIR_CHUNK pairs
+    (``_level_pair_chunks``), plus one call for its diagonal pairs: the
+    working memory is a fixed chunk, whatever the support's size.
     """
     prov = result.provenance
     if prov["kernel"] != "parabolic":
@@ -601,12 +619,16 @@ def verify_duality(result, cloud, matrix=None):
     min_potential_all = float(np.min(potentials))
 
     idx = np.flatnonzero(w > NORM_SUPPORT_TOL)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
     xg, wg = gauss_legendre(96)
-    vals = reduced_pair_sum(cloud.times[ii], cloud.coords[ii], cloud.times[jj],
-                            cloud.coords[jj], 0.5 * (1.0 - xg), 0.5 * wg)
-    norm_sq = result.capacity ** 2 * float(np.sum(w[ii] * w[jj] * vals))
+    rho, omega = 0.5 * (1.0 - xg), 0.5 * wg
+    t, x = cloud.times, cloud.coords
+
+    def pair_sum(ii, jj):
+        vals = reduced_pair_sum(t[ii], x[ii], t[jj], x[jj], rho, omega)
+        return float((w[ii] * w[jj]) @ vals)
+
+    upper = sum(pair_sum(ii, jj) for ii, jj in _level_pair_chunks([idx]))
+    norm_sq = result.capacity ** 2 * (2.0 * upper + pair_sum(idx, idx))
     return DualityReport(min_potential, min_potential_all,
                          norm_sq / result.capacity, result.capacity)
 

@@ -530,6 +530,7 @@ def _draw_starts(start_law, d, runs, rng):
 
 
 WOS_EPS = 1e-6  # walk-on-spheres shell: a walker this close to a boundary is on it
+WOS_I0_CHUNK = 1 << 14  # d = 2 walkers per np.i0 call, whose temporaries are many
 
 
 def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
@@ -563,7 +564,11 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
         if d == 2:
             z = r * math.sqrt(2.0)
             live = ~near & (z <= 700.0)
-            live[live] = rng.uniform(size=int(live.sum())) * np.i0(z[live]) < 1.0
+            z = z[live]
+            u = rng.uniform(size=z.size)
+            for lo in range(0, z.size, WOS_I0_CHUNK):
+                u[lo:lo + WOS_I0_CHUNK] *= np.i0(z[lo:lo + WOS_I0_CHUNK])
+            live[live] = u < 1.0
         else:
             room = kill_radius - np.linalg.norm(pos, axis=1)
             live = ~near & (room > WOS_EPS)

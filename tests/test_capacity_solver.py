@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from parcap import capacity_solver, energy_kernel
 from parcap.capacity_solver import (
+    PAIR_CHUNK,
     CapacityResult,
     KernelMatrix,
     LatticeKernel,
@@ -34,6 +35,7 @@ from parcap.energy_kernel import (
     newtonian,
     newtonian_kernel,
     parabolic_kernel_batch,
+    reduced_pair_sum,
 )
 from parcap.heat_kernel import log_heat_density
 from parcap.quadrature import gauss_legendre
@@ -335,6 +337,52 @@ def test_certificate_integral_matches_direct_gl96(region, pitch):
     assert rep.norm_sq_ratio == pytest.approx(res.capacity * norm_sq, rel=1e-12)
 
 
+def test_certificate_sums_the_triangle_twice_plus_the_diagonal():
+    # every one of the 429 cells on the support: 91,806 pairs in the strict
+    # upper triangle, so it spans two chunks
+    cloud = discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.7), 0.06)
+    n = cloud.n
+    assert len(list(_level_pair_chunks([np.arange(n)]))) >= 2
+    w = np.random.default_rng(8).uniform(0.5, 1.0, n)
+    w /= w.sum()
+    res = CapacityResult(2.0, 0.5, DiscreteMeasure(cloud.times, cloud.coords, w),
+                         0.0, 0, True, 1e-6, {"kernel": "parabolic"})
+    rep = verify_duality(res, cloud, matrix=KernelMatrix(np.eye(n), {}))
+    ii, jj = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    xg, wg = gauss_legendre(96)
+    vals = reduced_pair_sum(cloud.times[ii], cloud.coords[ii], cloud.times[jj],
+                            cloud.coords[jj], 0.5 * (1.0 - xg), 0.5 * wg)
+    square = float(np.sum(w[ii] * w[jj] * vals))
+    assert rep.norm_sq_ratio == pytest.approx(res.capacity * square, rel=1e-12)
+
+
+B090 = TimeSliceBall(1.0, (0.0, 0.0), 0.9)
+
+
+@pytest.mark.parametrize("kind, batch", [(PARABOLIC, parabolic_kernel_batch),
+                                         (CAP_PRIME, cap_prime_kernel_batch)],
+                         ids=["parabolic", "cap_prime"])
+def test_pair_values_in_chunks_equal_one_call(kind, batch):
+    # a time pair per pair (the in-place route) and a ragged last chunk
+    rng = np.random.default_rng(9)
+    m = PAIR_CHUNK + 5
+    t1, t2 = rng.uniform(0.5, 1.5, (2, m))
+    x1, x2 = rng.uniform(-1.0, 1.0, (2, m, 1))
+    assert np.array_equal(_pair_values(kind, t1, x1, t2, x2), batch(t1, x1, t2, x2))
+
+
+def test_b090_assembly_and_certificate_peaks_stay_a_fixed_chunk():
+    # the matrix is 716 * 716 * 8 B = 4.1 MB; the whole-triangle fill and the
+    # certificate's square of the 606 support cells peaked at 36 and 46 MB
+    cloud = discretize(B090, 0.06)
+    _, assemble_peak = traced_peak(lambda: assemble_kernel_matrix(cloud, PARABOLIC, seed=1))
+    res = capacity_on_cloud(cloud, PARABOLIC, seed=1)
+    assert res.support_size == 606
+    _, verify_peak = traced_peak(lambda: verify_duality(res, cloud))
+    assert assemble_peak < 20 * 2 ** 20
+    assert verify_peak < 12 * 2 ** 20
+
+
 @pytest.mark.parametrize("region, pitch", [
     (TimeSliceBall(1.0, (0.0, 0.0), 0.45), 0.1),
     (SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.2),
@@ -491,12 +539,8 @@ def test_lattice_kernel_needs_its_fft_grid_to_fit_in_the_pairs():
 
 def test_lattice_capacity_allocates_no_cells_by_cells_array():
     # the n = 4224 matrix alone would take 4224 * 4224 * 8 B = 136 MB
-    tracemalloc.start()
-    try:
-        res = capacity(SpatialBall((0.0, 0.0, 0.0), 1.0), newtonian(3), 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: capacity(SpatialBall((0.0, 0.0, 0.0), 1.0),
+                                             newtonian(3), 0.1))
     assert res.equilibrium.weights.size == 4224
     assert res.converged
     assert peak < 16 * 2 ** 20
@@ -697,12 +741,7 @@ def test_minimize_allocates_no_support_by_cells_block():
     n = 1500
     b = np.random.default_rng(3).uniform(0.0, 1.0, (n, n))
     K = np.eye(n) + 0.005 * (b + b.T)
-    tracemalloc.start()
-    try:
-        _, w, _, iters, converged = minimize_energy(K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, w, _, iters, converged), peak = traced_peak(lambda: minimize_energy(K))
     assert converged
     assert iters > 512  # at least one refresh ran
     assert np.count_nonzero(w) == n
@@ -812,7 +851,10 @@ THREE_SLICES_OFF_LATTICE = RegionUnion(tuple(SliceOf(t, SpatialBall((0.0,), 0.5)
      "in place"),
     # off the pitch lattice, so no stencil: 50 cells per level
     (THREE_SLICES_OFF_LATTICE, 0.02, CAP_PRIME, cap_prime_kernel_batch, "one key"),
-], ids=["box", "thorn_eps0.05", "thin_levels", "cap_prime_slices_off_lattice"])
+    # one level of 716 cells: 255,970 pairs, more than three PAIR_CHUNKs
+    (B090, 0.06, PARABOLIC, parabolic_kernel_batch, "one key"),
+], ids=["box", "thorn_eps0.05", "thin_levels", "cap_prime_slices_off_lattice",
+        "b090_in_chunks"])
 def test_parabolic_offdiagonal_takes_one_key_blocks_and_matches_whole_triangle(
         region, pitch, kind, batch, route, monkeypatch):
     cloud = discretize(region, pitch)

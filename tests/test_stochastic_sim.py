@@ -255,6 +255,14 @@ def test_range_hit_d2_killed_at_exponential_time():
     assert 0.0 < est.p_hat < 1.0
 
 
+def test_range_hit_d2_count_is_pinned():
+    # 50,000 walkers: more than one chunk of the survival draw's I0, whose
+    # values do not depend on how the live walkers are split
+    est = estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0), dt=1e-3,
+                             runs=50_000, seed=1)
+    assert est.hits == 8874
+
+
 def test_range_hit_start_law_variants():
     from parcap.energy_kernel import DiscreteMeasure
     reg = SpatialBall((0.0, 0.0, 0.0), 1.0)

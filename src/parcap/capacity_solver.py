@@ -5,16 +5,17 @@ The capacity of a region is 1 / min_w w^T K w over the probability simplex,
 where K is the mutual-energy matrix of the region's grid cells. Off-diagonal
 entries are kernel values of cell centers; diagonal entries are cell
 self-energies estimated by within-cell pair sampling, which keeps the
-discretized energy from collapsing to zero under refinement. Pairs of a
+discretized energy from collapsing to zero under refinement. The kernel
+kind evaluates its pairs (``KernelKind.batch``) and says whether it is
+invariant under translation, so this module names no kernel. Pairs of a
 space-time cloud are evaluated one pair of its time levels per kernel call,
-so each call shares one time key. The Newtonian and cap-prime kernels are
-translation invariant, so a cell's self-energy depends only on the offsets of
-the pair from the centre: one seeded draw of offset pairs gives every cell the
-same estimate. The parabolic kernel is not, and each cell draws its own pairs.
-On a cloud whose centres sit on the pitch lattice, an invariant kernel's
-matrix is a :class:`LatticeKernel`: a table of the kernel over lattice
-offsets plus that one self-energy, with no n x n array. Its rows are
-gathered from the table and its products K w are FFT convolutions.
+so each call shares one time key. An invariant kernel's self-energy takes
+one seeded draw of offset pairs from the centre, shared by every cell; the
+parabolic kernel draws pairs per cell. On a cloud whose centres sit on the
+pitch lattice, an invariant kernel's matrix is a :class:`LatticeKernel`, a
+table of the kernel over lattice offsets plus that one self-energy, with no
+n x n array: its rows are gathered from the table and its products K w are
+FFT convolutions.
 
 The energy is minimized by pairwise Frank-Wolfe: each step moves mass from
 the support atom with the largest potential to the cell with the smallest.
@@ -35,14 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy_kernel import (
-    PARABOLIC,
-    DiscreteMeasure,
-    cap_prime_kernel_batch,
-    newtonian_kernel_batch,
-    parabolic_kernel_batch,
-    reduced_pair_sum,
-)
+from .energy_kernel import PARABOLIC, DiscreteMeasure, reduced_pair_sum
 from .quadrature import gauss_legendre
 from .region import RegionError, Thorn, discretize, region_to_dict
 
@@ -268,57 +262,54 @@ def _level_pair_chunks(levels, target=PAIR_CHUNK):
 
 
 def _pair_values(kind, times1, coords1, times2, coords2):
-    """Kernel of each aligned pair, evaluated PAIR_CHUNK pairs per call.
-
-    The slices start at multiples of the kernels' 1024-pair block, so every
-    block, and hence every value, is the one a single call would give."""
-    batch = parabolic_kernel_batch if kind.tag == "parabolic" else cap_prime_kernel_batch
+    """Kernel of each aligned pair, evaluated PAIR_CHUNK pairs per call;
+    times are None on a spatial cloud. The slices start at multiples of the
+    kernels' 1024-pair block, so every block, and hence every value, is the
+    one a single call would give."""
     out = np.empty(len(coords1))
     for lo in range(0, out.size, PAIR_CHUNK):
         s = slice(lo, lo + PAIR_CHUNK)
-        if kind.tag == "newtonian":
-            out[s] = newtonian_kernel_batch(coords1[s], coords2[s], kind.d)
-        else:
-            out[s] = batch(times1[s], coords1[s], times2[s], coords2[s])
+        t1, t2 = (None, None) if times1 is None else (times1[s], times2[s])
+        out[s] = kind.batch(t1, coords1[s], t2, coords2[s])
     return out
 
 
-def _cell_offsets(cloud, shape, rng):
-    """Uniform offsets from a cell centre: (times, coords) of shape ``shape``
-    and ``shape + (d,)``. Times are None on a spatial cloud and 0 on a slice,
-    whose cells have no time extent; coordinates are drawn first."""
+def _cell_points(cloud, idx, count, rng):
+    """Uniform points in cells as flat (times, coords) arrays: ``count``
+    offsets from a cell centre, one draw shared by every cell, if ``idx`` is
+    None, else ``count`` points in each cell idx, cell by cell. Coordinates
+    are drawn first; times are None on a spatial cloud, and a slice's cells
+    have no time extent, so its time offsets are 0."""
     half = 0.5 * cloud.resolution
+    shape = (count,) if idx is None else (idx.size, count)
     x = rng.uniform(-half, half, size=(*shape, cloud.d))
-    if cloud.times is None:
-        return None, x
-    if cloud.is_slice:
-        return np.zeros(shape), x
-    return rng.uniform(-half, half, size=shape), x
+    t = None
+    if cloud.times is not None:
+        t = np.zeros(shape) if cloud.is_slice else rng.uniform(-half, half, size=shape)
+    if idx is not None:  # offsets to points: add the centres in place
+        x += cloud.coords[idx][:, None, :]
+        t += cloud.times[idx][:, None]
+    return None if t is None else t.reshape(-1), x.reshape(-1, cloud.d)
 
 
-def _cell_samples(cloud, idx, count, rng):
-    """``count`` uniform samples inside each cell idx: (times, coords) arrays."""
-    dt, dx = _cell_offsets(cloud, (idx.size, count), rng)
-    pts = (cloud.coords[idx][:, None, :] + dx).reshape(-1, cloud.d)
-    if dt is None:
-        return None, pts
-    return (cloud.times[idx][:, None] + dt).reshape(-1), pts
+def _mean_kernel(kind, cloud, idx, count, rng):
+    """Mean kernel over ``count`` pairs of ``_cell_points`` per cell idx, or
+    over one shared offset draw (an array of one value) if ``idx`` is None.
+    Coincident pairs have probability zero, so non-finite values are redrawn
+    once."""
 
+    def draw():
+        return _pair_values(kind, *_cell_points(cloud, idx, count, rng),
+                            *_cell_points(cloud, idx, count, rng)).reshape(-1, count)
 
-def _mean_kernel(kind, sample, shape):
-    """Kernel between two draws of ``sample()``, reshaped to ``shape`` and
-    averaged over its last axis. Coincident sample pairs have probability
-    zero, so non-finite values are redrawn once."""
-    vals = _pair_values(kind, *sample(), *sample()).reshape(shape)
+    vals = draw()
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        vals[bad] = _pair_values(kind, *sample(), *sample()).reshape(shape)[bad]
+        vals[bad] = draw()[bad]
         if not np.all(np.isfinite(vals)):
-            raise RuntimeError(
-                "cell self-energy estimate is non-finite after resampling; "
-                "reduce the resolution"
-            )
-    return vals.mean(axis=-1)
+            raise RuntimeError("cell self-energy estimate is non-finite after "
+                               "resampling; reduce the resolution")
+    return vals.mean(axis=1)
 
 
 def _lattice_index(cloud):
@@ -347,11 +338,9 @@ def _stencil_table(kind, k, pitch):
     if math.prod((2 * shape - 1).tolist()) > n * (n - 1) // 2:
         return None
     m = np.indices(shape).reshape(shape.size, -1).T * pitch
-    if kind.tag == "newtonian":
-        table = newtonian_kernel_batch(m, np.zeros_like(m), kind.d)
-    else:
-        table = cap_prime_kernel_batch(m[:, 0], m[:, 1:], np.zeros(m.shape[0]),
-                                       np.zeros_like(m[:, 1:]))
+    # axis 0 is time for a space-time kernel (d None); the newtonian reads no times
+    t, x = m[:, 0], (m if kind.d else m[:, 1:])
+    table = kind.batch(t, x, np.zeros_like(t), np.zeros_like(x))
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     return table, strides
 
@@ -378,28 +367,24 @@ def _fill_pairwise(a, cloud, kind):
 def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     """Kernel matrix over cell centers with sampled diagonal self-energies.
 
-    Off-diagonal (i, j): kernel of the two centers. The Newtonian and
-    cap-prime kernels are translation invariant, so on a cloud whose centres
-    sit on the pitch lattice the result is a :class:`LatticeKernel`: one
-    table of the kernel over lattice offsets (a stencil) and the shared
-    self-energy, exactly symmetric, with no n x n array. Every other cloud
-    gives a dense :class:`KernelMatrix`: clouds off the lattice (e.g. slices
-    at times that are not a whole number of pitches apart), clouds whose FFT
-    offset grid would outnumber their pairs and every parabolic cloud are
-    evaluated pair by pair over the upper triangle. A space-time cloud goes
-    one ordered pair of its time levels at a time (``_level_pair_chunks``),
-    so every kernel block takes the one-key matrix-product route; a spatial
-    cloud, a single level (a time slice), or levels that average fewer than
-    LEVEL_MIN_CELLS cells are one level, the row-major triangle.
+    Off-diagonal (i, j): kernel of the two centers. A translation-invariant
+    kind (``kind.invariant``) on a cloud whose centres sit on the pitch
+    lattice gives a :class:`LatticeKernel`: one table of the kernel over
+    lattice offsets (a stencil) and the shared self-energy, exactly
+    symmetric, with no n x n array. Any other cloud or kind, e.g. slices at
+    times that are not a whole number of pitches apart or a cloud whose FFT
+    offset grid would outnumber its pairs, gives a dense
+    :class:`KernelMatrix`, filled pair by pair over the upper triangle
+    (``_fill_pairwise``), so every kernel block of a space-time cloud shares
+    one time key.
 
     Diagonal i: mean kernel over ``diag_samples`` independent point pairs
-    drawn uniformly in cell i, from ``default_rng(seed)``. For the Newtonian
-    and cap-prime kernels the pairs are offsets from the cell centre, drawn
-    once (spatial offsets only on a slice, whose cells have no time extent)
-    and shared by every cell, so every diagonal entry holds one value. The
-    parabolic kernel draws ``diag_samples`` pairs per cell. Non-finite
-    samples are redrawn once. Deterministic per seed; ``diag_samples`` must
-    be at least 1.
+    drawn uniformly in cell i by ``_cell_points``, from ``default_rng(seed)``.
+    An invariant kernel's pairs are offsets from the centre, drawn once and
+    shared by every cell, so every diagonal entry holds one value; any other
+    draws pairs per cell, in blocks of 200_000 // diag_samples cells.
+    Non-finite samples are redrawn once. Deterministic per seed;
+    ``diag_samples`` must be at least 1.
     """
     if cloud.n < 1:
         raise ValueError("empty cell cloud")
@@ -407,28 +392,20 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         raise ValueError(f"diag_samples must be at least 1, got {diag_samples!r}")
     kind.check(cloud.times is not None, cloud.d, "cloud")
     n = cloud.n
-    stencil = None
-    if kind.tag != "parabolic":
-        k = _lattice_index(cloud)
-        if k is not None:
-            stencil = _stencil_table(kind, k, cloud.resolution)
-
+    k = _lattice_index(cloud) if kind.invariant else None
+    stencil = None if k is None else _stencil_table(kind, k, cloud.resolution)
     rng = np.random.default_rng(seed)
-    if kind.tag == "parabolic":
-        strategy = "within-cell pair sampling per cell"
-        diag = np.empty(n)
-        block = max(1, 200_000 // diag_samples)
-        for lo in range(0, n, block):
-            idx = np.arange(lo, min(lo + block, n))
-            diag[idx] = _mean_kernel(kind, lambda: _cell_samples(cloud, idx, diag_samples, rng),
-                                     (idx.size, diag_samples))
-    else:
+    if kind.invariant:
         strategy = "within-cell pair sampling, one offset draw shared by every cell"
-        diag = _mean_kernel(kind, lambda: _cell_offsets(cloud, (diag_samples,), rng),
-                            (diag_samples,))
+        diag = _mean_kernel(kind, cloud, None, diag_samples, rng)[0]
+    else:
+        strategy = "within-cell pair sampling per cell"
+        block = max(1, 200_000 // diag_samples)
+        diag = np.concatenate([_mean_kernel(kind, cloud, np.arange(lo, min(lo + block, n)),
+                                            diag_samples, rng) for lo in range(0, n, block)])
 
     prov = {
-        "kernel": kind.tag if kind.d is None else f"{kind.tag}(d={kind.d})",
+        "kernel": str(kind),
         "region": region_to_dict(cloud.parent),
         "resolution": cloud.resolution,
         "diag_strategy": strategy,
@@ -599,7 +576,7 @@ def verify_duality(result, cloud, matrix=None):
     working memory is a fixed chunk, whatever the support's size.
     """
     prov = result.provenance
-    if prov["kernel"] != "parabolic":
+    if prov["kernel"] != str(PARABOLIC):
         raise ValueError(f"duality certificate needs a parabolic result, "
                          f"got kernel {prov['kernel']!r}")
     w = result.equilibrium.weights

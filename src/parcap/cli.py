@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__, runtime
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import PARABOLIC, KernelKind, newtonian
-from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _count, _field,
-                     _integer, _list_of, _real, region_from_dict, sample_uniform)
+from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _count, _field, _integer,
+                     _list_of, _positive, _real, region_from_dict, sample_uniform)
 from .stochastic_sim import (
     BranchingConfig,
     estimate_graph_hit,
@@ -37,12 +37,6 @@ from .stochastic_sim import (
 )
 
 __all__ = ["main"]
-
-
-def _kernel_kind(tag, d):
-    if tag not in ("parabolic", "cap_prime", "newtonian"):
-        raise ConfigError(f"config field 'kind' has invalid value {tag!r}")
-    return newtonian(d) if tag == "newtonian" else KernelKind(tag)
 
 
 def _write_csv(path, cfg, seed, header, rows):
@@ -105,7 +99,7 @@ def _fmt(x):
 
 def cmd_capacity(cfg, seed, out):
     region = region_from_dict(_field(cfg, "region"))
-    kind = _kernel_kind(_field(cfg, "kind"), region.d)
+    kind = _field(cfg, "kind", lambda tag: KernelKind(tag, region.d))
     result = capacity(region, kind, _field(cfg, "resolution", _real),
                       tol=_field(cfg, "tol", _real, 1e-6),
                       seed=seed,
@@ -298,7 +292,7 @@ def cmd_range_hit(cfg, seed, out):
 
 
 def cmd_sbm_extinction(cfg, seed, out):
-    times = _field(cfg, "times", _list_of(_real))
+    times = _field(cfg, "times", _list_of(_positive))
     if not times:
         raise ConfigError("config field 'times' is empty")
     sim_cfg = dict(cfg)

@@ -62,14 +62,34 @@ MC_PATH_CHUNK = 256        # Brownian paths per block of energy_mc_paths
 
 @dataclass(frozen=True)
 class KernelKind:
+    """A kernel by name, the one place that maps a tag to its kernel. ``d`` is
+    None for the space-time kernels, so ``KernelKind(tag, region.d)`` fits."""
+
     tag: str
     d: int | None = None
 
     def __post_init__(self):
         if self.tag not in ("parabolic", "cap_prime", "newtonian"):
             raise ValueError(f"unknown kernel kind {self.tag!r}")
-        if self.tag == "newtonian" and (self.d is None or self.d < 2):
+        if self.tag != "newtonian":
+            object.__setattr__(self, "d", None)
+        elif self.d is None or self.d < 2:
             raise ValueError("newtonian kernel needs d >= 2")
+
+    def __str__(self):  # the provenance label
+        return self.tag if self.d is None else f"{self.tag}(d={self.d})"
+
+    @property
+    def invariant(self):
+        """Invariant under translation: every kernel but the parabolic one."""
+        return self.tag != "parabolic"
+
+    def batch(self, t1, x1, t2, x2):
+        """Kernel of each aligned pair; the newtonian kernel reads no times."""
+        if self.tag == "newtonian":
+            return newtonian_kernel_batch(x1, x2, self.d)
+        return (parabolic_kernel_batch if self.tag == "parabolic"
+                else cap_prime_kernel_batch)(t1, x1, t2, x2)
 
     def check(self, spacetime, d, what):
         """ValueError unless the kernel fits a ``what`` ("region", "cloud", ..):
@@ -476,9 +496,7 @@ def _pair_kernel(kind, measure, i, j):
         return newtonian_kernel(measure.coords[i], measure.coords[j], kind.d)
     zi = SpaceTimePoint(measure.times[i], measure.coords[i])
     zj = SpaceTimePoint(measure.times[j], measure.coords[j])
-    if kind.tag == "parabolic":
-        return mutual_kernel(zi, zj)
-    return cap_prime_kernel(zi, zj)
+    return (mutual_kernel if kind.tag == "parabolic" else cap_prime_kernel)(zi, zj)
 
 
 def energy(measure, kind):

@@ -524,6 +524,13 @@ def _real(val):
     return val
 
 
+def _positive(val):
+    """_real(val), refusing a value at or below 0."""
+    if _real(val) <= 0:
+        raise ValueError(val)
+    return float(val)
+
+
 def _list_of(kind):
     """Reader of a JSON list, each item converted by ``kind``; refuses a
     string, a dict or any other non-list."""

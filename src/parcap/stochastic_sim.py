@@ -543,12 +543,13 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     ball (Muller 1956). A walker within WOS_EPS of the region has hit it.
     d >= 3 kills on reaching the kill radius, exactly: the sphere also
     stays inside B(0, kill_radius), and a walker within WOS_EPS of that
-    sphere is killed. d = 2 kills at an independent Exp(1) time: a walker
-    survives a sphere of radius r with probability E[e^-tau] =
-    1/I0(r sqrt 2) (Ciesielski & Taylor 1962), and is killed outright once
-    r sqrt 2 > 700, where I0 would overflow. No time step is taken, so
-    ``dt`` is unused; it stays in the signature for existing callers. All
-    runs advance in one deterministic lock-step batch from run_rng(seed, 0).
+    sphere is killed; a start on or outside it is a ValueError. d = 2 kills
+    at an independent Exp(1) time: a walker survives a sphere of radius r
+    with probability E[e^-tau] = 1/I0(r sqrt 2) (Ciesielski & Taylor 1962),
+    and is killed outright once r sqrt 2 > 700, where I0 would overflow. No
+    time step is taken, so ``dt`` is unused; it stays in the signature for
+    existing callers. All runs advance in one deterministic lock-step batch
+    from run_rng(seed, 0).
     """
     if d < 2:
         raise ValueError("range hitting needs d >= 2")
@@ -556,6 +557,8 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
         raise RegionError(f"range hitting needs a spatial region of dimension {d}")
     rng = run_rng(seed, 0)
     pos = _draw_starts(start_law, d, runs, rng)
+    if d > 2 and np.any(np.linalg.norm(pos, axis=1) >= kill_radius):
+        raise ValueError(f"kill_radius {kill_radius!r} must exceed the norm of every start")
     hits = 0
     while pos.shape[0]:
         r = region.distance(pos)

@@ -462,6 +462,9 @@ BASE_CONFIGS = {
     ("theorem1", ("capacity", "diag_samples"), 0),
     ("prop51", ("capacity", "diag_samples"), -1),
     ("profile", ("diag_samples",), 0),
+    ("sbm-extinction", ("times",), [0.0, 0.5]),
+    ("sbm-extinction", ("times",), [-0.5]),
+    ("capacity", ("kind",), "laplace"),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):
@@ -513,3 +516,23 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["capacity", "--config", str(path)]) == 1
     assert "malformed JSON config" in capsys.readouterr().err
+
+
+def test_newtonian_kind_on_a_d1_region_names_the_field(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cap.json", {
+        "region": {"kind": "ball", "center": [0], "radius": 0.5},
+        "kind": "newtonian", "resolution": 0.1})
+    out = str(tmp_path / "o.json")
+    assert main(["capacity", "--config", cfg, "--out", out]) == 1
+    assert "config field 'kind' has invalid value 'newtonian'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("kill_radius", [1.5, -5.0])
+def test_range_hit_start_outside_the_kill_sphere_exits_1(tmp_path, capsys, kill_radius):
+    cfg = write_cfg(tmp_path, "rh.json", dict(BASE_CONFIGS["range-hit"], runs=200,
+                                              kill_radius=kill_radius))
+    out = str(tmp_path / "rh.json.out")
+    assert main(["range-hit", "--config", cfg, "--seed", "1", "--out", out]) == 1
+    assert "kill_radius" in capsys.readouterr().err
+    assert not os.path.exists(out)

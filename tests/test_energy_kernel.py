@@ -9,6 +9,7 @@ from parcap.energy_kernel import (
     CAP_PRIME,
     PARABOLIC,
     DiscreteMeasure,
+    KernelKind,
     cap_prime_bruteforce,
     cap_prime_kernel,
     cap_prime_kernel_batch,
@@ -18,6 +19,7 @@ from parcap.energy_kernel import (
     mutual_kernel_bruteforce,
     newtonian,
     newtonian_kernel,
+    newtonian_kernel_batch,
     parabolic_kernel_batch,
     reduced_log_coefs,
 )
@@ -430,3 +432,36 @@ def test_reduced_log_coefs_match_the_two_division_form(d):
 def test_energy_checks_kernel_against_measure(measure, kind, match):
     with pytest.raises(ValueError, match=match):
         energy(measure, kind)
+
+
+def test_kernel_kind_labels_and_invariance():
+    # str() is the provenance label of capacity results
+    kinds = [PARABOLIC, CAP_PRIME, newtonian(2), newtonian(3)]
+    assert [str(k) for k in kinds] == ["parabolic", "cap_prime", "newtonian(d=2)",
+                                       "newtonian(d=3)"]
+    assert [k.invariant for k in kinds] == [False, True, True, True]
+    # a space-time kernel drops the spatial dimension it is given
+    assert KernelKind("parabolic", 2) == PARABOLIC
+    assert KernelKind("cap_prime", 3) == CAP_PRIME
+    assert KernelKind("newtonian", 3) == newtonian(3)
+    for tag, d in [("laplace", 2), ("newtonian", 1), ("newtonian", None)]:
+        with pytest.raises(ValueError):
+            KernelKind(tag, d)
+
+
+@pytest.mark.parametrize("kind, d", [(PARABOLIC, 1), (PARABOLIC, 2), (CAP_PRIME, 2),
+                                     (newtonian(2), 2), (newtonian(3), 3)])
+def test_kernel_kind_batch_is_its_module_function(kind, d):
+    rng = np.random.default_rng(17)
+    n = 3000
+    t1, t2 = rng.uniform(0.3, 2.0, n), rng.uniform(0.3, 2.0, n)
+    t2[:1000] = t1[:1000]  # some one-key blocks among mixed ones
+    x1, x2 = rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(-1.0, 1.0, (n, d))
+    if kind == PARABOLIC:
+        want = parabolic_kernel_batch(t1, x1, t2, x2)
+    elif kind == CAP_PRIME:
+        want = cap_prime_kernel_batch(t1, x1, t2, x2)
+    else:
+        want = newtonian_kernel_batch(x1, x2, d)
+        t1 = t2 = None  # the newtonian kernel reads no times
+    assert np.array_equal(kind.batch(t1, x1, t2, x2), want)

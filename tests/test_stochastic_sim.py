@@ -234,6 +234,25 @@ def test_range_hit_rejects_region_of_other_dimension():
                            dt=1e-3, runs=10, seed=1)
 
 
+@pytest.mark.parametrize("start_law", [
+    [2.0, 0.0, 0.0],
+    # norms uniform on [1.2, 2.4]: some starts inside each kill sphere, some not
+    lambda rng, runs: np.tile([0.0, 0.0, 2.0], (runs, 1)) * rng.uniform(0.6, 1.2, (runs, 1)),
+], ids=["point", "sampler"])
+@pytest.mark.parametrize("kill_radius", [1.5, 2.0, -5.0])
+def test_range_hit_refuses_a_start_on_or_outside_the_kill_sphere(start_law, kill_radius):
+    # every walker would be killed before its first step, so p_hat would read 0
+    with pytest.raises(ValueError, match="kill_radius"):
+        estimate_range_hit(3, start_law, SpatialBall((0.0,) * 3, 1.0),
+                           dt=1e-3, runs=200, seed=1, kill_radius=kill_radius)
+
+
+def test_range_hit_d2_has_no_kill_sphere():
+    est = estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0),
+                             dt=1e-3, runs=200, seed=1, kill_radius=1.5)
+    assert est.p_hat > 0.0
+
+
 def test_range_hit_start_inside():
     est = estimate_range_hit(3, [0.0, 0.0, 0.0], SpatialBall((0.0,) * 3, 1.0),
                              dt=1e-3, runs=50, seed=79)

@@ -12,10 +12,9 @@ space-time cloud are evaluated one pair of its time levels per kernel call,
 so each call shares one time key. An invariant kernel's self-energy takes
 one seeded draw of offset pairs from the centre, shared by every cell; the
 parabolic kernel draws pairs per cell. On a cloud whose centres sit on the
-pitch lattice, an invariant kernel's matrix is a :class:`LatticeKernel`, a
-table of the kernel over lattice offsets plus that one self-energy, with no
-n x n array: its rows are gathered from the table and its products K w are
-FFT convolutions.
+pitch lattice, an invariant kernel's matrix is a :class:`LatticeKernel`, the
+kernel on the grid of signed lattice offsets, with no n x n array: a row is
+one shifted gather from that grid, a product K w one FFT convolution with it.
 
 The energy is minimized by pairwise Frank-Wolfe: each step moves mass from
 the support atom with the largest potential to the cell with the smallest.
@@ -119,46 +118,39 @@ def _fft_len(m):
 
 class LatticeKernel:
     """Kernel matrix of a translation-invariant kernel on cells at lattice
-    indices ``k`` (n, D), with no n x n array: entry (i, j) is
-    ``table[sum_a |k_ja - k_ia| * strides_a]`` (see ``_stencil_table``), and
-    offset 0, the diagonal, holds ``self_energy``. Rows are gathered from
-    the table; products are zero-padded FFT convolutions over the offset
-    grid, 2S - 1 wide on an axis where the cells span S lattice values."""
+    indices ``k`` (n, D), with no n x n array: the kernel on the grid of
+    signed offsets, 2S - 1 wide on an axis where the cells span S lattice
+    values, offset m at m + S - 1 holding ``table[sum_a |m_a| * strides_a]``
+    (see ``_stencil_table``) and offset 0, the centre, ``self_energy``. Entry
+    (i, j) is the grid at base_j - base_i + centre, base_j the flat index of
+    cell j, so a row is one shifted gather; a product, one FFT convolution."""
 
     def __init__(self, k, table, strides, self_energy, provenance):
-        self.table = np.array(table, dtype=float)
-        self.table[0] = self_energy
         self.provenance, self.n, self._cells = provenance, k.shape[0], tuple(k.T)
-        self._k = k.tolist()  # python ints index the _dist rows fastest
         self._shape = tuple((k.max(axis=0) + 1).tolist())
         self._fft_shape = [_fft_len(2 * s - 1) for s in self._shape]
-        # _dist[a][v] = |k_a - v| * strides_a for each value v on axis a, in the
-        # smallest integer type that holds every offset of the table
-        size = np.min_scalar_type(self.table.size - 1)
-        self._dist = [(np.abs(np.arange(s)[:, None] - kx) * st).astype(size)
-                      for s, kx, st in zip(self._shape, k.T, strides)]
-        self._off = np.empty(self.n, dtype=size)
+        table = np.ascontiguousarray(table, dtype=float)
+        grid = np.lib.stride_tricks.as_strided(table, self._shape, strides * table.itemsize)
+        for axis, s in enumerate(self._shape):  # a copy, mirrored per axis: m -> |m|
+            grid = grid.take(np.abs(np.arange(1 - s, s)), axis=axis)
+        self._centre = grid.size // 2  # offset 0, S - 1 on each axis, is the middle
+        grid.flat[self._centre] = self_energy
+        self._grid, self._base = grid, np.ravel_multi_index(self._cells, grid.shape)
+        self._off = np.empty_like(self._base)
 
     def row(self, i, out):
-        """Row i, gathered from the table into ``out``, which is returned."""
-        ki = self._k[i]
-        off = self._dist[0][ki[0]]
-        for dist, v in zip(self._dist[1:], ki[1:]):
-            off = np.add(off, dist[v], out=self._off)
+        """Row i, gathered from the offset grid into ``out``, which is returned."""
+        off = np.add(self._base, self._centre - self._base[i], out=self._off)
         # in range by construction; "clip" writes into out with no buffer
-        return self.table.take(off, out=out, mode="clip")
+        return self._grid.take(off, out=out, mode="clip")
 
     def diagonal(self):
-        return np.full(self.n, self.table[0])
+        return np.full(self.n, self._grid.flat[self._centre])
 
     @cached_property
     def _kernel_hat(self):
-        """FFT of the kernel on the offset grid: offset +-m sits at positions
-        m and L - m of an axis of length L; the positions in between are
-        never read by a product of two grids S wide."""
-        pos = [np.minimum(np.arange(m), m - np.arange(m)).clip(max=s - 1)
-               for s, m in zip(self._shape, self._fft_shape)]
-        return np.fft.rfftn(self.table.reshape(self._shape)[np.ix_(*pos)])
+        """FFT of the zero-padded offset grid; lazy, so ``check`` runs first."""
+        return np.fft.rfftn(self._grid, self._fft_shape, range(self._grid.ndim))
 
     def matvec(self, w):
         grid = np.zeros(self._shape)
@@ -166,7 +158,8 @@ class LatticeKernel:
         axes = range(grid.ndim)
         conv = np.fft.irfftn(np.fft.rfftn(grid, self._fft_shape, axes) * self._kernel_hat,
                              self._fft_shape, axes)
-        return conv[self._cells]
+        # cell k reads k + S - 1; an axis L >= 2S - 1 long wraps nothing onto it
+        return conv[tuple(slice(s - 1, None) for s in self._shape)][self._cells]
 
     @property
     def entries(self):
@@ -177,12 +170,11 @@ class LatticeKernel:
         return a
 
     def check(self):
-        """Table and self-energy finite and non-negative, one cell per site:
-        every entry is one of those values, symmetric by construction."""
-        _check_values(self.table)
-        occupied = np.zeros(self._shape, dtype=bool)
-        occupied[self._cells] = True
-        if np.count_nonzero(occupied) < self.n:
+        """Grid finite and non-negative (it holds every entry's value, symmetric
+        by construction), one cell per site: no equal bases (sorted, as
+        numpy.unique costs about 10 ms on first use importing numpy.ma)."""
+        _check_values(self._grid)
+        if np.any(np.diff(np.sort(self._base)) == 0):
             raise ValueError("kernel matrix has two cells on one lattice site")
 
 
@@ -330,8 +322,8 @@ def _stencil_table(kind, k, pitch):
     """Kernel on every lattice offset m * pitch, m = 0..max(k) per axis.
 
     Returns the table flattened in C order and the axis strides of that
-    order, or None when the FFT grid of offsets, (2 max(k) + 1) per axis,
-    would be larger than the cloud's off-diagonal pair count.
+    order, or None when the grid of signed offsets that a LatticeKernel holds
+    and transforms, 2 max(k) + 1 per axis, would outnumber the cloud's pairs.
     """
     shape = k.max(axis=0) + 1
     n = k.shape[0]
@@ -369,11 +361,11 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
 
     Off-diagonal (i, j): kernel of the two centers. A translation-invariant
     kind (``kind.invariant``) on a cloud whose centres sit on the pitch
-    lattice gives a :class:`LatticeKernel`: one table of the kernel over
-    lattice offsets (a stencil) and the shared self-energy, exactly
-    symmetric, with no n x n array. Any other cloud or kind, e.g. slices at
-    times that are not a whole number of pitches apart or a cloud whose FFT
-    offset grid would outnumber its pairs, gives a dense
+    lattice gives a :class:`LatticeKernel`: the kernel on the grid of signed
+    lattice offsets (a stencil) with the shared self-energy at its centre,
+    exactly symmetric, with no n x n array. Any other cloud or kind, e.g.
+    slices at times that are not a whole number of pitches apart or a cloud
+    whose offset grid would outnumber its pairs, gives a dense
     :class:`KernelMatrix`, filled pair by pair over the upper triangle
     (``_fill_pairwise``), so every kernel block of a space-time cloud shares
     one time key.

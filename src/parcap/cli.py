@@ -30,7 +30,6 @@ from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _count, _field, _
                      _list_of, _positive, _real, region_from_dict, sample_uniform)
 from .stochastic_sim import (
     BranchingConfig,
-    estimate_graph_hit,
     estimate_graph_hits,
     estimate_range_hit,
     estimate_survival,
@@ -72,8 +71,8 @@ def _write_text(path, text):
 def _sim_fields(sim_cfg):
     """BranchingConfig keywords of a sim config, all but the dimension."""
     return {"n_particles": _field(sim_cfg, "n_particles", _count),
-            "dt": _field(sim_cfg, "dt", _real, 0.01),
-            "horizon": _field(sim_cfg, "horizon", _real, 1.0),
+            "dt": _field(sim_cfg, "dt", _positive, 0.01),
+            "horizon": _field(sim_cfg, "horizon", _positive, 1.0),
             "branch_rate": _field(sim_cfg, "branch_rate", _real, None),
             "max_particle_steps": _field(sim_cfg, "max_particle_steps", _count,
                                          10_000_000)}
@@ -82,7 +81,7 @@ def _sim_fields(sim_cfg):
 def _capacity_fields(cfg):
     """capacity() keywords of the optional "capacity" section."""
     cap_cfg = _field(cfg, "capacity", dict, {})
-    return {"tol": _field(cap_cfg, "tol", _real, 1e-5),
+    return {"tol": _field(cap_cfg, "tol", _positive, 1e-5),
             "diag_samples": _field(cap_cfg, "diag_samples", _count, 256)}
 
 
@@ -100,8 +99,8 @@ def _fmt(x):
 def cmd_capacity(cfg, seed, out):
     region = region_from_dict(_field(cfg, "region"))
     kind = _field(cfg, "kind", lambda tag: KernelKind(tag, region.d))
-    result = capacity(region, kind, _field(cfg, "resolution", _real),
-                      tol=_field(cfg, "tol", _real, 1e-6),
+    result = capacity(region, kind, _field(cfg, "resolution", _positive),
+                      tol=_field(cfg, "tol", _positive, 1e-6),
                       seed=seed,
                       diag_samples=_field(cfg, "diag_samples", _count, 256),
                       max_iter=_field(cfg, "max_iter", _count, None))
@@ -116,7 +115,7 @@ def cmd_theorem1(cfg, seed, out):
     entries = _field(cfg, "regions", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'regions' is empty")
-    resolution = _field(cfg, "resolution", _real, 0.05)
+    resolution = _field(cfg, "resolution", _positive, 0.05)
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
     sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _count)
@@ -131,7 +130,7 @@ def cmd_theorem1(cfg, seed, out):
         rid = entry.get("id", f"region_{k}")
         try:
             region = region_from_dict(_field(entry, "region"))
-            res = capacity(region, PARABOLIC, _field(entry, "resolution", _real, resolution),
+            res = capacity(region, PARABOLIC, _field(entry, "resolution", _positive, resolution),
                            seed=seed, **cap_args)
             slices = region.slices()
         except (ValueError, RuntimeError) as exc:
@@ -170,18 +169,18 @@ def cmd_theorem1(cfg, seed, out):
 
 
 def cmd_prop51(cfg, seed, out):
+    """Capacities per set; the solved sets share d and the slice time, so one
+    reduced-tree pass draws them all (nested sets stay monotone run by run)."""
     entries = _field(cfg, "sets", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'sets' is empty")
     d = _field(cfg, "d", _integer)
-    t_slice = _field(cfg, "slice_time", _real, 1.0)
-    resolution = _field(cfg, "resolution", _real)
+    t_slice = _field(cfg, "slice_time", _positive, 1.0)
+    resolution = _field(cfg, "resolution", _positive)
     cap_args = _capacity_fields(cfg)
     sim_cfg = _field(cfg, "sim", dict)
     sim, runs = _sim_fields(sim_cfg), _field(sim_cfg, "runs", _count)
-    rows = []
-    ratios = []
-    failed = False
+    rows, ratios, solved = [], [], []  # solved: (row, slice, Newtonian capacity)
     for k, entry in enumerate(entries):
         rid = entry.get("id", f"set_{k}")
         try:
@@ -193,16 +192,19 @@ def cmd_prop51(cfg, seed, out):
             cap_n = capacity(base, newtonian(d), resolution, seed=seed, **cap_args)
             sliced = SliceOf(t_slice, base)
             cap_p = capacity(sliced, PARABOLIC, resolution, seed=seed, **cap_args)
-            est = estimate_graph_hit(BranchingConfig(d=d, **sim), sliced, runs, seed)
-            cap_ratio = cap_p.capacity / cap_n.capacity
-            ratios.append(cap_ratio)
-            rows.append([rid, _fmt(cap_n.capacity), _fmt(cap_p.capacity),
-                         _fmt(cap_ratio), _fmt(est.p_hat), _fmt(est.ci_low),
-                         _fmt(est.ci_high),
-                         _fmt(est.p_hat / cap_n.capacity), "OK"])
         except (ValueError, RuntimeError) as exc:
             rows.append([rid, "", "", "", "", "", "", "", f"FAILED: {exc}"])
-            failed = True
+            continue
+        cap_ratio = cap_p.capacity / cap_n.capacity
+        ratios.append(cap_ratio)
+        rows.append([rid, _fmt(cap_n.capacity), _fmt(cap_p.capacity), _fmt(cap_ratio)])
+        solved.append((rows[-1], sliced, cap_n.capacity))
+    ests = estimate_graph_hits(BranchingConfig(d=d, **sim),
+                               [sliced for _, sliced, _ in solved], runs, seed)
+    for (row, _, cap_n), est in zip(solved, ests):
+        row += [_fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high),
+                _fmt(est.p_hat / cap_n), "OK"]
+    failed = len(solved) < len(entries)
     if ratios:
         band = max(ratios) / min(ratios)
         rows.append(["SUMMARY", "", "", "", "", "", "", "",
@@ -252,8 +254,8 @@ def cmd_profile(cfg, seed, out):
         raise ConfigError("config field 'eps_list' is empty")
     rows_in = capacity_growth_profile(
         region, eps_list,
-        pitch_factor=_field(cfg, "pitch_factor", _real, 0.5),
-        tol=_field(cfg, "tol", _real, 1e-5), seed=seed,
+        pitch_factor=_field(cfg, "pitch_factor", _positive, 0.5),
+        tol=_field(cfg, "tol", _positive, 1e-5), seed=seed,
         diag_samples=_field(cfg, "diag_samples", _count, 128))
     rows = [[_fmt(r["eps"]), _fmt(r["resolution"]), _fmt(r["capacity"]),
              r["error"]] for r in rows_in]

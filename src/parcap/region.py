@@ -397,12 +397,17 @@ class CellCloud:
         return self.parent.slices() is not None
 
     def translated(self, dt, dx):
-        """Same cell topology, shifted centers; times must stay positive."""
+        """Same cell topology, centers shifted by dx of shape (d,) and times by
+        dt, which must be 0 on a spatial cloud; times must stay positive."""
+        dx = np.asarray(dx, dtype=float)
+        if dx.shape != (self.d,):
+            raise RegionError(f"shift dx has shape {dx.shape}, not ({self.d},)")
+        if self.times is None and dt != 0:
+            raise RegionError(f"a spatial cloud has no time to shift by dt = {dt}")
         times = None if self.times is None else self.times + dt
         if times is not None and np.any(times <= 0):
             raise RegionError("translated cloud leaves E (nonpositive times)")
-        return CellCloud(self.parent, self.resolution, self.coords + np.asarray(dx),
-                         times, self.volume)
+        return CellCloud(self.parent, self.resolution, self.coords + dx, times, self.volume)
 
 
 def _axis_centers(lo, hi, res):

@@ -505,6 +505,21 @@ def test_lattice_kernel_fft_product_matches_the_dense_product(cloud, kind):
     assert np.array_equal(km.diagonal(), np.diag(a))
 
 
+@pytest.mark.parametrize("cloud, kind", LATTICE_CASES + [
+    (discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1).translated(0.37, [1.3]),
+     CAP_PRIME),
+], ids=LATTICE_IDS + ["translated_cap_prime_box"])
+def test_lattice_rows_read_the_stencil_table_at_each_offset(cloud, kind):
+    km = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4)
+    assert isinstance(km, LatticeKernel)
+    k = _lattice_index(cloud)
+    table, strides = _stencil_table(kind, k, cloud.resolution)
+    table[0] = km.diagonal()[0]  # offset 0 holds the self-energy
+    out = np.empty(cloud.n)
+    for i in range(cloud.n):
+        assert np.array_equal(km.row(i, out), table[np.abs(k - k[i]) @ strides])
+
+
 def test_lattice_kernel_check():
     cloud = discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.1)
     k = _lattice_index(cloud)

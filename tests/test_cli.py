@@ -340,6 +340,29 @@ def test_prop51_unit_ball_check_uses_farthest_point(tmp_path):
     assert rows["b090"] == "OK"
 
 
+def test_prop51_draws_nested_sets_in_one_pass(tmp_path):
+    cfg = write_cfg(tmp_path, "p51.json", {
+        "d": 2, "resolution": 0.1, "slice_time": 1.0,
+        "sets": [{"id": f"r{r}", "region": {"kind": "ball", "center": [0, 0], "radius": r}}
+                 for r in (0.30, 0.31, 0.32, 0.33)],
+        "sim": {"n_particles": 200, "runs": 400}})
+    out = str(tmp_path / "o.csv")
+    assert main(["prop51", "--config", cfg, "--seed", "2", "--out", out]) == 0
+    rows = [line.split(",") for line in open(out).read().splitlines()
+            if line.startswith("r0.")]
+    p_hat = [float(row[4]) for row in rows]
+    assert len(p_hat) == 4
+    assert p_hat == sorted(p_hat)
+
+
+def test_prop51_slice_time_beyond_the_horizon_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "p51.json", dict(BASE_CONFIGS["prop51"], slice_time=2.0))
+    out = str(tmp_path / "o.csv")
+    assert main(["prop51", "--config", cfg, "--seed", "1", "--out", out]) == 1
+    assert "beyond horizon" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_sbm_extinction_command(tmp_path):
     cfg = write_cfg(tmp_path, "ext.json", {
         "n_particles": 1000, "times": [0.5, 1.0], "runs": 1500})
@@ -465,6 +488,17 @@ BASE_CONFIGS = {
     ("sbm-extinction", ("times",), [0.0, 0.5]),
     ("sbm-extinction", ("times",), [-0.5]),
     ("capacity", ("kind",), "laplace"),
+    ("theorem1", ("resolution",), 0),
+    ("theorem1", ("capacity", "tol"), 0),
+    ("theorem1", ("sim", "dt"), 0),
+    ("prop51", ("slice_time",), 0),
+    ("prop51", ("resolution",), 0),
+    ("profile", ("pitch_factor",), -0.5),
+    ("profile", ("tol",), 0),
+    ("capacity", ("resolution",), -0.1),
+    ("capacity", ("tol",), 0),
+    ("sbm-extinction", ("dt",), 0),
+    ("sbm-extinction", ("horizon",), 0),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

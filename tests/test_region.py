@@ -281,3 +281,16 @@ def test_graph_segment_hits_flags_each_segment():
     det.observe(ta, tb, pa, pb, np.array([0, 0, 1, 2, 2]))
     assert det.hits.tolist() == [[True, True, False], [True, False, True]]
     assert det.flags == [True, True]
+
+
+@pytest.mark.parametrize("cloud, dt, dx, match", [
+    (discretize(SpatialBall((0.0, 0.0), 0.5), 0.1), 5.0, [0.1, 0.2], "no time"),
+    (discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.2), 0.0, [0.7], r"shape \(1,\)"),
+    (discretize(SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)), 0.1), 0.0, [0.1, 0.2],
+     r"shape \(2,\)"),
+], ids=["spatial_dt", "d3_one_entry_dx", "d1_two_entry_dx"])
+def test_translated_refuses_a_shift_that_does_not_fit_the_cloud(cloud, dt, dx, match):
+    with pytest.raises(RegionError, match=match):
+        cloud.translated(dt, dx)
+    fits = cloud.translated(0.0, np.full(cloud.d, 0.7))
+    assert np.array_equal(fits.coords, cloud.coords + 0.7)

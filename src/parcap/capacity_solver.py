@@ -59,6 +59,10 @@ LEVEL_MIN_CELLS = 16      # mean cells per time level below which a cloud is one
                           # more kernel calls would cost more than the in-place route
 SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
 NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
+FINISH_TOL = 1e-3         # dense matrices: FW gap tolerance before the KKT finish
+FINISH_PASSES = 32        # finish passes before it gives way to FW at the caller's tol
+KKT_TOL = 1e-12           # finish: |1 - (K v)_i| on the support, 1 - (K v)_i off it
+CG_LOOSE = 1e-6           # finish: CG residual 2-norm until a pass solves to z > 0 on S
 
 
 def _check_values(a):
@@ -137,6 +141,12 @@ class LatticeKernel:
         grid.flat[self._centre] = self_energy
         self._grid, self._base = grid, np.ravel_multi_index(self._cells, grid.shape)
         self._off = np.empty_like(self._base)
+        # product buffers: the zero-padded weight grid (zero off the cells for
+        # good), its spectrum and the convolution; cell k reads k + S - 1 of it
+        self._weights = np.zeros(self._fft_shape)
+        self._spec = np.empty((*self._fft_shape[:-1], self._fft_shape[-1] // 2 + 1), complex)
+        self._conv = np.empty(self._fft_shape)
+        self._read = np.ravel_multi_index(tuple(k.T + k.max(axis=0)[:, None]), self._fft_shape)
 
     def row(self, i, out):
         """Row i, gathered from the offset grid into ``out``, which is returned."""
@@ -153,13 +163,17 @@ class LatticeKernel:
         return np.fft.rfftn(self._grid, self._fft_shape, range(self._grid.ndim))
 
     def matvec(self, w):
-        grid = np.zeros(self._shape)
-        grid[self._cells] = w
-        axes = range(grid.ndim)
-        conv = np.fft.irfftn(np.fft.rfftn(grid, self._fft_shape, axes) * self._kernel_hat,
-                             self._fft_shape, axes)
-        # cell k reads k + S - 1; an axis L >= 2S - 1 long wraps nothing onto it
-        return conv[tuple(slice(s - 1, None) for s in self._shape)][self._cells]
+        """K w by one FFT convolution, in the kernel's buffers (numpy's irfftn
+        unrolled, so its inverse transforms run in place)."""
+        self._weights[self._cells] = w
+        axes = range(self._weights.ndim)
+        spec = np.fft.rfftn(self._weights, axes=axes, out=self._spec)
+        spec *= self._kernel_hat
+        for axis in axes[:-1]:
+            np.fft.ifft(spec, axis=axis, out=spec)
+        np.fft.irfft(spec, self._fft_shape[-1], axis=axes[-1], out=self._conv)
+        # an axis L >= 2S - 1 long wraps nothing onto k + S - 1
+        return self._conv.take(self._read)
 
     @property
     def entries(self):
@@ -180,6 +194,8 @@ class LatticeKernel:
 
 @dataclass
 class CapacityResult:
+    """After a KKT finish (``provenance["solver"]``), ``gap`` is 2 (E - min K w),
+    ``iterations`` the loose FW steps, ``converged`` True, ``tol`` the caller's."""
     capacity: float
     energy_min: float
     equilibrium: DiscreteMeasure
@@ -502,19 +518,72 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
     return f, w, gap, it, converged
 
 
+def _cg_on_support(K, on, x, tol):
+    """CG for K_SS x = 1 from ``x`` (zero off S = ``on``) by 1-D products
+    ``K.matvec`` zero off S, to residual 2-norm ``tol``; None if p^T K p <= 0."""
+    r = p = np.where(on, 1.0 - K.matvec(x), 0.0)
+    rr = r @ r
+    for _ in range(2 * np.count_nonzero(on) + 8):
+        if rr <= tol * tol:
+            break
+        q = np.where(on, K.matvec(p), 0.0)
+        curv = p @ q
+        if not curv > 0:
+            return None
+        x, r, rr_prev = x + rr / curv * p, r - rr / curv * q, rr
+        rr = r @ r
+        p = r + rr / rr_prev * p
+    return x
+
+
+def _kkt_finish(K, w, energy):
+    """v > 0, K v = 1 on S, K v >= 1 off S (equilibrium v / sum v) by Lawson-Hanson
+    active sets (1974, ch. 23) from S = {w > 0} or {K w < energy}, v = w / energy;
+    None on p^T K p <= 0 or after FINISH_PASSES passes."""
+    on = (w > 0) | (K.matvec(w) < energy)
+    v = z = np.where(on, w / energy, 0.0)
+    tol = CG_LOOSE
+    for _ in range(FINISH_PASSES):
+        if (z := _cg_on_support(K, on, z, tol)) is None:
+            return None
+        low = on & (z <= 0)
+        if np.any(low):  # step v towards z to its first 0: ratio v / (v - z), 0 at v = 0
+            v = v + np.divide(v, v - z, out=1.0 - low, where=low & (v > 0)).min() * (z - v)
+            on &= (v > 1e-15) | (z > 0)  # entries at 0 leave S
+            v[~on] = z[~on] = 0.0
+            continue
+        v, kv, tol = z, K.matvec(z), 0.5 * KKT_TOL  # z > 0: tight from here on
+        short = ~on & (kv < 1.0 - KKT_TOL)  # these cells join S
+        if not np.any(short) and np.max(np.abs(kv[on] - 1.0)) <= KKT_TOL:
+            return v
+        on |= short
+    return None
+
+
 def capacity_on_cloud(cloud, kind, tol=1e-6, seed=0, diag_samples=256,
                       max_iter=None):
     """Assemble and minimize on an existing cloud; capacity = 1/energy.
 
-    The result keeps K w for :func:`verify_duality` on the same cloud.
+    The result keeps K w for :func:`verify_duality` on the same cloud. A dense
+    matrix takes FW at max(tol, FINISH_TOL) closed by ``_kkt_finish`` (else FW
+    at ``tol``, as a LatticeKernel does); on an indefinite one (a parabolic
+    box or thorn) that is a KKT point FW approaches, not a proven minimum.
     """
     km = assemble_kernel_matrix(cloud, kind, diag_samples=diag_samples, seed=seed)
-    energy_min, w, gap, iters, converged = minimize_energy(km, tol=tol,
-                                                           max_iter=max_iter)
+    dense = isinstance(km, KernelMatrix)
+    energy_min, w, gap, iters, converged = minimize_energy(
+        km, tol=max(tol, FINISH_TOL) if dense else tol, max_iter=max_iter)
+    v = _kkt_finish(km, w, energy_min) if dense and energy_min > 0 else None
+    if v is not None:
+        w, energy_min, converged = v / v.sum(), 1.0 / float(v.sum()), True
+    elif dense:
+        energy_min, w, gap, iters, converged = minimize_energy(km, tol=tol, max_iter=max_iter)
     cap = math.inf if energy_min <= 0 else 1.0 / energy_min
     eq = DiscreteMeasure(cloud.times, cloud.coords, w)  # times None: spatial
-    return CapacityResult(cap, energy_min, eq, gap, iters, converged, tol,
-                          km.provenance, km.matvec(eq.weights))
+    kw = km.matvec(eq.weights)
+    gap = gap if v is None else 2.0 * (energy_min - float(kw.min()))
+    prov = dict(km.provenance, solver="frank-wolfe" if v is None else "kkt finish")
+    return CapacityResult(cap, energy_min, eq, gap, iters, converged, tol, prov, kw)
 
 
 def capacity(region, kind, resolution, tol=1e-6, seed=0, diag_samples=256,

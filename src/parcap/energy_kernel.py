@@ -209,6 +209,7 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
 
     * one key (every block of a time slice or of a time-level pair): one
       matrix product, [1, feats] @ [A; T_1; ..], and the sums as a second;
+      the table is built once for a run of blocks with the same key;
     * any other block: ``rows(lo, hi, out)`` writes L of pairs lo:hi into
       out in place, in sub-blocks that stay in cache, with no table.
 
@@ -222,13 +223,16 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
     ext_buf = np.ones((min(block, n), feats.shape[1] + 1))  # column 0 stays 1
     ones = np.ones(width)
     sub = max(1, _ROWS_NODES // width)
+    table_key = None  # key of the last one-key table, kept while the key repeats
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         log_val, ext = log_buf[:hi - lo], ext_buf[:hi - lo]
         k = key[lo:hi]
         if np.all(k == k[0]):
+            if k[0] != table_key:
+                table_key, table = k[0], np.concatenate(tables(k[:1]))
             ext[:, 1:] = feats[lo:hi]
-            np.matmul(ext, np.concatenate(tables(k[:1])), out=log_val)
+            np.matmul(ext, table, out=log_val)
             np.maximum(log_val, LOG_FLOOR, out=log_val)
             np.matmul(np.exp(log_val, out=log_val), ones, out=out[lo:hi])
             continue

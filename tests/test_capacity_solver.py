@@ -778,6 +778,81 @@ def test_result_reports_support_size_and_kkt_residual():
     assert bare.kkt_residual is None
 
 
+FINISH_SLICES = [TimeSliceBall(1.0, (0.0, 0.0), r) for r in (0.2, 0.35, 0.5, 0.7)] + [
+    TimeSliceBall(1.0, (0.5, 0.0), 0.3),
+    SliceOf(1.0, SpatialAnnulus((0.0, 0.0), 0.4, 0.7)),
+    SliceOf(1.0, RegionUnion((SpatialBall((-0.5, 0.0), 0.25), SpatialBall((0.55, 0.0), 0.25)))),
+    B090,
+]
+FINISH_PITCHES = [0.05, 0.0875, 0.125, 0.175, 0.075, 0.12, 0.12, 0.15]
+
+
+@pytest.mark.parametrize("region, pitch", list(zip(FINISH_SLICES, FINISH_PITCHES)),
+                         ids=["b020", "b035", "b050", "b070", "off030", "annulus", "union",
+                              "b090"])
+def test_slice_capacity_closes_the_kkt_conditions_on_the_oracle_support(region, pitch):
+    res = capacity(region, PARABOLIC, pitch, tol=1e-6, seed=2, diag_samples=16)
+    assert res.provenance["solver"] == "kkt finish"
+    assert res.converged
+    assert res.kkt_residual <= 1e-9
+    assert res.gap == 2.0 * (res.energy_min - res.potentials.min())
+    km = assemble_kernel_matrix(discretize(region, pitch), PARABOLIC, diag_samples=16, seed=2)
+    assert np.array_equal(np.flatnonzero(res.equilibrium.weights > 0), _kkt_oracle(km.entries))
+
+
+def _dense_cloud(monkeypatch, K):
+    """A three-cell cloud whose assembly returns the dense matrix K."""
+    monkeypatch.setattr(capacity_solver, "assemble_kernel_matrix",
+                        lambda cloud, kind, diag_samples, seed: KernelMatrix(K, {}))
+    return dataclasses.make_dataclass("Cloud", ["times", "coords"])(None, np.zeros((3, 1)))
+
+
+def test_finish_gives_way_to_frank_wolfe_at_tol_on_negative_curvature(monkeypatch):
+    # FW at FINISH_TOL stops at e_0, whose gap 2e-4 is within it; cells 1 and
+    # 2 have potential a < 1, so S is every cell, and K is indefinite on it
+    a = 0.9999
+    K = np.array([[1.0, a, a], [a, 1.0, 0.0], [a, 0.0, 1.0]])
+    assert np.linalg.eigvalsh(K)[0] < 0
+    assert minimize_energy(K, tol=capacity_solver.FINISH_TOL)[3] == 1
+    real, seen = capacity_solver._cg_on_support, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(capacity_solver, "_cg_on_support", spy)
+    res = capacity_on_cloud(_dense_cloud(monkeypatch, K), PARABOLIC, tol=1e-6)
+    assert seen == [None]
+    f, w, gap, iters, converged = minimize_energy(K, tol=1e-6)
+    assert res.provenance["solver"] == "frank-wolfe"
+    assert np.array_equal(res.equilibrium.weights, w)
+    assert (res.energy_min, res.gap, res.iterations, res.converged) == (f, gap, iters, converged)
+    assert res.energy_min == pytest.approx(0.5, rel=1e-12)
+
+
+def test_lattice_kernel_result_is_frank_wolfe_at_tol():
+    region, kind = SpatialBall((0.0, 0.0, 0.0), 0.5), newtonian(3)
+    res = capacity(region, kind, 0.1, tol=1e-5, seed=3)
+    km = assemble_kernel_matrix(discretize(region, 0.1), kind, seed=3)
+    assert isinstance(km, LatticeKernel)
+    f, w, gap, iters, _ = minimize_energy(km, tol=1e-5)
+    assert res.provenance["solver"] == "frank-wolfe"
+    assert np.array_equal(res.equilibrium.weights, w)
+    assert (res.energy_min, res.gap, res.iterations) == (f, gap, iters)
+
+
+def test_finish_allocates_no_support_by_support_block():
+    # every cell is on the support; a K_SS array would take 1500 * 1500 * 8 B = 18 MB
+    n = 1500
+    b = np.random.default_rng(3).uniform(0.0, 1.0, (n, n))
+    km = KernelMatrix(np.eye(n) + 0.005 * (b + b.T), {})
+    f, w, _, _, _ = minimize_energy(km, tol=capacity_solver.FINISH_TOL)
+    v, peak = traced_peak(lambda: capacity_solver._kkt_finish(km, w, f))
+    assert np.count_nonzero(v) == n
+    assert np.max(np.abs(km.matvec(v) - 1.0)) <= 1e-12
+    assert peak < 2 ** 20
+
+
 def _no_discretize(region, resolution):
     raise AssertionError("the kernel/space check must run before discretizing")
 

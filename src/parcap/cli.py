@@ -174,7 +174,7 @@ def cmd_prop51(cfg, seed, out):
     entries = _field(cfg, "sets", _list_of(dict))
     if not entries:
         raise ConfigError("config field 'sets' is empty")
-    d = _field(cfg, "d", _integer)
+    d = _field(cfg, "d", lambda v: newtonian(_integer(v)).d)
     t_slice = _field(cfg, "slice_time", _positive, 1.0)
     resolution = _field(cfg, "resolution", _positive)
     cap_args = _capacity_fields(cfg)

@@ -91,6 +91,13 @@ class KernelKind:
         return (parabolic_kernel_batch if self.tag == "parabolic"
                 else cap_prime_kernel_batch)(t1, x1, t2, x2)
 
+    def pair(self, z, z2):
+        """Adaptive kernel of one pair: (t, x) points for the space-time
+        kernels, spatial points x for the newtonian one."""
+        if self.tag == "newtonian":
+            return newtonian_kernel(z, z2, self.d)
+        return (mutual_kernel if self.tag == "parabolic" else cap_prime_kernel)(z, z2)
+
     def check(self, spacetime, d, what):
         """ValueError unless the kernel fits a ``what`` ("region", "cloud", ..):
         newtonian(d) a spatial one of dimension d, the others a space-time one."""
@@ -495,14 +502,6 @@ def newtonian_kernel_batch(x1, x2, d):
 
 # --- energy functional ----------------------------------------------------------
 
-def _pair_kernel(kind, measure, i, j):
-    if kind.tag == "newtonian":
-        return newtonian_kernel(measure.coords[i], measure.coords[j], kind.d)
-    zi = SpaceTimePoint(measure.times[i], measure.coords[i])
-    zj = SpaceTimePoint(measure.times[j], measure.coords[j])
-    return (mutual_kernel if kind.tag == "parabolic" else cap_prime_kernel)(zi, zj)
-
-
 def energy(measure, kind):
     """Quadratic energy sum_{ij} w_i w_j K(z_i, z_j), diagonal included.
 
@@ -511,6 +510,7 @@ def energy(measure, kind):
     """
     kind.check(measure.is_spacetime, measure.d, "measure")
     w = measure.weights
+    pts = list(zip(measure.times, measure.coords)) if measure.is_spacetime else measure.coords
     total = 0.0
     for i in range(measure.n):
         if w[i] == 0.0:
@@ -518,7 +518,7 @@ def energy(measure, kind):
         for j in range(i, measure.n):
             if w[j] == 0.0:
                 continue
-            k = _pair_kernel(kind, measure, i, j)
+            k = kind.pair(pts[i], pts[j])
             if math.isinf(k):
                 return math.inf
             total += (1.0 if i == j else 2.0) * w[i] * w[j] * k

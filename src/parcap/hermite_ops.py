@@ -193,7 +193,7 @@ class BumpProfile:
 
 
 class BoxProfile:
-    """Piecewise-constant profile; weighted integrals are exact power sums."""
+    """Piecewise-constant profile, integrated in closed form by :func:`hardy_check`."""
 
     def __init__(self, edges, values):
         edges = np.asarray(edges, dtype=float)
@@ -208,30 +208,6 @@ class BoxProfile:
     @property
     def support(self):
         return (float(self.edges[0]), float(self.edges[-1]))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        ok = (idx >= 0) & (idx < self.values.size) & (t < self.edges[-1])
-        out = np.zeros(t.shape)
-        out[ok] = self.values[idx[ok]]
-        return out
-
-    def weighted_integral(self, q, t=None):
-        """int_0^t s^q h(s) ds exactly (q > -1)."""
-        p = q + 1.0
-        lo = self.edges[:-1]
-        hi = self.edges[1:]
-        pieces = self.values * (hi ** p - lo ** p) / p
-        cum = np.concatenate([[0.0], np.cumsum(pieces)])
-        if t is None:
-            return float(cum[-1])
-        t = np.asarray(t, dtype=float)
-        tc = np.clip(t, self.edges[0], self.edges[-1])
-        idx = np.clip(np.searchsorted(self.edges, tc, side="right") - 1,
-                      0, self.values.size - 1)
-        part = self.values[idx] * (tc ** p - self.edges[idx] ** p) / p
-        return cum[idx] + part
 
     def sq_integral(self):
         return float(np.sum(self.values ** 2 * np.diff(self.edges)))

@@ -41,7 +41,7 @@ sphere and the d = 2 Exp(1) killing both applied exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class RunTrace:
     max_particles: int
     particle_steps: int
     exploded: bool
-    counts_at: dict = field(default_factory=dict)
 
 
 class GraphHitDetector:
@@ -200,31 +199,24 @@ class GraphHitDetector:
             self.hits[k, run[reg.graph_segment_hits(ta, tb, pa, pb)]] = True
 
 
-def _forward_batch(config, runs, rng, detectors=(), count_times=()):
+def _forward_batch(config, runs, rng, detectors=()):
     """``runs`` forward runs in lock-step; one RunTrace per run.
 
     Every lineage carries its run id, so each generation of events is one
     set of array operations over all runs, and per-run tallies are bincounts.
     A run that exceeds config.max_particle_steps is dropped as exploded; its
-    trace keeps the tallies and counts reached before that step.
+    trace keeps the tallies reached before that step.
     """
     lam, d, n0 = config.branch_rate, config.d, config.n_particles
-    count_times = list(count_times)
-    grid = np.unique(np.concatenate([
-        np.arange(0.0, config.horizon, config.dt),
-        np.asarray(count_times, dtype=float),
-        [config.horizon],
-    ]))
-    grid = grid[(grid >= 0) & (grid <= config.horizon)]
+    grid = np.unique(np.append(np.arange(0.0, config.horizon, config.dt), config.horizon))
+    grid = grid[grid <= config.horizon]  # arange can overshoot the horizon
     pos = np.zeros((runs * n0, d))
     run = np.repeat(np.arange(runs), n0)
     steps = np.zeros(runs, dtype=np.int64)
     max_particles = np.full(runs, n0, dtype=np.int64)
     exploded = np.zeros(runs, dtype=bool)
-    stop = np.full(runs, np.inf)  # end of the reporting step a run exploded in
     extinction = np.full(runs, np.nan)
     count = np.full(runs, n0, dtype=np.int64)
-    counts = np.zeros((len(count_times), runs), dtype=np.int64)
     t_cur = 0.0
     for t_next in grid[1:]:
         if run.size == 0:
@@ -240,7 +232,6 @@ def _forward_batch(config, runs, rng, detectors=(), count_times=()):
             over = (steps > config.max_particle_steps) & ~exploded
             if np.any(over):
                 exploded |= over
-                stop[over] = t_next
                 keep = ~over[cur_run]
                 cur, cur_run, start = cur[keep], cur_run[keep], start[keep]
             np.maximum(max_particles, alive + held, out=max_particles, where=~exploded)
@@ -276,28 +267,22 @@ def _forward_batch(config, runs, rng, detectors=(), count_times=()):
         count = np.bincount(run, minlength=runs)
         extinction[(count == 0) & np.isnan(extinction) & ~exploded] = t_next
         t_cur = t_next
-        for i, ct in enumerate(count_times):
-            if abs(t_next - ct) < 1e-12:
-                counts[i] = count
     return [RunTrace(bool(count[r] > 0) and not exploded[r],
                      None if np.isnan(extinction[r]) else float(extinction[r]),
-                     int(max_particles[r]), int(steps[r]), bool(exploded[r]),
-                     {ct: int(counts[i, r]) for i, ct in enumerate(count_times)
-                      if ct < stop[r] - 1e-12})
+                     int(max_particles[r]), int(steps[r]), bool(exploded[r]))
             for r in range(runs)]
 
 
-def simulate_branching(config, seed, detectors=(), count_times=()):
+def simulate_branching(config, seed, detectors=()):
     """One forward run (a batch of one); streams movement segments to detectors.
 
     Within each reporting step, every particle's exponential clock is played
     out exactly (possibly several generations of events per step); motion
     between events is an exact Gaussian increment. Aborts as exploded when
-    the processed segment count exceeds config.max_particle_steps. An
-    extinct run counts 0 particles at every later count time.
+    the processed segment count exceeds config.max_particle_steps.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _forward_batch(config, 1, rng, detectors, count_times)[0]
+    return _forward_batch(config, 1, rng, detectors)[0]
 
 
 def _forward_chunks(config, regions, runs, seed):

@@ -499,6 +499,7 @@ BASE_CONFIGS = {
     ("capacity", ("tol",), 0),
     ("sbm-extinction", ("dt",), 0),
     ("sbm-extinction", ("horizon",), 0),
+    ("prop51", ("d",), 1),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):

@@ -54,11 +54,9 @@ def test_wilson_interval_brackets_p_hat():
 def test_single_particle_no_branching():
     cfg = BranchingConfig(n_particles=1, dt=0.05, horizon=1.0, d=2,
                           branch_rate=0.0)
-    trace = simulate_branching(cfg, run_rng(3, 0), count_times=[0.5, 1.0])
+    trace = simulate_branching(cfg, run_rng(3, 0))
     assert trace.survived
     assert trace.max_particles == 1
-    assert trace.counts_at[0.5] == 1
-    assert trace.counts_at[1.0] == 1
 
 
 def test_forward_determinism():
@@ -247,6 +245,16 @@ def test_range_hit_refuses_a_start_on_or_outside_the_kill_sphere(start_law, kill
                            dt=1e-3, runs=200, seed=1, kill_radius=kill_radius)
 
 
+@pytest.mark.parametrize("radii", [(1.0, 0.5), (0.5, 1.0)])
+def test_range_hit_union_equals_its_largest_ball(radii):
+    # the union's distance is its members' minimum, which is the outer ball's
+    union = RegionUnion(tuple(SpatialBall((0.0,) * 3, r) for r in radii))
+    ball = SpatialBall((0.0,) * 3, 1.0)
+    got, want = (estimate_range_hit(3, [2.0, 0.0, 0.0], reg, dt=1e-3, runs=2000,
+                                    seed=5, kill_radius=50.0) for reg in (union, ball))
+    assert got == want
+
+
 def test_range_hit_d2_has_no_kill_sphere():
     est = estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0),
                              dt=1e-3, runs=200, seed=1, kill_radius=1.5)
@@ -413,14 +421,24 @@ def test_run_records_and_estimate_share_one_stream():
 def test_batched_forward_keeps_per_run_tallies():
     from parcap.stochastic_sim import _forward_batch
     cfg = BranchingConfig(n_particles=30, dt=0.05, horizon=0.5, d=2)
-    traces = _forward_batch(cfg, 40, run_rng(3, 0), count_times=[0.25, 0.5])
+    traces = _forward_batch(cfg, 40, run_rng(3, 0))
     for tr in traces:
         assert tr.max_particles >= 30 and tr.particle_steps >= 30
-        assert tr.survived == (tr.counts_at[0.5] > 0)
         assert (tr.extinction_time is None) == tr.survived
         if not tr.survived:
-            assert tr.counts_at[0.5] == 0 and 0 < tr.extinction_time <= 0.5
+            assert 0 < tr.extinction_time <= 0.5
     assert len({tr.particle_steps for tr in traces}) > 1
+
+
+def test_rate_zero_engines_follow_one_brownian_particle():
+    # no branching: the reduced tree is one leaf and the count never moves
+    cfg = BranchingConfig(1, 0.01, 1.0, 1, branch_rate=0.0)
+    est = estimate_support_hit(cfg, 1.0, SpatialBall((0.0,), 0.5), 20000, seed=3)
+    want = math.erf(0.5 / math.sqrt(2.0))  # P(|B_1| < 0.5) = 0.382925
+    assert abs(est.p_hat - want) <= 3.0 * 0.5 * (est.ci_high - est.ci_low)
+    cfg = BranchingConfig(1, 0.01, 2.0, 1, branch_rate=0.0)
+    out = estimate_survival(cfg, [0.5, 2.0], 1000, seed=3)
+    assert [out[t].p_hat for t in (0.5, 2.0)] == [1.0, 1.0]
 
 
 def test_support_hit_full_space_matches_survival_law_at_100k_runs():

@@ -57,8 +57,6 @@ PAIR_CHUNK = 1 << 16      # pairs per kernel call: a multiple of the kernels' 10
                           # block, so every temporary sized by pairs stays a fixed size
 LEVEL_MIN_CELLS = 16      # mean cells per time level below which a cloud is one level:
                           # more kernel calls would cost more than the in-place route
-SUPPORT_TOL = 1e-12       # verify_duality: weight above which a cell is on the
-NORM_SUPPORT_TOL = 1e-10  # support for min_potential, and for the norm quadrature
 FINISH_TOL = 1e-3         # dense matrices: FW gap tolerance before the KKT finish
 FINISH_PASSES = 32        # finish passes before it gives way to FW at the caller's tol
 KKT_TOL = 1e-12           # finish: |1 - (K v)_i| on the support, 1 - (K v)_i off it
@@ -653,10 +651,10 @@ def verify_duality(result, cloud, matrix=None):
                                             seed=prov["seed"])
         kw = matrix.matvec(w)
     potentials = result.capacity * kw
-    min_potential = float(np.min(potentials[w > SUPPORT_TOL]))
+    idx = np.flatnonzero(w > 0)  # support: pairwise FW and the finish zero every cell off it
+    min_potential = float(np.min(potentials[idx]))
     min_potential_all = float(np.min(potentials))
 
-    idx = np.flatnonzero(w > NORM_SUPPORT_TOL)
     xg, wg = gauss_legendre(96)
     rho, omega = 0.5 * (1.0 - xg), 0.5 * wg
     t, x = cloud.times, cloud.coords

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, runtime
+from . import __version__
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import PARABOLIC, KernelKind, newtonian
 from .region import (ConfigError, SliceOf, SpatialBall, Thorn, _count, _field, _integer,
@@ -229,7 +229,7 @@ def cmd_hermite_verify(cfg, seed, out):
         seed=seed,
         trials=_field(cfg, "trials", _integer, 200),
         max_degree=_field(cfg, "max_degree", _integer, 6),
-        d=_field(cfg, "d", _integer, 2),
+        d=_field(cfg, "d", _count, 2),
         grid_n=_field(cfg, "grid_n", _integer, 5),
         bound_overrides=_field(cfg, "bound_overrides", overrides, None),
     )
@@ -299,7 +299,7 @@ def cmd_sbm_extinction(cfg, seed, out):
         raise ConfigError("config field 'times' is empty")
     sim_cfg = dict(cfg)
     sim_cfg.setdefault("horizon", max(times))
-    config = BranchingConfig(d=_field(cfg, "d", _integer, 1), **_sim_fields(sim_cfg))
+    config = BranchingConfig(d=_field(cfg, "d", _count, 1), **_sim_fields(sim_cfg))
     runs = _field(cfg, "runs", _count)
     estimates = estimate_survival(config, times, runs, seed)
     payload = {
@@ -345,9 +345,10 @@ def main(argv=None):
                              "env PARCAP_SEED)")
     parser.add_argument("--out", default=None,
                         help="output path, '-' for stdout (env PARCAP_OUT)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (env PARCAP_THREADS); every loop runs serially")
-    args = parser.parse_args(argv)
+    try:  # argparse exits 2 on a usage error; exit 2 means converged-with-flags here
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 1 if exc.code else 0
 
     fn, needs_seed = _COMMANDS[args.command]
     seed = args.seed
@@ -381,8 +382,6 @@ def main(argv=None):
         return 1
 
     try:  # ConfigError and RegionError are ValueErrors
-        if args.threads is not None:
-            runtime.set_threads(args.threads)
         return fn(cfg, seed, out)
     except (ValueError, RuntimeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -93,20 +93,6 @@ def test_minimize_nonconverged_flag():
     assert not converged
 
 
-def test_assemble_threaded_matches_serial():
-    from parcap import runtime
-    cloud = discretize(SpatialBall((0.0, 0.0, 0.0), 0.9), 0.12)
-    serial = assemble_kernel_matrix(cloud, newtonian(3), diag_samples=32, seed=3)
-    runtime.set_threads(4)
-    try:
-        threaded = assemble_kernel_matrix(cloud, newtonian(3), diag_samples=32,
-                                          seed=3)
-    finally:
-        runtime.set_threads(1)
-    assert np.array_equal(serial.entries, threaded.entries)
-    assert np.all(serial.entries >= 0.0)
-
-
 def test_assemble_deterministic():
     cloud = discretize(SpatialBall((0.0, 0.0), 0.5), 0.2)
     a = assemble_kernel_matrix(cloud, newtonian(2), diag_samples=64, seed=9)
@@ -427,19 +413,6 @@ def test_result_json_leaves_out_the_potentials():
     assert set(payload) == {"capacity", "energy_min", "gap", "iterations", "converged",
                             "tol", "provenance", "equilibrium"}
     assert set(payload["equilibrium"]) == {"times", "coords", "weights"}
-
-
-def test_assemble_threaded_matches_serial_parabolic():
-    # the parabolic kernel is always assembled pair by pair, serially
-    from parcap import runtime
-    cloud = discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.4), 0.1)
-    serial = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=3)
-    runtime.set_threads(4)
-    try:
-        threaded = assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=16, seed=3)
-    finally:
-        runtime.set_threads(1)
-    assert np.array_equal(serial.entries, threaded.entries)
 
 
 def _offdiag(a):

@@ -500,6 +500,8 @@ BASE_CONFIGS = {
     ("sbm-extinction", ("dt",), 0),
     ("sbm-extinction", ("horizon",), 0),
     ("prop51", ("d",), 1),
+    ("sbm-extinction", ("d",), 0),
+    ("hermite-verify", ("d",), 0),
 ])
 def test_bad_field_value_exits_1_naming_the_field(tmp_path, capsys, command, path,
                                                   value):
@@ -536,13 +538,18 @@ def test_null_and_integral_float_fields_are_accepted(tmp_path):
     assert payloads[0]["branch_rate"] == 40.0
 
 
-def test_threads_below_one_exits_1(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "ext.json", BASE_CONFIGS["sbm-extinction"])
-    out = str(tmp_path / "o.json")
-    assert main(["sbm-extinction", "--config", cfg, "--seed", "1", "--threads", "0",
-                 "--out", out]) == 1
-    assert "thread count must be >= 1" in capsys.readouterr().err
-    assert not os.path.exists(out)
+@pytest.mark.parametrize("argv, code", [
+    (["capacity", "--bogus", "1"], 1),
+    (["nosuch"], 1),
+    (["capacity", "--seed", "abc"], 1),
+    (["sbm-extinction", "--threads", "4", "--seed", "1"], 1),
+    (["--help"], 0),
+])
+def test_usage_error_exits_1_and_help_exits_0(capsys, argv, code):
+    # argparse's own exit code 2 would read as converged-with-flags
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "usage: parcap" in captured.out + captured.err
 
 
 @pytest.mark.parametrize("text", ["5", "[1, 2]", "\"ball\""])
@@ -571,3 +578,49 @@ def test_range_hit_start_outside_the_kill_sphere_exits_1(tmp_path, capsys, kill_
     assert main(["range-hit", "--config", cfg, "--seed", "1", "--out", out]) == 1
     assert "kill_radius" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+SLICE = {"kind": "time_slice_ball", "center": [0, 0], "radius": 0.3}
+
+
+@pytest.mark.parametrize("command, cfg, statuses", [
+    ("theorem1", {"regions": [{"id": "a", "region": dict(SLICE, t0=1.0)},
+                              {"id": "b", "region": dict(SLICE, t0=1.5)}],
+                  "resolution": 0.2, "sim": {"n_particles": 10, "runs": 5, "horizon": 1.0}},
+     {"a": "OK", "b": "FAILED: slice time beyond horizon"}),
+    ("prop51", dict(BASE_CONFIGS["prop51"], sets=[{"id": "s", "region": {
+        "kind": "box", "t_lo": 0.5, "t_hi": 1.0, "corner_lo": [-0.3, -0.3],
+        "corner_hi": [0.3, 0.3]}}]),
+     {"s": "FAILED: set 's' must be spatial of dimension 2"}),
+])
+def test_failed_row_exits_2(tmp_path, command, cfg, statuses):
+    out = str(tmp_path / "o.csv")
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--seed", "1", "--out", out]) == 2
+    rows = {r.split(",")[0]: r.split(",")[-1] for r in open(out).read().splitlines()
+            if not r.startswith("#")}
+    assert {k: rows[k] for k in statuses} == statuses
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("profile", dict(BASE_CONFIGS["profile"], thorn=BASE_CONFIGS["capacity"]["region"]),
+     "config field 'thorn' must describe a thorn region"),
+    ("range-hit", {k: v for k, v in BASE_CONFIGS["range-hit"].items() if k != "start"},
+     "config missing field 'start'"),
+])
+def test_config_error_exits_1_with_message(tmp_path, capsys, command, cfg, message):
+    out = str(tmp_path / "o.out")
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                 "--seed", "1", "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_bad_seed_env_or_config_path_exits_1(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, "c.json", BASE_CONFIGS["range-hit"])
+    monkeypatch.setenv("PARCAP_SEED", "x")
+    assert main(["range-hit", "--config", cfg]) == 1
+    assert "invalid PARCAP_SEED" in capsys.readouterr().err
+    missing = str(tmp_path / "none.json")
+    assert main(["range-hit", "--config", missing, "--seed", "1"]) == 1
+    assert f"config file not found: {missing}" in capsys.readouterr().err

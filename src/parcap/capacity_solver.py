@@ -122,19 +122,14 @@ class LatticeKernel:
     """Kernel matrix of a translation-invariant kernel on cells at lattice
     indices ``k`` (n, D), with no n x n array: the kernel on the grid of
     signed offsets, 2S - 1 wide on an axis where the cells span S lattice
-    values, offset m at m + S - 1 holding ``table[sum_a |m_a| * strides_a]``
-    (see ``_stencil_table``) and offset 0, the centre, ``self_energy``. Entry
+    values, offset m at m + S - 1 (``grid``, from ``_stencil_table``; held,
+    not copied), with offset 0, the centre, set to ``self_energy``. Entry
     (i, j) is the grid at base_j - base_i + centre, base_j the flat index of
     cell j, so a row is one shifted gather; a product, one FFT convolution."""
 
-    def __init__(self, k, table, strides, self_energy, provenance):
+    def __init__(self, k, grid, self_energy, provenance):
         self.provenance, self.n, self._cells = provenance, k.shape[0], tuple(k.T)
-        self._shape = tuple((k.max(axis=0) + 1).tolist())
-        self._fft_shape = [_fft_len(2 * s - 1) for s in self._shape]
-        table = np.ascontiguousarray(table, dtype=float)
-        grid = np.lib.stride_tricks.as_strided(table, self._shape, strides * table.itemsize)
-        for axis, s in enumerate(self._shape):  # a copy, mirrored per axis: m -> |m|
-            grid = grid.take(np.abs(np.arange(1 - s, s)), axis=axis)
+        self._fft_shape = [_fft_len(s) for s in grid.shape]
         self._centre = grid.size // 2  # offset 0, S - 1 on each axis, is the middle
         grid.flat[self._centre] = self_energy
         self._grid, self._base = grid, np.ravel_multi_index(self._cells, grid.shape)
@@ -144,7 +139,8 @@ class LatticeKernel:
         self._weights = np.zeros(self._fft_shape)
         self._spec = np.empty((*self._fft_shape[:-1], self._fft_shape[-1] // 2 + 1), complex)
         self._conv = np.empty(self._fft_shape)
-        self._read = np.ravel_multi_index(tuple(k.T + k.max(axis=0)[:, None]), self._fft_shape)
+        self._read = np.ravel_multi_index(tuple(k.T + np.array(grid.shape)[:, None] // 2),
+                                          self._fft_shape)
 
     def row(self, i, out):
         """Row i, gathered from the offset grid into ``out``, which is returned."""
@@ -300,22 +296,10 @@ def _cell_points(cloud, idx, count, rng):
 
 def _mean_kernel(kind, cloud, idx, count, rng):
     """Mean kernel over ``count`` pairs of ``_cell_points`` per cell idx, or
-    over one shared offset draw (an array of one value) if ``idx`` is None.
-    Coincident pairs have probability zero, so non-finite values are redrawn
-    once."""
-
-    def draw():
-        return _pair_values(kind, *_cell_points(cloud, idx, count, rng),
-                            *_cell_points(cloud, idx, count, rng)).reshape(-1, count)
-
-    vals = draw()
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        vals[bad] = draw()[bad]
-        if not np.all(np.isfinite(vals)):
-            raise RuntimeError("cell self-energy estimate is non-finite after "
-                               "resampling; reduce the resolution")
-    return vals.mean(axis=1)
+    over one shared offset draw (an array of one value) if ``idx`` is None."""
+    vals = _pair_values(kind, *_cell_points(cloud, idx, count, rng),
+                        *_cell_points(cloud, idx, count, rng))
+    return vals.reshape(-1, count).mean(axis=1)
 
 
 def _lattice_index(cloud):
@@ -333,11 +317,10 @@ def _lattice_index(cloud):
 
 
 def _stencil_table(kind, k, pitch):
-    """Kernel on every lattice offset m * pitch, m = 0..max(k) per axis.
-
-    Returns the table flattened in C order and the axis strides of that
-    order, or None when the grid of signed offsets that a LatticeKernel holds
-    and transforms, 2 max(k) + 1 per axis, would outnumber the cloud's pairs.
+    """Kernel on the grid of signed lattice offsets m * pitch that a
+    LatticeKernel holds and transforms, |m| <= max(k) per axis, offset m at
+    m + max(k); or None when that grid would outnumber the cloud's pairs.
+    The kernel is evaluated on m >= 0 and mirrored per axis, m -> |m|.
     """
     shape = k.max(axis=0) + 1
     n = k.shape[0]
@@ -346,9 +329,8 @@ def _stencil_table(kind, k, pitch):
     m = np.indices(shape).reshape(shape.size, -1).T * pitch
     # axis 0 is time for a space-time kernel (d None); the newtonian reads no times
     t, x = m[:, 0], (m if kind.d else m[:, 1:])
-    table = kind.batch(t, x, np.zeros_like(t), np.zeros_like(x))
-    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
-    return table, strides
+    table = kind.batch(t, x, np.zeros_like(t), np.zeros_like(x)).reshape(shape)
+    return table[np.ix_(*(np.abs(np.arange(1 - s, s)) for s in shape))]
 
 
 def _fill_pairwise(a, cloud, kind):
@@ -389,8 +371,7 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     An invariant kernel's pairs are offsets from the centre, drawn once and
     shared by every cell, so every diagonal entry holds one value; any other
     draws pairs per cell, in blocks of 200_000 // diag_samples cells.
-    Non-finite samples are redrawn once. Deterministic per seed;
-    ``diag_samples`` must be at least 1.
+    Deterministic per seed; ``diag_samples`` must be at least 1.
     """
     if cloud.n < 1:
         raise ValueError("empty cell cloud")
@@ -425,7 +406,7 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
         a[np.diag_indices(n)] = diag
         km = KernelMatrix(a, prov)
     else:
-        km = LatticeKernel(k, *stencil, diag, prov)
+        km = LatticeKernel(k, stencil, diag, prov)
     km.check()
     return km
 

@@ -21,8 +21,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .capacity_solver import capacity, capacity_growth_profile
 from .energy_kernel import PARABOLIC, KernelKind, newtonian
@@ -47,17 +45,10 @@ def _write_csv(path, cfg, seed, header, rows):
     _write_text(path, buf.getvalue())
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path, payload):
     """The payload as sorted JSON, stamped with the current UTC time."""
     payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
-                                 default=_json_default) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(path, text):
@@ -86,11 +77,7 @@ def _capacity_fields(cfg):
 
 
 def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return x
+    return "" if x is None else f"{x:.10g}"
 
 
 # --- commands ---------------------------------------------------------------------

@@ -573,8 +573,7 @@ def hardy_check(k, profile):
             a = inner_at - b * lo ** q
             if lo == 0.0:
                 # a = 0 when the support starts at 0, so no singular term
-                lhs += b * b * _power_integral(2 * q - 2.0 - k, lo, hi) if a == 0.0 \
-                    else math.inf
+                lhs += b * b * _power_integral(2 * q - 2.0 - k, lo, hi)
             else:
                 lhs += (a * a * _power_integral(-2.0 - k, lo, hi)
                         + 2 * a * b * _power_integral(q - 2.0 - k, lo, hi)

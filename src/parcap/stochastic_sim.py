@@ -388,8 +388,7 @@ def _advance_counts(counts, rate, delta, rng):
     survivors = rng.binomial(counts, 1.0 - q)
     total = survivors.astype(np.int64)
     m = survivors > 0
-    if np.any(m):
-        total[m] += rng.negative_binomial(survivors[m], 1.0 - q)
+    total[m] += rng.negative_binomial(survivors[m], 1.0 - q)
     return total
 
 

@@ -486,31 +486,32 @@ def test_lattice_rows_read_the_stencil_table_at_each_offset(cloud, kind):
     km = assemble_kernel_matrix(cloud, kind, diag_samples=16, seed=4)
     assert isinstance(km, LatticeKernel)
     k = _lattice_index(cloud)
-    table, strides = _stencil_table(kind, k, cloud.resolution)
-    table[0] = km.diagonal()[0]  # offset 0 holds the self-energy
+    grid, centre = _stencil_table(kind, k, cloud.resolution), k.max(axis=0)
+    grid[tuple(centre)] = km.diagonal()[0]  # offset 0 holds the self-energy
     out = np.empty(cloud.n)
-    for i in range(cloud.n):
-        assert np.array_equal(km.row(i, out), table[np.abs(k - k[i]) @ strides])
+    for i in range(cloud.n):  # |offset|: the non-negative quadrant, so mirroring is checked
+        assert np.array_equal(km.row(i, out), grid[tuple((np.abs(k - k[i]) + centre).T)])
 
 
 def test_lattice_kernel_check():
     cloud = discretize(SpatialBall((0.0, 0.0, 0.0), 0.5), 0.1)
     k = _lattice_index(cloud)
-    table, strides = _stencil_table(newtonian(3), k, cloud.resolution)
-    assert table[0] == np.inf  # offset 0 is the diagonal: the self-energy replaces it
-    LatticeKernel(k, table, strides, 30.0, {}).check()
+    grid = _stencil_table(newtonian(3), k, cloud.resolution)
+    # offset 0, the centre, is the diagonal: the self-energy replaces it
+    assert grid.flat[grid.size // 2] == np.inf
+    LatticeKernel(k, grid, 30.0, {}).check()
     for value, self_energy, match in ((np.nan, 30.0, "non-finite"),
                                       (np.inf, 30.0, "non-finite"),
                                       (-0.5, 30.0, "negative"),
-                                      (table[5], np.inf, "non-finite"),
-                                      (table[5], np.nan, "non-finite"),
-                                      (table[5], -1.0, "negative")):
-        bad = table.copy()
-        bad[5] = value
+                                      (grid.flat[5], np.inf, "non-finite"),
+                                      (grid.flat[5], np.nan, "non-finite"),
+                                      (grid.flat[5], -1.0, "negative")):
+        bad = grid.copy()
+        bad.flat[5] = value
         with pytest.raises(ValueError, match=match):
-            LatticeKernel(k, bad, strides, self_energy, {}).check()
+            LatticeKernel(k, bad, self_energy, {}).check()
     with pytest.raises(ValueError, match="one lattice site"):
-        LatticeKernel(np.vstack([k, k[:1]]), table, strides, 30.0, {}).check()
+        LatticeKernel(np.vstack([k, k[:1]]), grid, 30.0, {}).check()
 
 
 def test_lattice_kernel_needs_its_fft_grid_to_fit_in_the_pairs():
@@ -801,6 +802,19 @@ def test_finish_gives_way_to_frank_wolfe_at_tol_on_negative_curvature(monkeypatc
     assert np.array_equal(res.equilibrium.weights, w)
     assert (res.energy_min, res.gap, res.iterations, res.converged) == (f, gap, iters, converged)
     assert res.energy_min == pytest.approx(0.5, rel=1e-12)
+
+
+def test_finish_gives_way_to_frank_wolfe_at_tol_after_its_passes(monkeypatch):
+    region, pitch = TimeSliceBall(1.0, (0.0, 0.0), 0.35), 0.05
+    monkeypatch.setattr(capacity_solver, "FINISH_PASSES", 0)
+    res = capacity(region, PARABOLIC, pitch, tol=1e-6, seed=1)
+    km = assemble_kernel_matrix(discretize(region, pitch), PARABOLIC, seed=1)
+    assert isinstance(km, KernelMatrix)
+    f, w, gap, iters, converged = minimize_energy(km, tol=1e-6)
+    assert res.provenance["solver"] == "frank-wolfe"
+    assert converged and res.converged
+    assert np.array_equal(res.equilibrium.weights, w)
+    assert (res.energy_min, res.gap, res.iterations) == (f, gap, iters)
 
 
 def test_lattice_kernel_result_is_frank_wolfe_at_tol():

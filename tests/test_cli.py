@@ -607,6 +607,11 @@ def test_failed_row_exits_2(tmp_path, command, cfg, statuses):
      "config field 'thorn' must describe a thorn region"),
     ("range-hit", {k: v for k, v in BASE_CONFIGS["range-hit"].items() if k != "start"},
      "config missing field 'start'"),
+    ("capacity", dict(BASE_CONFIGS["capacity"], region={"kind": "cube"}),
+     "unknown region kind 'cube'"),
+    ("profile", dict(BASE_CONFIGS["profile"],
+                     thorn=dict(BASE_CONFIGS["profile"]["thorn"], profile="cubic")),
+     "unknown thorn profile 'cubic'"),
 ])
 def test_config_error_exits_1_with_message(tmp_path, capsys, command, cfg, message):
     out = str(tmp_path / "o.out")
@@ -614,6 +619,32 @@ def test_config_error_exits_1_with_message(tmp_path, capsys, command, cfg, messa
                  "--seed", "1", "--out", out]) == 1
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_profile_row_of_a_failed_eps_exits_2(tmp_path):
+    # thorn power 10 on [0.2, 0.5] at pitch 0.1 has no cell centre inside it
+    cfg = write_cfg(tmp_path, "c.json", {
+        "thorn": {"kind": "thorn", "profile": "power", "param": 10, "t_lo": 0,
+                  "t_hi": 0.5, "d": 1}, "eps_list": [0.2]})
+    out = str(tmp_path / "o.csv")
+    assert main(["profile", "--config", cfg, "--out", out]) == 2
+    rows = [r for r in open(out).read().splitlines() if not r.startswith("#")]
+    assert rows == ["eps,resolution,capacity,error", "0.2,0.1,,empty discretization"]
+
+
+@pytest.mark.parametrize("command", ["range-hit", "hermite-verify"])
+def test_out_dash_writes_the_file_payload_to_stdout(tmp_path, capsys, command):
+    argv = [command, "--config", write_cfg(tmp_path, "c.json", BASE_CONFIGS[command]),
+            "--seed", "1", "--out"]
+    out = str(tmp_path / "o.json")
+    assert main([*argv, out]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([*argv, "-"]) == 0
+
+    def untimed(text):
+        return [line for line in text.splitlines() if '"timestamp"' not in line]
+
+    assert untimed(capsys.readouterr().out) == untimed(open(out).read())
 
 
 def test_bad_seed_env_or_config_path_exits_1(tmp_path, capsys, monkeypatch):

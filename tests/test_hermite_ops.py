@@ -192,6 +192,17 @@ def test_hardy_zero_profile():
     assert rhs == 0.0
 
 
+def test_hardy_box_off_zero_takes_the_log_case():
+    # at k = 0 the cross term integrates t^-1 on [a, b]: a log; the tail
+    # beyond b adds v^2 (b - a)^2 / b
+    a, b, v = 0.5, 1.0, 1.0
+    lhs, rhs = hardy_check(0.0, BoxProfile([a, b], [v]))
+    exact = (v * v * ((b - a) - 2 * a * math.log(b / a) + a * a * (1 / a - 1 / b))
+             + v * v * (b - a) ** 2 / b)
+    assert lhs == pytest.approx(exact, rel=1e-14)
+    assert rhs == 4.0 * v * v * (b - a)
+
+
 def test_hardy_random_sweep():
     rng = np.random.default_rng(12)
     for _ in range(100):

@@ -503,6 +503,8 @@ def test_estimator_edge_cases():
         estimate_support_hit(cfg, -0.5, SpatialBall((0.0, 0.0), 1.0), 10, seed=1)
     with pytest.raises(ValueError, match="-0.25"):
         estimate_survival(cfg, [0.5, -0.25], 10, seed=1)
+    with pytest.raises(ValueError, match="requested time beyond horizon"):
+        estimate_survival(cfg, [0.5, 1.5], 10, seed=1)
 
 
 def test_graph_hits_refuse_region_of_other_dimension():

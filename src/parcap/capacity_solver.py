@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy_kernel import PARABOLIC, DiscreteMeasure, reduced_pair_sum
+from .energy_kernel import KERNEL_BLOCK, PARABOLIC, DiscreteMeasure, reduced_pair_sum
 from .quadrature import gauss_legendre
 from .region import RegionError, Thorn, discretize, region_to_dict
 
@@ -53,8 +53,8 @@ __all__ = [
     "translation_noninvariance_demo",
 ]
 
-PAIR_CHUNK = 1 << 16      # pairs per kernel call: a multiple of the kernels' 1024-pair
-                          # block, so every temporary sized by pairs stays a fixed size
+PAIR_CHUNK = 64 * KERNEL_BLOCK  # pairs per kernel call: whole kernel blocks (see
+                                # _pair_values), and a fixed size for pair temporaries
 LEVEL_MIN_CELLS = 16      # mean cells per time level below which a cloud is one level:
                           # more kernel calls would cost more than the in-place route
 FINISH_TOL = 1e-3         # dense matrices: FW gap tolerance before the KKT finish
@@ -265,9 +265,9 @@ def _level_pair_chunks(levels, target=PAIR_CHUNK):
 
 def _pair_values(kind, times1, coords1, times2, coords2):
     """Kernel of each aligned pair, evaluated PAIR_CHUNK pairs per call;
-    times are None on a spatial cloud. The slices start at multiples of the
-    kernels' 1024-pair block, so every block, and hence every value, is the
-    one a single call would give."""
+    times are None on a spatial cloud. The slices start at multiples of
+    KERNEL_BLOCK, so every block, and hence every value, is the one a single
+    call would give."""
     out = np.empty(len(coords1))
     for lo in range(0, out.size, PAIR_CHUNK):
         s = slice(lo, lo + PAIR_CHUNK)

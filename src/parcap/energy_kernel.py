@@ -58,6 +58,7 @@ CAP_PRIME_REL_TOL = 1e-10  # and cap_prime_kernel
 # cap_prime_bruteforce: s panel nodes, y nodes per axis, s range
 CP_ORACLE_N_S, CP_ORACLE_N_Y, CP_ORACLE_SPAN = 240, 64, 160.0
 MC_PATH_CHUNK = 256        # Brownian paths per block of energy_mc_paths
+KERNEL_BLOCK = 1024        # pairs per block of the batch pair kernels' two routes
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
     return out
 
 
-def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=1024):
+def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=KERNEL_BLOCK):
     """Per pair: sum_k tmin omega_k * reduced integrand at s = tmin - tmin rho_k.
 
     tmin = t1^t2 and (rho, omega) is the caller's rule in units of tmin,
@@ -338,7 +339,7 @@ _BATCH_UNIT_NODES, _BATCH_UNIT_WEIGHTS = panel_rule(
     geometric_edges(0.0, 1.0, 13, ratio=0.5), order=8)
 
 
-def parabolic_kernel_batch(t1, x1, t2, x2, block=1024):
+def parabolic_kernel_batch(t1, x1, t2, x2, block=KERNEL_BLOCK):
     """Vectorized K over aligned pair arrays; fixed composite rule.
 
     Same integrand as :func:`mutual_kernel` on a panel grid clustered toward
@@ -419,7 +420,7 @@ _CP_UNIT_NODES, _CP_UNIT_WEIGHTS = panel_rule(
     geometric_edges(0.0, math.sqrt(_CAP_PRIME_SPAN), 24, ratio=0.55), order=12)
 
 
-def cap_prime_kernel_batch(t1, x1, t2, x2, block=1024):
+def cap_prime_kernel_batch(t1, x1, t2, x2, block=KERNEL_BLOCK):
     """Vectorized K' over aligned pair arrays (fixed composite rule).
 
     The log integrand at u = |t-t'| + w^2 is affine in |x-x'|^2, with one

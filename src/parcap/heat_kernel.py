@@ -51,13 +51,6 @@ class SpaceTimePoint:
         return np.asarray(self.x, dtype=float)
 
 
-def _check_finite(t, x):
-    if not math.isfinite(t):
-        raise ValueError("non-finite time")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite spatial coordinate")
-
-
 def log_heat_density(t, sq_norm, d):
     """log p(t, x) given |x|^2, vectorized over (t, sq_norm); -inf for t <= 0."""
     t = np.asarray(t, dtype=float)
@@ -85,26 +78,18 @@ def heat_density(t, x):
     Returns 0 for t <= 0; rejects non-finite inputs.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_finite(t, x)
-    d = x.size
-    if t <= 0.0:
-        return 0.0
-    return float(_exp_floor(log_heat_density(t, x @ x, d)))
+    if not (math.isfinite(t) and np.all(np.isfinite(x))):
+        raise ValueError("non-finite time or spatial coordinate")
+    return float(_exp_floor(log_heat_density(t, x @ x, x.size)))
 
 
 def bridge_weight(target, s, y):
-    """Bridge density ratio p(t-s, x-y) / p(t, x) for target (t, x).
-
-    Vanishes for s >= t because the numerator does.
-    """
-    t, x = target.t, target.x_arr
+    """Bridge density ratio p(t-s, x-y) / p(t, x) for target (t, x), a batch
+    of one of :func:`bridge_weight_batch`; 0 for s >= t."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != x.size:
+    if y.size != target.d:
         raise ValueError("dimension mismatch")
-    num = heat_density(t - s, x - y)
-    if num == 0.0:
-        return 0.0
-    return num / heat_density(t, x)
+    return float(bridge_weight_batch([target.t], [target.x], s, y, target.d)[0])
 
 
 def bridge_weight_batch(times, coords, s, y, d):

@@ -69,24 +69,20 @@ def _interpolant_antiderivative(order):
     interpolant of those values.
 
     GL quadrature is exact for P_j P_k here, so p's coefficients are
-    c_j = (j + 1/2) sum_k w_k f(x_k) P_j(x_k); then
-    int_{-1}^xi P_0 = P_0 + P_1 and int_{-1}^xi P_j = (P_{j+1} - P_{j-1})/(2j+1).
+    c_j = (j + 1/2) sum_k w_k f(x_k) P_j(x_k); row j of ``legint`` of the
+    identity holds the coefficients of int_{-1}^xi P_j.
     """
     x, w = gauss_legendre(order)
     to_coef = (np.polynomial.legendre.legvander(x, order - 1) * w[:, None]
                * (np.arange(order) + 0.5))
-    anti = np.zeros((order, order + 1))
-    anti[0, :2] = 1.0
-    for j in range(1, order):
-        anti[j, j + 1] = 1.0 / (2 * j + 1)
-        anti[j, j - 1] = -1.0 / (2 * j + 1)
-    out = to_coef @ anti
+    out = to_coef @ np.polynomial.legendre.legint(np.eye(order), lbnd=-1, axis=1)
     out.flags.writeable = False
     return out
 
 
 BUMP_PANELS, BUMP_ORDER = 24, 16  # GL panels per bump profile, nodes per panel
-LAMBDA_S_ORDER = 64  # s nodes of the direct smoothing-operator quadrature
+LAMBDA_S_ORDER = 64  # direct smoothing-operator quadrature in s: 8 panels of
+                     # LAMBDA_S_ORDER // 4 = 16 GL nodes, 128 nodes in all
 GH_ORDER = 40        # Gauss-Hermite nodes of that quadrature and of orthogonality
 FD_STEP = 1e-5       # central-difference step of hermite_derivative_check
 
@@ -166,8 +162,8 @@ class BumpProfile:
     """
 
     def __init__(self, alpha, beta, amplitude=1.0):
-        if not 0.0 < alpha < beta:
-            raise ValueError("need 0 < alpha < beta")
+        if not (0.0 < alpha < beta < math.inf and math.isfinite(amplitude)):
+            raise ValueError("need 0 < alpha < beta < inf and a finite amplitude")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.amplitude = float(amplitude)
@@ -200,8 +196,10 @@ class BoxProfile:
         values = np.asarray(values, dtype=float)
         if edges.ndim != 1 or edges.size != values.size + 1:
             raise ValueError("need len(edges) == len(values) + 1")
-        if np.any(np.diff(edges) <= 0) or edges[0] < 0:
-            raise ValueError("edges must be increasing and nonnegative")
+        if not (np.all(np.diff(edges) > 0) and 0 <= edges[0] and edges[-1] < math.inf):
+            raise ValueError("edges must be finite, increasing and nonnegative")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         self.edges = edges
         self.values = values
 
@@ -216,10 +214,10 @@ class BoxProfile:
 # --- Hermite polynomials --------------------------------------------------------
 
 def hermite_value_1d(k, u):
-    """He_k(u) via the three-term recurrence, vectorized in u."""
-    u = np.asarray(u, dtype=float)
+    """He_k(u) via the three-term recurrence, vectorized in u; needs k >= 0."""
     if k < 0:
-        return np.zeros(u.shape)
+        raise ValueError("index entries must be >= 0")
+    u = np.asarray(u, dtype=float)
     prev = np.ones(u.shape)
     if k == 0:
         return prev
@@ -232,8 +230,6 @@ def hermite_value_1d(k, u):
 def hermite_value(n, x):
     """Multi-index He_n(x) = prod_i He_{n_i}(x_i); x may be (..., d)."""
     n = tuple(int(k) for k in np.atleast_1d(n))
-    if any(k < 0 for k in n):
-        raise ValueError("index entries must be >= 0")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
@@ -281,6 +277,8 @@ def hermite_orthogonality(n, m, t):
     m = tuple(int(k) for k in np.atleast_1d(m))
     if len(n) != len(m):
         raise ValueError("index dimension mismatch")
+    if not t > 0:
+        raise ValueError(f"need t > 0, got {t}")
     u, w = gauss_hermite_prob(GH_ORDER)
     total = 1.0
     root_t = math.sqrt(t)

@@ -46,18 +46,18 @@ class RegionError(ValueError):
 
 
 def thorn_profile(name, param):
-    """Shipped monotone thorn profiles h(s)."""
+    """Shipped monotone thorn profiles h(s); each parameter is finite and positive."""
+    symbol = {"constant": "c", "power": "alpha", "invlog": "beta"}.get(name)
+    if symbol is None:
+        raise RegionError(f"unknown thorn profile {name!r}")
+    if not 0 < param < math.inf:
+        raise RegionError(f"{name} profile needs a finite {symbol} > 0")
+    param = float(param)
     if name == "constant":
-        return lambda s: np.full_like(np.asarray(s, dtype=float), float(param))
+        return lambda s: np.full_like(np.asarray(s, dtype=float), param)
     if name == "power":
-        if param <= 0:
-            raise RegionError("power profile needs alpha > 0")
-        return lambda s: np.asarray(s, dtype=float) ** float(param)
-    if name == "invlog":
-        if param <= 0:
-            raise RegionError("invlog profile needs beta > 0")
-        return lambda s: np.abs(np.log(np.asarray(s, dtype=float))) ** (-float(param))
-    raise RegionError(f"unknown thorn profile {name!r}")
+        return lambda s: np.asarray(s, dtype=float) ** param
+    return lambda s: np.abs(np.log(np.asarray(s, dtype=float))) ** (-param)
 
 
 class Region:
@@ -199,10 +199,6 @@ class Thorn(Region):
     def h(self, s):
         return thorn_profile(self.profile, self.param)(s)
 
-    def max_radius(self):
-        s = np.linspace(max(self.t_lo, 1e-12), self.t_hi, 1025)
-        return float(np.max(np.sqrt(s) * self.h(s)))
-
     def mask(self, pts):
         t, x = pts[:, 0], pts[:, 1:]
         ok = (t > self.t_lo) & (t < self.t_hi)
@@ -211,7 +207,8 @@ class Thorn(Region):
         return ok & (np.linalg.norm(x, axis=1) < lim)
 
     def bounds(self):
-        r = self.max_radius()
+        # sqrt(s) h(s) increases for every shipped profile: largest at t_hi
+        r = float(np.sqrt(self.t_hi) * self.h(self.t_hi))
         return (np.concatenate([[self.t_lo], -r * np.ones(self.d)]),
                 np.concatenate([[self.t_hi], r * np.ones(self.d)]))
 

@@ -85,14 +85,14 @@ class BranchingConfig:
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("need at least one initial particle")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
+            raise ValueError("dt and horizon must be positive and finite")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if self.branch_rate is None:
             object.__setattr__(self, "branch_rate", 4.0 * self.n_particles)
-        if self.branch_rate < 0:
-            raise ValueError("branch rate must be nonnegative")
+        if not 0 <= self.branch_rate < math.inf:
+            raise ValueError("branch rate must be nonnegative and finite")
 
     @property
     def mass(self):
@@ -281,8 +281,7 @@ def simulate_branching(config, seed, detectors=()):
     between events is an exact Gaussian increment. Aborts as exploded when
     the processed segment count exceeds config.max_particle_steps.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _forward_batch(config, 1, rng, detectors)[0]
+    return _forward_batch(config, 1, np.random.default_rng(seed), detectors)[0]
 
 
 def _forward_chunks(config, regions, runs, seed):

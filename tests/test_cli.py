@@ -612,6 +612,9 @@ def test_failed_row_exits_2(tmp_path, command, cfg, statuses):
     ("profile", dict(BASE_CONFIGS["profile"],
                      thorn=dict(BASE_CONFIGS["profile"]["thorn"], profile="cubic")),
      "unknown thorn profile 'cubic'"),
+    ("profile", dict(BASE_CONFIGS["profile"],
+                     thorn=dict(BASE_CONFIGS["profile"]["thorn"], param=0.0)),
+     "constant profile needs a finite c > 0"),
 ])
 def test_config_error_exits_1_with_message(tmp_path, capsys, command, cfg, message):
     out = str(tmp_path / "o.out")

@@ -8,6 +8,7 @@ from parcap.heat_kernel import (
     bridge_weight,
     gaussian_product_reduce,
     heat_density,
+    log_heat_density,
 )
 from parcap.quadrature import gauss_legendre
 
@@ -70,6 +71,15 @@ def test_bridge_weight_midpoint_value():
 def test_bridge_weight_vanishes_beyond_target_time():
     assert bridge_weight(SpaceTimePoint(1.0, [0.2]), 1.5, [7.0]) == 0.0
     assert bridge_weight(SpaceTimePoint(1.0, [0.2]), 1.0, [0.2]) == 0.0
+
+
+def test_bridge_weight_far_target_is_finite():
+    # p(1, 37.5) underflows to 0, but the ratio is taken in log space
+    got = bridge_weight(SpaceTimePoint(1.0, [37.5]), 0.5, [37.5])
+    want = math.exp(float(log_heat_density(0.5, 0.0, 1)
+                          - log_heat_density(1.0, 37.5 ** 2, 1)))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_product_reduce_symmetric_case():

@@ -69,6 +69,17 @@ def test_orthogonality_matrix_small():
                 assert got == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("n, m, t, message", [
+    ((-1,), (-1,), 1.0, "index entries"),
+    ((0, -1), (0, 0), 1.0, "index entries"),
+    ((1,), (1,), 0.0, "t > 0"),
+    ((1,), (1,), -1.0, "t > 0"),
+])
+def test_orthogonality_refuses_negative_indices_and_times(n, m, t, message):
+    with pytest.raises(ValueError, match=message):
+        hermite_orthogonality(n, m, t)
+
+
 def test_h_field_values():
     prof = BumpProfile(0.2, 1.2)
     t = 0.8
@@ -190,6 +201,20 @@ def test_hardy_zero_profile():
     lhs, rhs = hardy_check(1.0, BoxProfile([0.5, 1.0], [0.0]))
     assert lhs == 0.0
     assert rhs == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BoxProfile([0.0, 1.0], [math.inf]),
+    lambda: BoxProfile([0.0, 1.0], [math.nan]),
+    lambda: BoxProfile([0.0, math.inf], [1.0]),
+    lambda: BoxProfile([math.nan, 1.0], [1.0]),
+    lambda: BumpProfile(0.2, 1.2, amplitude=math.nan),
+    lambda: BumpProfile(0.2, 1.2, amplitude=math.inf),
+    lambda: BumpProfile(0.2, math.inf),
+])
+def test_profiles_refuse_non_finite_inputs(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_hardy_box_off_zero_takes_the_log_case():

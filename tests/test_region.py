@@ -142,6 +142,29 @@ def test_validation_errors():
                      SpaceTimeBox(1.0, 2.0, (0.0,), (1.0,))))
 
 
+@pytest.mark.parametrize("profile, param, t_lo, t_hi", [
+    ("constant", 0.5, 0.0, 0.5), ("constant", 2.0, 0.1, 0.9),
+    ("power", 0.5, 0.0, 0.5), ("power", 3.0, 0.1, 0.9),
+    ("invlog", 1.0, 0.0, 0.5), ("invlog", 2.0, 0.1, 0.9),
+])
+def test_thorn_radius_is_the_largest_profile_radius(profile, param, t_lo, t_hi):
+    thorn = Thorn(profile, param, t_lo, t_hi, d=2)
+    s = np.linspace(max(t_lo, 1e-12), t_hi, 4097)
+    r = np.max(np.sqrt(s) * thorn.h(s))
+    lo, hi = thorn.bounds()
+    assert list(lo) == [t_lo, -r, -r]
+    assert list(hi) == [t_hi, r, r]
+
+
+@pytest.mark.parametrize("profile, param", [
+    ("constant", 0.0), ("constant", -1.0), ("constant", math.nan), ("constant", math.inf),
+    ("power", math.inf), ("invlog", math.inf),
+])
+def test_thorn_needs_a_finite_positive_parameter(profile, param):
+    with pytest.raises(RegionError, match=f"{profile} profile needs a finite"):
+        Thorn(profile, param, 0.0, 0.5)
+
+
 def test_json_round_trip():
     regions = [
         TimeSliceBall(1.0, (0.0, 0.5), 0.3),

@@ -44,6 +44,17 @@ def test_config_validation():
         BranchingConfig(n_particles=1, dt=-0.1, horizon=1.0, d=2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("branch_rate", math.nan), ("branch_rate", math.inf), ("dt", math.nan),
+    ("horizon", math.nan),
+])
+def test_config_refuses_non_finite_values(field, value):
+    kwargs = dict(n_particles=10, dt=0.01, horizon=1.0, d=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        BranchingConfig(**kwargs)
+
+
 def test_wilson_interval_brackets_p_hat():
     lo, hi = wilson_interval(30, 100)
     assert lo < 0.3 < hi

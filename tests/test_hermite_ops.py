@@ -5,6 +5,7 @@ import pytest
 
 from parcap.hermite_ops import (
     OPERATOR_BOUNDS,
+    _BumpBatch,
     BoxProfile,
     BumpProfile,
     generating_function_error,
@@ -21,6 +22,7 @@ from parcap.hermite_ops import (
     operator_norm_probe,
     verification_report,
 )
+from parcap.quadrature import adaptive_gauss_kronrod
 
 
 def test_hermite_basic_values():
@@ -178,6 +180,92 @@ PINNED_PROBES = [  # which, T, d, i, trials, seed, value
 def test_operator_norm_probe_pinned_values(which, T, d, i, trials, seed, want):
     got = operator_norm_probe(which, trials, 4, d, T=T, i=i, seed=seed)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# the report's 7 probe quotients at seed 1, recorded when the panel
+# interpolants were summed in the Legendre basis by Clenshaw's recurrence
+REPORT_SEED1_QUOTIENTS = [
+    0.24238001091737166, 1.06322274170416, 0.5407306875678388,
+    1.8409397500533864, 0.06154300653184681, 0.14221866216392093,
+    0.3097376705476591,
+]
+
+
+def test_verification_report_quotients_pinned():
+    rep = verification_report(seed=1, trials=50)
+    got = [b["max_quotient"] for b in rep["bounds"]]
+    assert got == pytest.approx(REPORT_SEED1_QUOTIENTS, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("T", [None, 0.0, -1.0, math.nan, math.inf])
+def test_e_t_lambda_probe_refuses_T_not_finite_positive(T):
+    with pytest.raises(ValueError, match="finite T > 0"):
+        operator_norm_probe("e_t_lambda", 2, 2, 2, T=T, seed=1)
+
+
+@pytest.mark.parametrize("which", ["lambda2i", "lambda3i", "lambda4i"])
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_operators_refuse_axis_outside_dimension(which, i):
+    with pytest.raises(ValueError, match="axis"):
+        operator_norm_probe(which, 2, 2, 2, i=i, seed=1)
+    with pytest.raises(ValueError, match="axis"):
+        lambda_family_on_hermite(which, (2, 0), BumpProfile(0.2, 1.2), 0.7,
+                                 [0.1, 0.2], i=i)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("alpha, beta, amp", [(0.3, 1.7, -1.3), (1.0, 2.5, 1.0)])
+def test_running_integral_matches_adaptive_quadrature(q, alpha, beta, amp):
+    prof = BumpProfile(alpha, beta, amplitude=amp)
+    total = prof.weighted_integral(q)
+    edges = prof._batch.edges[0]
+    rng = np.random.default_rng(4)
+    inner = rng.uniform(edges[1], edges[-2], 30)
+    # unsorted, with repeats, alpha, beta and every panel edge among them
+    t = rng.permutation(np.concatenate([edges, inner, inner[:6], edges[3:5]]))
+    # the two end panels, where the interpolant's own error is a few 1e-11
+    ends = np.concatenate([rng.uniform(edges[0], edges[1], 8),
+                           rng.uniform(edges[-2], edges[-1], 8)])
+
+    def reference(points):
+        return np.array([adaptive_gauss_kronrod(lambda s: s ** q * prof(s), alpha,
+                                                min(p, beta), rel_tol=1e-14)
+                         for p in points])
+
+    assert np.max(np.abs(prof.weighted_integral(q, t) - reference(t))) \
+        <= 1e-12 * abs(total)
+    assert np.max(np.abs(prof.weighted_integral(q, ends) - reference(ends))) \
+        <= 5e-11 * abs(total)
+    assert abs(total - reference([beta])[0]) <= 1e-12 * abs(total)
+    assert prof.weighted_integral(q, []).shape == (0,)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 3.0])
+def test_running_integral_is_exact_outside_the_support(q):
+    alpha, beta = 0.2, 1.2
+    prof = BumpProfile(alpha, beta, amplitude=0.7)
+    below = [-math.inf, -1.0, 0.0, 0.1, np.nextafter(alpha, 0.0), alpha]
+    above = [beta, np.nextafter(beta, 2.0), 3.0, math.inf]
+    assert np.all(prof.weighted_integral(q, below) == 0.0)
+    assert np.all(prof.weighted_integral(q, above) == prof.weighted_integral(q))
+
+
+def test_running_integrals_permute_with_their_points():
+    rng = np.random.default_rng(9)
+    a = rng.uniform(0.05, 2.0, 6)
+    batch = _BumpBatch(a, a + rng.uniform(0.1, 1.5, 6), rng.uniform(-1.0, 1.0, 6))
+    q = np.arange(6) * 0.5
+    t = np.concatenate([rng.uniform(0.0, 4.0, 300), batch.edges.ravel()])
+    got, total = batch.running_integrals(q, t)
+    for order in (np.argsort(t), rng.permutation(t.size)):
+        moved, moved_total = batch.running_integrals(q, t[order])
+        assert np.array_equal(moved, got[:, order])
+        assert np.array_equal(moved_total, total)
+
+
+def test_running_integral_refuses_nan_points():
+    with pytest.raises(ValueError, match="NaN"):
+        BumpProfile(0.2, 1.2).weighted_integral(0.0, [0.5, math.nan])
 
 
 def test_probe_and_report_reject_empty_runs():

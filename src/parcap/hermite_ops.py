@@ -258,9 +258,22 @@ def hermite_value_1d(k, u):
     return cur
 
 
+def _multi_index(n):
+    """n as a tuple of ints; ``ValueError`` for an entry that is not integral."""
+    entries = np.atleast_1d(n)
+    if not all(float(k).is_integer() for k in entries):
+        raise ValueError(f"index entries must be integers, got {n!r}")
+    return tuple(int(k) for k in entries)
+
+
+def _check_axis(i, d):
+    if not 0 <= i < d:
+        raise ValueError(f"need an axis 0 <= i < d = {d}, got i = {i}")
+
+
 def hermite_value(n, x):
     """Multi-index He_n(x) = prod_i He_{n_i}(x_i); x may be (..., d)."""
-    n = tuple(int(k) for k in np.atleast_1d(n))
+    n = _multi_index(n)
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
@@ -273,7 +286,7 @@ def hermite_value(n, x):
 
 
 def index_factorial(n):
-    return math.prod(math.factorial(int(k)) for k in np.atleast_1d(n))
+    return math.prod(map(math.factorial, _multi_index(n)))
 
 
 def multi_indices(d, max_total):
@@ -283,8 +296,9 @@ def multi_indices(d, max_total):
 
 
 def hermite_derivative_check(n, i, x):
-    """(analytic, numeric) values of d/dx_i He_n at x; requires n_i >= 1."""
-    n = tuple(int(k) for k in np.atleast_1d(n))
+    """(analytic, numeric) values of d/dx_i He_n at x; needs 0 <= i < d, n_i >= 1."""
+    n = _multi_index(n)
+    _check_axis(i, len(n))
     if n[i] < 1:
         raise ValueError("derivative index must have n_i >= 1")
     x = np.asarray(np.atleast_1d(x), dtype=float)
@@ -304,8 +318,8 @@ def hermite_orthogonality(n, m, t):
     Nodes are placed for the variance-t Gaussian weight and mapped through
     the same x/sqrt(t) scaling as the integrand; equals n! when n == m.
     """
-    n = tuple(int(k) for k in np.atleast_1d(n))
-    m = tuple(int(k) for k in np.atleast_1d(m))
+    n = _multi_index(n)
+    m = _multi_index(m)
     if len(n) != len(m):
         raise ValueError("index dimension mismatch")
     if not t > 0:
@@ -324,7 +338,7 @@ def hermite_orthogonality(n, m, t):
 
 def h_field(n, profile, t, x):
     """h(n, g)(t, x) = He_n(x / sqrt t) t^{-|n|/2} g(t); zero for t <= 0."""
-    n = tuple(int(k) for k in np.atleast_1d(n))
+    n = _multi_index(n)
     if t <= 0:
         return 0.0
     x = np.asarray(np.atleast_1d(x), dtype=float)
@@ -384,7 +398,7 @@ def lambda_numeric_on_hermite(n, profile, ts, xs):
     coordinates, so the d-dimensional Gauss-Hermite sum is the product of
     one 1-D sum per axis; no d-dimensional node mesh is built.
     """
-    n = tuple(int(k) for k in np.atleast_1d(n))
+    n = _multi_index(n)
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float).reshape(-1, len(n))
     out = np.zeros((ts.size, xs.shape[0]))
@@ -408,8 +422,7 @@ def _terms(which, indices, i):
     of ``indices``) to coef[n] J_n(t) / t at output n (j None) or n - 2 e_j,
     plus the profile itself if ``identity``; J_n as in :func:`_apply_operator`.
     Raises ``ValueError`` for an axis i outside 0..d-1."""
-    if not 0 <= i < indices.shape[1]:
-        raise ValueError(f"need an axis 0 <= i < d = {indices.shape[1]}, got i = {i}")
+    _check_axis(i, indices.shape[1])
     ni = indices[:, i]
     if which == "lambda0":
         return False, [(None, np.ones(len(indices)))]
@@ -436,10 +449,12 @@ def lambda_family_on_hermite(which, n, profile, t, x, i=0):
     with G(t) = int_0^t g) or an operator of :func:`_terms`: "lambda0" (the
     time-scaled one, lambda / t), "lambda1", "lambda2i", "lambda3i" or
     "lambda4i". Terms with coefficient 0 are skipped, so lowered indices
-    never go negative. The operators of :func:`_terms` refuse an axis i
-    outside 0..d-1 with ``ValueError``.
+    never go negative. An unknown operator, and an axis i outside 0..d-1 for
+    the operators of :func:`_terms`, raise ``ValueError``, at t <= 0 too.
     """
-    n = tuple(int(k) for k in np.atleast_1d(n))
+    n = _multi_index(n)
+    if which != "lambda":
+        identity, terms = _terms(which, np.array([n]), i)
     if t <= 0:
         return 0.0
     x = np.asarray(np.atleast_1d(x), dtype=float)
@@ -448,7 +463,6 @@ def lambda_family_on_hermite(which, n, profile, t, x, i=0):
     big_g = float(profile.weighted_integral(0.0, np.asarray(t)))
     if which == "lambda":
         return float(hermite_value(n, x / root_t)) * t ** (-0.5 * tot) * big_g
-    identity, terms = _terms(which, np.array([n]), i)
     decay = t ** (-1.0 - 0.5 * tot) * big_g
     val = h_field(n, profile, t, x) if identity else 0.0
     for j, coef in terms:
@@ -473,11 +487,19 @@ OPERATOR_BOUNDS = {
 }
 
 
-def _common_grid(profiles, t_cap=None):
+def _common_grid(profiles, max_degree, T=None):
+    """The probes' one rule for ||op f||^2: GL-12 panels on every profile's 9
+    edges, ending at a horizon T. Without T a last GL panel in u = t_max / t
+    covers (t_max, inf), where output m is a t^{-|m|/2-1} + b t^{-|m|/2-2}:
+    out_m^2 dt is a polynomial of degree <= |m| + 2 <= max_degree + 2 in u,
+    which max_degree // 2 + 2 nodes integrate exactly."""
     edges = np.unique(np.linspace(profiles.alpha, profiles.beta, 9, axis=-1))
-    if t_cap is not None:
-        edges = np.union1d(edges[edges <= t_cap + 1e-15], [t_cap])
-    return panel_rule(edges, order=12)
+    if T is not None:
+        return panel_rule(np.append(edges[edges < T], T), order=12)
+    nodes, weights = panel_rule(edges, order=12)
+    u, w = panel_rule([0.0, 1.0], max_degree // 2 + 2)
+    return (np.concatenate([nodes, edges[-1] / u]),
+            np.concatenate([weights, edges[-1] * w / u ** 2]))
 
 
 def _lowered_rows(indices, j):
@@ -490,48 +512,31 @@ def _lowered_rows(indices, j):
     return src, dst
 
 
-def _apply_operator(which, indices, profiles, nodes, T=None, i=0):
-    """Map an expansion through an operator on the common grid.
+def _apply_operator(which, indices, profiles, nodes, i=0):
+    """Map an expansion through an operator at the grid ``nodes``.
 
     The expansion has coefficient profile k of ``profiles`` at the multi-index
-    in row k of the (K, d) array ``indices``. Returns (vals, tail): vals[m]
-    is output coefficient m on the grid, and beyond the grid it equals
-    tail[m, 0] t^{-|m|/2-1} + tail[m, 1] t^{-|m|/2-2}. The running integrals
-    J_n(t) = t^{-|n|/2} int_0^t s^{|n|/2} gamma_n(s) ds carry these exact
-    power-law tails beyond the largest support edge.
+    in row k of the (K, d) array ``indices``. Returns the (K, N) array whose
+    row m is output coefficient m at the nodes, built from the running
+    integrals J_n(t) = t^{-|n|/2} int_0^t s^{|n|/2} gamma_n(s) ds; the
+    "e_t_lambda" output is J itself, cut at its horizon by the grid.
     """
     q = 0.5 * indices.sum(axis=1)
-    J, C = profiles.running_integrals(q, nodes)
-    # J = C t^{-q} beyond the support; one power per distinct q
-    distinct, row = np.unique(q, return_inverse=True)
+    J = profiles.running_integrals(q, nodes)[0]
+    distinct, row = np.unique(q, return_inverse=True)  # one power per distinct q
     J *= (nodes ** -distinct[:, None])[row]
     if which == "e_t_lambda":
-        return np.where(nodes < T, J, 0.0), np.zeros((len(q), 2))  # grid capped at T
+        return J
     identity, terms = _terms(which, indices, i)
     vals = profiles.at(nodes) if identity else np.zeros_like(J)
-    tail = np.zeros((len(q), 2))
     J /= nodes
     for j, coef in terms:
         if j is None:
             vals += coef[:, None] * J
-            tail[:, 0] += coef * C
         else:
             src, dst = _lowered_rows(indices, j)
             vals[dst] += coef[src, None] * J[src]
-            tail[dst, 1] += coef[src] * C[src]
-    return vals, tail
-
-
-def _output_norm_sq(indices, fact, vals, tail, weights, t_max):
-    piece = vals ** 2 @ weights
-    # closed-form tail integral of (A t^{-p1} + B t^{-p2})^2 over (t_max, inf)
-    p1 = 0.5 * indices.sum(axis=1) + 1.0
-    p2 = p1 + 1.0
-    a, b = tail.T
-    piece += (a * a * t_max ** (1.0 - 2 * p1) / (2 * p1 - 1.0)
-              + 2 * a * b * t_max ** (1.0 - p1 - p2) / (p1 + p2 - 1.0)
-              + b * b * t_max ** (1.0 - 2 * p2) / (2 * p2 - 1.0))
-    return float(fact @ piece)
+    return vals
 
 
 def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
@@ -542,8 +547,8 @@ def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
     Quotients are evaluated in the coefficient domain, where the family acts
     index by index: all profiles of a trial are one array batch, their
     running integrals at the common grid come from the panel Legendre
-    interpolants, and the output norm adds the exact power-law tail beyond
-    the grid. The physical-space cross-check lives in :func:`lambda_numeric`.
+    interpolants, and the output norm is one quadrature on that grid, tail
+    included. The physical-space cross-check lives in :func:`lambda_numeric`.
     Raises ``ValueError`` for trials < 1, max_degree < 0 or d < 1, which
     would leave nothing to probe, for an "e_t_lambda" T that is not finite
     and > 0, and for an axis i outside 0..d-1.
@@ -555,7 +560,7 @@ def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
     rng = np.random.default_rng(seed)
     indices = np.array(multi_indices(d, max_degree), dtype=int)
     fact = np.array([index_factorial(n) for n in indices], dtype=float)
-    t_cap = T if which == "e_t_lambda" else None
+    horizon = T if which == "e_t_lambda" else None
     worst = 0.0
     for _ in range(trials):
         # per index: start a, width b - a, amplitude (same stream order as
@@ -564,13 +569,10 @@ def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
         a = draw[:, 0]
         amp = np.where(np.abs(draw[:, 2]) < 0.05, 0.05, draw[:, 2])
         profiles = _BumpBatch(a, a + draw[:, 1], amp)
-        nodes, weights = _common_grid(profiles, t_cap=t_cap)
-        t_max = float(profiles.beta.max())
-        if t_cap is not None:
-            t_max = min(t_max, t_cap)
-        vals, tail = _apply_operator(which, indices, profiles, nodes, T=T, i=i)
-        out_sq = _output_norm_sq(indices, fact, vals, tail, weights, t_max)
-        quot = math.sqrt(out_sq / float(fact @ profiles.sq_integrals()))
+        nodes, weights = _common_grid(profiles, max_degree, horizon)
+        vals = _apply_operator(which, indices, profiles, nodes, i=i)
+        quot = math.sqrt(float(fact @ (vals ** 2 @ weights))
+                         / float(fact @ profiles.sq_integrals()))
         worst = max(worst, quot)
     return worst
 

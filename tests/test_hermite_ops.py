@@ -362,3 +362,107 @@ def test_lambda0_is_the_time_scaled_smoothing_operator(n):
         assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
     with pytest.raises(ValueError, match="unknown operator"):
         lambda_family_on_hermite("lambda5", n, prof, 0.5, x)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_derivative_check_refuses_axis_outside_dimension(i):
+    with pytest.raises(ValueError, match="axis"):
+        hermite_derivative_check((2, 1), i, [0.3, 0.4])
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, 0.7])
+def test_lambda_family_checks_operator_and_axis_at_every_t(t):
+    prof = BumpProfile(0.2, 1.2)
+    with pytest.raises(ValueError, match="unknown operator"):
+        lambda_family_on_hermite("bogus", (2,), prof, t, [0.1])
+    with pytest.raises(ValueError, match="axis"):
+        lambda_family_on_hermite("lambda2i", (2, 0), prof, t, [0.1, 0.2], i=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: hermite_value(n, [0.3]),
+    lambda n: hermite_orthogonality(n, (1,), 1.0),
+    lambda n: hermite_orthogonality((1,), n, 1.0),
+    lambda n: hermite_derivative_check(n, 0, [0.3]),
+    lambda n: h_field(n, BumpProfile(0.2, 1.2), 0.7, [0.3]),
+    lambda n: lambda_numeric_on_hermite(n, BumpProfile(0.2, 1.2), [0.7], [[0.3]]),
+    lambda n: lambda_family_on_hermite("lambda", n, BumpProfile(0.2, 1.2), 0.7, [0.3]),
+    index_factorial,
+])
+def test_multi_index_entries_must_be_integral(call):
+    for n in [(1.7,), (1.9,), (math.nan,), (math.inf,)]:
+        with pytest.raises(ValueError, match="index entries must be integers"):
+            call(n)
+    # integral floats are indices; negative entries keep their own refusal
+    assert call((2.0,)) == call((2,))
+    with pytest.raises(ValueError):
+        call((-1,))
+
+
+@pytest.mark.parametrize("n, i", [((2,), 0), ((3,), 0), ((2, 3), 0), ((2, 3), 1),
+                                  ((3, 2), 1)])
+def test_lowered_terms_match_x_derivatives_of_lambda(n, i):
+    # lambda2i = 1/2 d^2/dx_i^2 Lambda and lambda3i = -(x_i/t) d/dx_i Lambda,
+    # Lambda the closed form "lambda"; both reach the n - 2 e_i term. Lambda
+    # has degree n_i <= 3 in x_i, so the central differences (steps 1e-3 and
+    # 1e-5) err by rounding only, about 1e-10 here: tolerance 1e-9 absolute.
+    prof = BumpProfile(0.2, 1.2, amplitude=0.8)
+    x = np.array([0.4, -0.9])[:len(n)]
+    e = np.eye(len(n))[i]
+
+    def lam(t, y):
+        return lambda_family_on_hermite("lambda", n, prof, t, y)
+
+    for t in (0.3, 0.5, 0.9, 1.7):
+        h2, h1 = 1e-3, 1e-5
+        d2 = (lam(t, x + h2 * e) - 2.0 * lam(t, x) + lam(t, x - h2 * e)) / h2 ** 2
+        d1 = (lam(t, x + h1 * e) - lam(t, x - h1 * e)) / (2.0 * h1)
+        two = lambda_family_on_hermite("lambda2i", n, prof, t, x, i=i)
+        three = lambda_family_on_hermite("lambda3i", n, prof, t, x, i=i)
+        assert two != 0.0
+        assert abs(two - 0.5 * d2) <= 1e-9
+        assert abs(three + x[i] / t * d1) <= 1e-9
+
+
+# two-trial probes (seed 11, i = 0) recorded when the part of ||op f||^2 past
+# the last support edge was a closed-form power integral; e_t_lambda's T =
+# 3.9 lies past every support. d = 3 stops at degree 9: degree 12 there has
+# 455 profiles and peaks near 0.9 GB, and the tail rule's order depends on
+# the degree only, which d = 1 covers at 12.
+PINNED_TAIL_PROBES = [  # which, T, max_degree, d, value
+    ("lambda0", None, 0, 1, 0.8930221661175392),
+    ("lambda0", None, 0, 3, 0.8930221661175392),
+    ("lambda0", None, 1, 1, 0.7655095054447173),
+    ("lambda0", None, 1, 3, 0.5829600352533425),
+    ("lambda0", None, 9, 1, 0.15765748166451807),
+    ("lambda0", None, 9, 3, 0.1624352406747579),
+    ("lambda0", None, 12, 1, 0.11953075067748725),
+    ("lambda1", None, 0, 1, 1.0000000001133784),
+    ("lambda1", None, 0, 3, 1.0000000001133784),
+    ("lambda1", None, 1, 1, 0.9995480682679987),
+    ("lambda1", None, 1, 3, 0.9443674006822894),
+    ("lambda1", None, 9, 1, 1.1042066192295952),
+    ("lambda1", None, 9, 3, 1.0849898731519996),
+    ("lambda1", None, 12, 1, 1.1356474032446813),
+    ("lambda3i", None, 0, 1, 0.0),  # -n_i vanishes at n = 0
+    ("lambda3i", None, 0, 3, 0.0),
+    ("lambda3i", None, 1, 1, 0.5529007849693227),
+    ("lambda3i", None, 1, 3, 0.02492426398499394),
+    ("lambda3i", None, 9, 1, 1.9360853834084337),
+    ("lambda3i", None, 9, 3, 0.6240223893122272),
+    ("lambda3i", None, 12, 1, 1.974400615367314),
+    ("e_t_lambda", 3.9, 0, 1, 1.3562365019694649),
+    ("e_t_lambda", 3.9, 0, 3, 1.3562365019694649),
+    ("e_t_lambda", 3.9, 1, 1, 0.8588502803976013),
+    ("e_t_lambda", 3.9, 1, 3, 0.8862604582155954),
+    ("e_t_lambda", 3.9, 9, 1, 0.4062556227928355),
+    ("e_t_lambda", 3.9, 9, 3, 0.3650777825522937),
+    ("e_t_lambda", 3.9, 12, 1, 0.24764464957036567),
+]
+
+
+@pytest.mark.parametrize("which,T,max_degree,d,want", PINNED_TAIL_PROBES)
+def test_operator_norm_probe_tail_pinned_values(which, T, max_degree, d, want):
+    got = operator_norm_probe(which, 2, max_degree, d, T=T, seed=11)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+

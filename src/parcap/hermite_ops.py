@@ -245,7 +245,9 @@ class BoxProfile:
 # --- Hermite polynomials --------------------------------------------------------
 
 def hermite_value_1d(k, u):
-    """He_k(u) via the three-term recurrence, vectorized in u; needs k >= 0."""
+    """He_k(u) via the three-term recurrence, vectorized in u; needs a whole
+    number k >= 0 (2.0 passes, 1.7 is a ValueError)."""
+    (k,) = _multi_index(k)
     if k < 0:
         raise ValueError("index entries must be >= 0")
     u = np.asarray(u, dtype=float)
@@ -260,7 +262,7 @@ def hermite_value_1d(k, u):
 
 def _multi_index(n):
     """n as a tuple of ints; ``ValueError`` for an entry that is not integral."""
-    entries = np.atleast_1d(n)
+    entries = (n,) if isinstance(n, int) else np.atleast_1d(n)  # an int skips numpy
     if not all(float(k).is_integer() for k in entries):
         raise ValueError(f"index entries must be integers, got {n!r}")
     return tuple(int(k) for k in entries)

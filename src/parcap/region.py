@@ -7,7 +7,9 @@ Each region class carries its own geometry: membership on validated points
 its canonical JSON encoding {"kind": ..., parameters...} (``to_dict``) and
 its time-slice decomposition (``slices``). Spatial regions add ``distance``
 and the largest norm of a point (``max_norm``); space-time regions add the
-graph detector's per-segment test (``graph_segment_hits``). The module
+graph detector's per-segment test (``graph_segment_hits``), which the box and
+the thorn answer by ``holds(t, x)``, their membership test on separate time
+and space arrays (``mask`` calls it on rows). The module
 functions validate their input and call these methods; ``region_from_dict``
 reads JSON specs with ``_field``, the typed reader the CLI configs share.
 """
@@ -72,9 +74,9 @@ class Region:
 
     def graph_segment_hits(self, ta, tb, pa, pb):
         """Detector flags, one per segment (ta, pa) -> (tb, pb), against a
-        full-dimensional space-time set: endpoint membership at the
-        reporting pitch."""
-        return self.mask(np.column_stack([tb, pb]))
+        full-dimensional space-time set: endpoint membership (``holds``) at
+        the reporting pitch."""
+        return self.holds(tb, pb)
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,15 @@ class SpaceTimeBox(Region):
     def d(self):
         return len(self.corner_lo)
 
+    def holds(self, t, x):
+        """Membership of the points (t[i], x[i]), with no rows stacked."""
+        out = (t > self.t_lo) & (t < self.t_hi)
+        for i, (lo, hi) in enumerate(zip(self.corner_lo, self.corner_hi)):
+            out &= (x[:, i] > lo) & (x[:, i] < hi)
+        return out
+
     def mask(self, pts):
-        t, x = pts[:, 0], pts[:, 1:]
-        return ((t > self.t_lo) & (t < self.t_hi)
-                & np.all(x > np.asarray(self.corner_lo), axis=1)
-                & np.all(x < np.asarray(self.corner_hi), axis=1))
+        return self.holds(pts[:, 0], pts[:, 1:])
 
     def bounds(self):
         return (np.concatenate([[self.t_lo], self.corner_lo]),
@@ -199,12 +205,16 @@ class Thorn(Region):
     def h(self, s):
         return thorn_profile(self.profile, self.param)(s)
 
+    def holds(self, t, x):
+        """Membership of the points (t[i], x[i]), with no rows stacked."""
+        ok = np.flatnonzero((t > self.t_lo) & (t < self.t_hi))
+        tk = t.take(ok)
+        out = np.zeros(t.shape, dtype=bool)
+        out[ok] = np.linalg.norm(x.take(ok, axis=0), axis=1) < np.sqrt(tk) * self.h(tk)
+        return out
+
     def mask(self, pts):
-        t, x = pts[:, 0], pts[:, 1:]
-        ok = (t > self.t_lo) & (t < self.t_hi)
-        lim = np.zeros_like(t)
-        lim[ok] = np.sqrt(t[ok]) * self.h(t[ok])
-        return ok & (np.linalg.norm(x, axis=1) < lim)
+        return self.holds(pts[:, 0], pts[:, 1:])
 
     def bounds(self):
         # sqrt(s) h(s) increases for every shipped profile: largest at t_hi

@@ -29,9 +29,10 @@ regions' spatial bases, and any other family runs the forward engine.
 The forward and reduced-tree engines advance a fixed-size chunk of runs in
 lock-step: every lineage carries its run id, one set of array operations
 serves all runs of a generation, and hits and tallies are scattered back
-per run. Each estimator draws all its runs from one generator,
-``run_rng(seed, 0)``, so results are deterministic per seed. The public
-single-run calls are batches of one of the same engines.
+per run. Each generation selects the lineages it keeps, settles or splits by
+one index array, gathered with ``take``. Each estimator draws all its runs
+from one generator, ``run_rng(seed, 0)``, so results are deterministic per
+seed. The public single-run calls are batches of one of the same engines.
 
 The range estimator jumps each walker to the boundary of the largest ball
 about it that avoids the target (walk on spheres), with the d >= 3 kill
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import RegionError, RegionUnion, SliceOf
+from .region import RegionError, RegionUnion, SliceOf, _count, _integer
 
 __all__ = [
     "BranchingConfig",
@@ -83,12 +84,14 @@ class BranchingConfig:
     max_particle_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("need at least one initial particle")
+        for name in ("n_particles", "d"):
+            val = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _count(val))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a whole number >= 1, got {val!r}") from None
         if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
             raise ValueError("dt and horizon must be positive and finite")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
         if self.branch_rate is None:
             object.__setattr__(self, "branch_rate", 4.0 * self.n_particles)
         if not 0 <= self.branch_rate < math.inf:
@@ -149,6 +152,17 @@ class HitEstimate:
         }
 
 
+def _run_count(runs):
+    """runs as an int; ValueError naming a value that is not a whole number >= 0."""
+    try:
+        count = _integer(runs)
+    except (TypeError, ValueError):
+        count = -1
+    if count < 0:
+        raise ValueError(f"runs must be a whole number >= 0, got {runs!r}")
+    return count
+
+
 def run_rng(seed, stream):
     """Generator for (seed, stream index).
 
@@ -195,8 +209,8 @@ class GraphHitDetector:
         return self.hits[:, 0].tolist()
 
     def observe(self, ta, tb, pa, pb, run):
-        for k, reg in enumerate(self.regions):
-            self.hits[k, run[reg.graph_segment_hits(ta, tb, pa, pb)]] = True
+        for row, reg in zip(self.hits, self.regions):
+            row[run.compress(reg.graph_segment_hits(ta, tb, pa, pb))] = True
 
 
 def _forward_batch(config, runs, rng, detectors=()):
@@ -204,6 +218,8 @@ def _forward_batch(config, runs, rng, detectors=()):
 
     Every lineage carries its run id, so each generation of events is one
     set of array operations over all runs, and per-run tallies are bincounts.
+    The lineages that ring split or die: the splitters are one index array,
+    and their children are one gather of it repeated twice.
     A run that exceeds config.max_particle_steps is dropped as exploded; its
     trace keeps the tallies reached before that step.
     """
@@ -232,38 +248,42 @@ def _forward_batch(config, runs, rng, detectors=()):
             over = (steps > config.max_particle_steps) & ~exploded
             if np.any(over):
                 exploded |= over
-                keep = ~over[cur_run]
-                cur, cur_run, start = cur[keep], cur_run[keep], start[keep]
+                keep = np.flatnonzero(~over[cur_run])
+                cur, cur_run, start = cur.take(keep, axis=0), cur_run.take(keep), start.take(keep)
             np.maximum(max_particles, alive + held, out=max_particles, where=~exploded)
             # each clock rings after an exact Exp(lam) time; those that ring
             # inside the window end their segment there
             step = t_next - start
             if lam > 0:
-                clock = rng.exponential(size=cur_run.size) / lam
+                clock = rng.exponential(size=cur_run.size)
+                clock /= lam
                 ring = clock < step
                 np.minimum(clock, step, out=step)
             else:
                 ring = np.zeros(cur_run.size, dtype=bool)
-            moved = cur + rng.normal(size=cur.shape) * np.sqrt(step)[:, None]
+            moved = rng.normal(size=cur.shape)
+            moved *= np.sqrt(step)[:, None]
+            moved += cur
             ta, start = start, start + step
             for det in detectors:
                 det.observe(ta, start, cur, moved, cur_run)
-            calm = ~ring
-            settled.append(moved[calm])
-            settled_run.append(cur_run[calm])
-            held += np.bincount(settled_run[-1], minlength=runs)
-            if not np.any(ring):
+            rung = np.flatnonzero(ring)
+            if rung.size == 0:
+                settled.append(moved)
+                settled_run.append(cur_run)
                 break
-            split = ring
-            split[ring] = rng.uniform(size=int(ring.sum())) < 0.5
-            cur = np.repeat(moved[split], 2, axis=0)
-            cur_run = np.repeat(cur_run[split], 2)
-            start = np.repeat(start[split], 2)
+            calm = np.flatnonzero(~ring)
+            settled.append(moved.take(calm, axis=0))
+            settled_run.append(cur_run.take(calm))
+            held += np.bincount(settled_run[-1], minlength=runs)
+            # each rung lineage dies or splits in two with probability 1/2
+            pick = np.repeat(rung.compress(rng.uniform(size=rung.size) < 0.5), 2)
+            cur, cur_run, start = moved.take(pick, axis=0), cur_run.take(pick), start.take(pick)
         pos = np.concatenate(settled) if settled else np.zeros((0, d))
         run = np.concatenate(settled_run) if settled_run else np.zeros(0, dtype=np.intp)
         if np.any(exploded):
-            keep = ~exploded[run]
-            pos, run = pos[keep], run[keep]
+            keep = np.flatnonzero(~exploded[run])
+            pos, run = pos.take(keep, axis=0), run.take(keep)
         count = np.bincount(run, minlength=runs)
         extinction[(count == 0) & np.isnan(extinction) & ~exploded] = t_next
         t_cur = t_next
@@ -306,29 +326,39 @@ def _slice_leaves(n_roots, rate, t_slice, d, runs, rng, settled):
 
     Each root survives with probability u = 2/(2 + rate t); surviving lines
     branch as a binary pure-birth process with rate rate/(2 + rate (t - s))
-    and carry Brownian displacements along edges. Lineages are rows
-    (birth time, run id, position), so one repeat per generation both drops
-    the leaves and doubles the branching lines. The rows of runs the consumer
-    marks in the boolean mask ``settled`` are dropped before the next draw.
+    and carry Brownian displacements along edges. Lineages are three arrays
+    (birth time, run id, position); each generation gathers its leaves by one
+    index array and its branching lines, each twice, by another. The lines of
+    runs the consumer marks in the boolean mask ``settled`` are dropped before
+    the next draw.
     """
     if rate == 0.0:
         yield (np.repeat(np.arange(runs), n_roots),
                rng.normal(size=(runs * n_roots, d)) * math.sqrt(t_slice))
         return
     n_surv = rng.binomial(n_roots, 2.0 / (2.0 + rate * t_slice), size=runs)
-    z = np.zeros((int(n_surv.sum()), d + 2))
-    z[:, 1] = np.repeat(np.arange(runs), n_surv)
-    while z.shape[0]:
-        rem = t_slice - z[:, 0]
-        tau = rem - (rng.uniform(size=rem.size) * (2.0 + rate * rem) - 2.0) / rate
+    run = np.repeat(np.arange(runs), n_surv)
+    birth = np.zeros(run.size)
+    x = np.zeros((run.size, d))
+    while run.size:
+        rem = t_slice - birth
+        tau = rng.uniform(size=rem.size)
+        tau *= 2.0 + rate * rem
+        tau -= 2.0
+        tau /= rate
+        np.subtract(rem, tau, out=tau)
         leaf = tau >= rem
         step = np.minimum(tau, rem)  # leaves move on to the slice
-        z[:, 2:] += rng.normal(size=(rem.size, d)) * np.sqrt(step)[:, None]
-        z[:, 0] += step
-        run = z[:, 1].astype(np.intp)
-        yield run[leaf], z[leaf, 2:]
+        dx = rng.normal(size=(rem.size, d))
+        dx *= np.sqrt(step)[:, None]
+        x += dx
+        leaves = np.flatnonzero(leaf)
+        yield run.take(leaves), x.take(leaves, axis=0)
         leaf |= settled[run]
-        z = np.repeat(z, np.where(leaf, 0, 2), axis=0)
+        pick = np.repeat(np.flatnonzero(~leaf), 2)
+        # a line that branches is born again at birth + tau (tau < rem)
+        birth += tau
+        run, birth, x = run.take(pick), birth.take(pick), x.take(pick, axis=0)
 
 
 def reduced_slice_positions(n_roots, rate, t_slice, d, rng):
@@ -363,10 +393,13 @@ def _slice_hits(config, t_slice, spatial, runs, seed):
         chunk, settled = hit[:, first:first + n], np.zeros(n, dtype=bool)
         for run, x in _slice_leaves(config.n_particles, config.branch_rate, t_slice,
                                     config.d, n, rng, settled):
-            near = np.all((x >= lo) & (x <= hi), axis=1)
-            run, x = run[near], x[near]
-            for k, reg in enumerate(spatial):
-                chunk[k, run[reg.mask(x)]] = True
+            near = np.ones(run.size, dtype=bool)
+            for i in range(config.d):  # one axis at a time: np.all(axis=1) is slow
+                near &= (x[:, i] >= lo[i]) & (x[:, i] <= hi[i])
+            near = np.flatnonzero(near)
+            run, x = run.take(near), x.take(near, axis=0)
+            for row, reg in zip(chunk, spatial):
+                row[run.compress(reg.mask(x))] = True
             np.all(chunk, axis=0, out=settled)
     return hit
 
@@ -395,9 +428,14 @@ def estimate_survival(config, times, runs, seed):
     """Empirical P[population alive at t] for each t, one trajectory per run.
 
     Steps the exact count law through the sorted time grid, so all requested
-    times are read off a single population path per run.
+    times are read off a single population path per run. A time that is
+    not finite, or is negative or past the horizon, is a ValueError.
     """
+    runs = _run_count(runs)
     times = sorted(float(t) for t in times)
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"requested time {t} is not finite")
     if times and times[0] < 0:
         raise ValueError(f"requested time {times[0]} is negative")
     if times and times[-1] > config.horizon:
@@ -429,6 +467,7 @@ def estimate_graph_hits(config, regions, runs, seed):
     reduced-tree engine on the regions' spatial bases, anything else the
     forward engine; shared trajectories keep nested regions' flags monotone.
     """
+    runs = _run_count(runs)
     _check_graph_regions(config, regions)
     if not regions:
         return []
@@ -460,6 +499,7 @@ def graph_hit_run_records(config, region, runs, seed):
     it carries full traces; the stream and the region check are the ones
     ``estimate_graph_hits`` uses for non-slice regions.
     """
+    runs = _run_count(runs)
     _check_graph_regions(config, [region])
     return [{
         "run": first + i,
@@ -516,6 +556,19 @@ WOS_EPS = 1e-6  # walk-on-spheres shell: a walker this close to a boundary is on
 WOS_I0_CHUNK = 1 << 14  # d = 2 walkers per np.i0 call, whose temporaries are many
 
 
+def _survivors_2d(r, rng):
+    """Indices of the d = 2 walkers off the target that survive their sphere
+    of radius r: u I0(r sqrt 2) < 1 for a uniform u, with I0 taken
+    WOS_I0_CHUNK walkers at a time."""
+    z = r * math.sqrt(2.0)
+    live = np.flatnonzero((r > WOS_EPS) & (z <= 700.0))
+    z = z.take(live)
+    u = rng.uniform(size=z.size)
+    for lo in range(0, z.size, WOS_I0_CHUNK):
+        u[lo:lo + WOS_I0_CHUNK] *= np.i0(z[lo:lo + WOS_I0_CHUNK])
+    return live[u < 1.0]
+
+
 def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     """Hit estimate for the range of a single Brownian path, by walk on spheres.
 
@@ -526,7 +579,9 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     ball (Muller 1956). A walker within WOS_EPS of the region has hit it.
     d >= 3 kills on reaching the kill radius, exactly: the sphere also
     stays inside B(0, kill_radius), and a walker within WOS_EPS of that
-    sphere is killed; a start on or outside it is a ValueError. d = 2 kills
+    sphere is killed; a start on or outside it is a ValueError, and so is a
+    kill radius that is not finite. In every d, a start that is not finite
+    and a run count that is not a whole number >= 0 are ValueErrors. d = 2 kills
     at an independent Exp(1) time: a walker survives a sphere of radius r
     with probability E[e^-tau] = 1/I0(r sqrt 2) (Ciesielski & Taylor 1962),
     and is killed outright once r sqrt 2 > 700, where I0 would overflow. No
@@ -538,28 +593,28 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
         raise ValueError("range hitting needs d >= 2")
     if region.spacetime or region.d != d:
         raise RegionError(f"range hitting needs a spatial region of dimension {d}")
+    runs = _run_count(runs)
+    if d > 2 and not math.isfinite(kill_radius):
+        raise ValueError(f"kill_radius {kill_radius!r} must be finite")
     rng = run_rng(seed, 0)
     pos = _draw_starts(start_law, d, runs, rng)
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("every start must be finite")
     if d > 2 and np.any(np.linalg.norm(pos, axis=1) >= kill_radius):
         raise ValueError(f"kill_radius {kill_radius!r} must exceed the norm of every start")
     hits = 0
     while pos.shape[0]:
         r = region.distance(pos)
-        near = r <= WOS_EPS
-        hits += int(near.sum())
+        hits += int(np.count_nonzero(r <= WOS_EPS))
         if d == 2:
-            z = r * math.sqrt(2.0)
-            live = ~near & (z <= 700.0)
-            z = z[live]
-            u = rng.uniform(size=z.size)
-            for lo in range(0, z.size, WOS_I0_CHUNK):
-                u[lo:lo + WOS_I0_CHUNK] *= np.i0(z[lo:lo + WOS_I0_CHUNK])
-            live[live] = u < 1.0
+            live = _survivors_2d(r, rng)
+            r = r.take(live)
         else:
             room = kill_radius - np.linalg.norm(pos, axis=1)
-            live = ~near & (room > WOS_EPS)
-            r = np.minimum(r, room)
-        pos, r = pos[live], r[live]
+            live = np.flatnonzero((r > WOS_EPS) & (room > WOS_EPS))
+            r = np.minimum(r.take(live), room.take(live))
+        pos = pos.take(live, axis=0)
         step = rng.normal(size=pos.shape)
-        pos += step * (r / np.linalg.norm(step, axis=1))[:, None]
+        step *= (r / np.linalg.norm(step, axis=1))[:, None]
+        pos += step
     return HitEstimate.from_counts(hits, runs)

@@ -14,6 +14,7 @@ from parcap.hermite_ops import (
     hermite_derivative_check,
     hermite_orthogonality,
     hermite_value,
+    hermite_value_1d,
     index_factorial,
     lambda_family_on_hermite,
     lambda_numeric,
@@ -466,3 +467,13 @@ def test_operator_norm_probe_tail_pinned_values(which, T, max_degree, d, want):
     got = operator_norm_probe(which, 2, max_degree, d, T=T, seed=11)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+
+
+def test_hermite_value_1d_parses_its_index():
+    u = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(hermite_value_1d(2.0, u), hermite_value_1d(2, u))
+    assert np.array_equal(hermite_value_1d(np.int64(3), u), hermite_value((3,), u[:, None]))
+    with pytest.raises(ValueError, match="integers, got 1.7"):
+        hermite_value_1d(1.7, u)
+    with pytest.raises(ValueError, match=">= 0"):
+        hermite_value_1d(-1.0, u)

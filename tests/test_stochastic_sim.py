@@ -564,3 +564,161 @@ def test_other_families_take_the_forward_engine(family):
     for est, reg in zip(ests, family):
         recs = graph_hit_run_records(cfg, reg, 40, seed=163)
         assert 0 < est.hits == sum(rec["hit"] for rec in recs) < 40
+
+
+# --- pinned engine outputs and input checks -----------------------------------------
+
+_BOX = SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,))
+
+
+@pytest.mark.parametrize("max_steps, seed, hits, exploded, max_total, digest", [
+    (10_000_000, 3, 16, 0, 3130,
+     "16179fa96964421e9525e4a4875bead8d1295c04c66440f23854541d0ec71fe8"),
+    (10_000_000, 4, 17, 0, 3132,
+     "445b31ffdfb36327ff6dc2d1939e1106fa86f5538db97c5abb4404f13f99f798"),
+    # a step budget that explodes most runs reaches the engine's "over" path
+    (3000, 3, 0, 14, 2140,
+     "4bfde6adaf24c51827dae882cb5487db0f07dccecdaa35040d2bc7ddcb5d4acf"),
+    (3000, 4, 2, 13, 2058,
+     "b1000dccb02bc8fa4b1eb4e4077b135e5e36ada0e1f91dad98e632d448bb13a8"),
+])
+def test_forward_run_records_pinned(max_steps, seed, hits, exploded, max_total, digest):
+    import hashlib
+    import json
+    cfg = BranchingConfig(40, 0.02, 1.5, 1, max_particle_steps=max_steps)
+    recs = graph_hit_run_records(cfg, _BOX, 30, seed)
+    assert sum(r["hit"] for r in recs) == hits
+    assert sum(r["exploded"] for r in recs) == exploded
+    assert sum(r["max_particles"] for r in recs) == max_total
+    blob = json.dumps(recs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, d1_hits, d2_hits", [
+    (5, [84, 91, 90], [53, 60, 53]),
+    (6, [95, 100, 100], [51, 62, 56]),
+])
+def test_tree_engine_hit_counts_pinned(seed, d1_hits, d2_hits):
+    pair1 = RegionUnion((SpatialBall((-0.6,), 0.1), SpatialBall((0.6,), 0.1)))
+    pair2 = RegionUnion((SpatialBall((0.5, 0.0), 0.2), SpatialBall((-0.5, 0.0), 0.2)))
+    fam1 = [TimeSliceBall(0.7, (0.0,), 0.3), SliceOf(0.7, SpatialAnnulus((0.0,), 0.2, 0.5)),
+            SliceOf(0.7, pair1)]
+    fam2 = [TimeSliceBall(1.0, (0.0, 0.0), 0.35),
+            SliceOf(1.0, SpatialAnnulus((0.0, 0.0), 0.2, 0.6)), SliceOf(1.0, pair2)]
+    c1 = BranchingConfig(100, 0.01, 1.0, 1)
+    c2 = BranchingConfig(300, 0.01, 1.0, 2)
+    assert [e.hits for e in estimate_graph_hits(c1, fam1, 200, seed)] == d1_hits
+    assert [e.hits for e in estimate_graph_hits(c2, fam2, 200, seed)] == d2_hits
+
+
+@pytest.mark.parametrize("seed, want", [
+    (5, [987, 649, 790, 350, 188, 154]),
+    (6, [997, 665, 812, 361, 185, 148]),
+])
+def test_range_hit_counts_pinned(seed, want):
+    from parcap.energy_kernel import DiscreteMeasure
+    b3 = SpatialBall((0.0, 0.0, 0.0), 1.0)
+    b2 = SpatialBall((0.0, 0.0), 1.0)
+    u3 = RegionUnion((b3, SpatialBall((0.0, 2.0, 0.0), 0.5)))
+    u2 = RegionUnion((b2, SpatialAnnulus((4.0, 0.0), 0.5, 1.0)))
+    m3 = DiscreteMeasure.spatial([[2.0, 0.0, 0.0], [0.0, 3.0, 1.0]], [0.5, 0.5])
+    m2 = DiscreteMeasure.spatial([[2.0, 0.0], [0.0, 3.0]], [0.3, 0.7])
+    got = [estimate_range_hit(3, [2.0, 0.0, 0.0], b3, 1e-3, 2000, seed, kill_radius=50.0),
+           estimate_range_hit(3, [3.0, 0.0, 0.0], u3, 1e-3, 2000, seed, kill_radius=20.0),
+           estimate_range_hit(3, m3, b3, 1e-3, 2000, seed, kill_radius=30.0),
+           estimate_range_hit(2, [2.0, 0.0], b2, 1e-3, 2000, seed),
+           estimate_range_hit(2, [2.0, 2.0], u2, 1e-3, 2000, seed),
+           estimate_range_hit(2, m2, b2, 1e-3, 2000, seed)]
+    assert [e.hits for e in got] == want
+
+
+@pytest.mark.parametrize("seed, box_hits, slice_hits, record_hits", [
+    (5, 32, 21, 16), (6, 33, 16, 18),
+])
+def test_rate_zero_hit_counts_pinned(seed, box_hits, slice_hits, record_hits):
+    cfg = BranchingConfig(5, 0.02, 1.0, 2, branch_rate=0.0)
+    square = SpaceTimeBox(0.5, 1.0, (-0.3, -0.3), (0.3, 0.3))
+    assert estimate_graph_hit(cfg, square, 40, seed).hits == box_hits
+    assert estimate_graph_hit(cfg, TimeSliceBall(1.0, (0.0, 0.0), 0.5), 40, seed).hits \
+        == slice_hits
+    recs = graph_hit_run_records(cfg, square, 20, seed)
+    assert sum(r["hit"] for r in recs) == record_hits
+    assert {(r["extinction_time"], r["max_particles"], r["exploded"]) for r in recs} \
+        == {(None, 5, False)}
+
+
+_CFG1 = BranchingConfig(20, 0.01, 1.0, 1)
+_ESTIMATORS = {
+    "forward": lambda runs: estimate_graph_hit(_CFG1, SpaceTimeBox(0.5, 1.0, (-0.3,), (0.3,)),
+                                               runs, 1),
+    "tree": lambda runs: estimate_graph_hit(_CFG1, TimeSliceBall(1.0, (0.0,), 0.2), runs, 1),
+    "support": lambda runs: estimate_support_hit(_CFG1, 1.0, SpatialBall((0.0,), 0.2), runs, 1),
+    "records": lambda runs: graph_hit_run_records(_CFG1, SpaceTimeBox(0.5, 1.0, (-0.3,), (0.3,)),
+                                                  runs, 1),
+    "survival": lambda runs: estimate_survival(_CFG1, [0.5], runs, 1),
+    "range_d2": lambda runs: estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0),
+                                                1e-3, runs, 1),
+    "range_d3": lambda runs: estimate_range_hit(3, [2.0, 0.0, 0.0],
+                                                SpatialBall((0.0, 0.0, 0.0), 1.0), 1e-3, runs, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+@pytest.mark.parametrize("runs", [-1, -3, 2.5, "10", None])
+def test_estimators_refuse_bad_run_counts(name, runs):
+    with pytest.raises(ValueError, match=f"runs must be a whole number >= 0, got {runs!r}"):
+        _ESTIMATORS[name](runs)
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_accept_zero_and_integral_float_runs(name):
+    empty = HitEstimate(0, 0, 0.0, 0.0, 1.0, 0.0, 0)
+    zero, whole = _ESTIMATORS[name](0), _ESTIMATORS[name](4.0)
+    if name == "records":
+        assert zero == [] and [r["run"] for r in whole] == [0, 1, 2, 3]
+    elif name == "survival":
+        assert zero == {0.5: empty} and whole[0.5].runs == 4
+    else:
+        assert zero == empty and whole.runs == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_particles", 2.5), ("d", 1.5), ("n_particles", True), ("d", 0), ("d", "2"),
+])
+def test_config_refuses_non_integral_counts(field, value):
+    kwargs = dict(n_particles=10, dt=0.01, horizon=1.0, d=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be a whole number >= 1"):
+        BranchingConfig(**kwargs)
+
+
+def test_config_takes_integral_floats_as_ints():
+    cfg = BranchingConfig(2.0, 0.01, 1.0, 1.0)
+    assert (cfg.n_particles, cfg.d, cfg.branch_rate) == (2, 1, 8.0)
+    assert type(cfg.n_particles) is int and type(cfg.d) is int
+    assert simulate_branching(cfg, run_rng(1, 0)).max_particles >= 2
+
+
+@pytest.mark.parametrize("d, start", [
+    (2, [math.nan, 0.0]), (2, [2.0, math.inf]), (3, [math.nan, 0.0, 0.0]),
+])
+def test_range_hit_refuses_non_finite_starts(d, start):
+    with pytest.raises(ValueError, match="every start must be finite"):
+        estimate_range_hit(d, start, SpatialBall((0.0,) * d, 1.0), 1e-3, 10, 1)
+
+
+@pytest.mark.parametrize("kill_radius", [math.nan, math.inf])
+def test_range_hit_refuses_non_finite_kill_radius_where_it_is_read(kill_radius):
+    with pytest.raises(ValueError, match="must be finite"):
+        estimate_range_hit(3, [2.0, 0.0, 0.0], SpatialBall((0.0, 0.0, 0.0), 1.0), 1e-3, 10, 1,
+                           kill_radius=kill_radius)
+    # d = 2 kills at an exponential time and never reads the radius
+    est = estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0), 1e-3, 10, 1,
+                             kill_radius=kill_radius)
+    assert est == estimate_range_hit(2, [2.0, 0.0], SpatialBall((0.0, 0.0), 1.0), 1e-3, 10, 1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_survival_refuses_non_finite_times(t):
+    with pytest.raises(ValueError, match=f"requested time {t} is not finite"):
+        estimate_survival(_CFG1, [0.5, t], 10, 1)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .energy_kernel import KERNEL_BLOCK, PARABOLIC, DiscreteMeasure, reduced_pair_sum
 from .quadrature import gauss_legendre
-from .region import RegionError, Thorn, discretize, region_to_dict
+from .region import RegionError, Thorn, _integer, discretize, region_to_dict
 
 __all__ = [
     "KernelMatrix",
@@ -371,10 +371,14 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     An invariant kernel's pairs are offsets from the centre, drawn once and
     shared by every cell, so every diagonal entry holds one value; any other
     draws pairs per cell, in blocks of 200_000 // diag_samples cells.
-    Deterministic per seed; ``diag_samples`` must be at least 1.
+    Deterministic per seed; ``diag_samples`` must be a whole number >= 1.
     """
     if cloud.n < 1:
         raise ValueError("empty cell cloud")
+    try:
+        diag_samples = _integer(diag_samples)
+    except (TypeError, ValueError):
+        raise ValueError(f"diag_samples must be a whole number, got {diag_samples!r}") from None
     if diag_samples < 1:
         raise ValueError(f"diag_samples must be at least 1, got {diag_samples!r}")
     kind.check(cloud.times is not None, cloud.d, "cloud")
@@ -411,6 +415,11 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     return km
 
 
+def _check_tol(tol):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def minimize_energy(K, tol=1e-6, max_iter=None):
     """Pairwise Frank-Wolfe for min_w w^T K w on the simplex.
 
@@ -434,8 +443,7 @@ def minimize_energy(K, tol=1e-6, max_iter=None):
     if not isinstance(K, (KernelMatrix, LatticeKernel)):
         K = KernelMatrix(np.asarray(K, dtype=float), {})
     n = K.n
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if max_iter is None:
         max_iter = 50 * n
 
@@ -548,6 +556,7 @@ def capacity_on_cloud(cloud, kind, tol=1e-6, seed=0, diag_samples=256,
     at ``tol``, as a LatticeKernel does); on an indefinite one (a parabolic
     box or thorn) that is a KKT point FW approaches, not a proven minimum.
     """
+    _check_tol(tol)  # before the assembly: a dense matrix solves at max(tol, FINISH_TOL)
     km = assemble_kernel_matrix(cloud, kind, diag_samples=diag_samples, seed=seed)
     dense = isinstance(km, KernelMatrix)
     energy_min, w, gap, iters, converged = minimize_energy(

@@ -27,6 +27,7 @@ from .heat_kernel import (
     heat_density,
     log_heat_density,
     _exp_floor,
+    _sq_norms,
 )
 from .quadrature import (
     adaptive_gauss_kronrod,
@@ -74,8 +75,8 @@ class KernelKind:
             raise ValueError(f"unknown kernel kind {self.tag!r}")
         if self.tag != "newtonian":
             object.__setattr__(self, "d", None)
-        elif self.d is None or self.d < 2:
-            raise ValueError("newtonian kernel needs d >= 2")
+        elif self.d is None or not float(self.d).is_integer() or self.d < 2:
+            raise ValueError(f"newtonian kernel needs a whole number d >= 2, got {self.d!r}")
 
     def __str__(self):  # the provenance label
         return self.tag if self.d is None else f"{self.tag}(d={self.d})"
@@ -208,16 +209,18 @@ def reduced_log_coefs(t1, t2, s, d):
 _ROWS_NODES = 1 << 15  # nodes per in-place sub-block: three buffers in 0.8 MB
 
 
-def _table_exp_sum(key, feats, tables, rows, width, block):
+def _table_exp_sum(key, ext, tables, rows, width, block):
     """Per pair p: sum_k exp(max(L[p, k], LOG_FLOOR)), L the log-integrand.
 
+    ``ext`` holds one row [1, f_1, ..] per pair, its features after a 1.
     ``tables(keys)`` returns (A, T_1, ..), each (len(keys), width), with
-    L[p] = A[g] + sum_f T_f[g] feats[p, f] for the pair's key g. Each block
-    of ``block`` pairs forms L by one of two routes:
+    L[p] = A[g] + sum_f T_f[g] f_f for the pair's key g. Each block of
+    ``block`` pairs forms L by one of two routes:
 
     * one key (every block of a time slice or of a time-level pair): one
-      matrix product, [1, feats] @ [A; T_1; ..], and the sums as a second;
-      the table is built once for a run of blocks with the same key;
+      matrix product, ext @ [A; T_1; ..], and the sums as a second; the
+      table is built once for a run of blocks with the same key, and a call
+      whose pairs share one key tests no block;
     * any other block: ``rows(lo, hi, out)`` writes L of pairs lo:hi into
       out in place, in sub-blocks that stay in cache, with no table.
 
@@ -226,21 +229,20 @@ def _table_exp_sum(key, feats, tables, rows, width, block):
     """
     n = key.shape[0]
     out = np.empty(n)
-    # buffers reused across blocks: fresh large temporaries cost page faults
+    # a buffer reused across blocks: fresh large temporaries cost page faults
     log_buf = np.empty((min(block, n), width))
-    ext_buf = np.ones((min(block, n), feats.shape[1] + 1))  # column 0 stays 1
     ones = np.ones(width)
+    one_key = np.all(key == key[:1])
     sub = max(1, _ROWS_NODES // width)
     table_key = None  # key of the last one-key table, kept while the key repeats
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        log_val, ext = log_buf[:hi - lo], ext_buf[:hi - lo]
+        log_val = log_buf[:hi - lo]
         k = key[lo:hi]
-        if np.all(k == k[0]):
+        if one_key or np.all(k == k[0]):
             if k[0] != table_key:
                 table_key, table = k[0], np.concatenate(tables(k[:1]))
-            ext[:, 1:] = feats[lo:hi]
-            np.matmul(ext, table, out=log_val)
+            np.matmul(ext[lo:hi], table, out=log_val)
             np.maximum(log_val, LOG_FLOOR, out=log_val)
             np.matmul(np.exp(log_val, out=log_val), ones, out=out[lo:hi])
             continue
@@ -270,9 +272,8 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=KERNEL_BLOCK):
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     d = x1.shape[1]
-    dx = x1 - x2
-    feats = np.stack([np.sum(dx * dx, axis=1), np.sum(x1 * x1, axis=1),
-                      np.sum(x2 * x2, axis=1)], axis=1)
+    ext = np.ones((x1.shape[0], 4))  # per pair [1, |x1-x2|^2, |x1|^2, |x2|^2]
+    ext[:, 1], ext[:, 2], ext[:, 3] = _sq_norms(x1 - x2), _sq_norms(x1), _sq_norms(x2)
     log_omega = np.log(omega)
 
     def tables(tt):
@@ -292,7 +293,7 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=KERNEL_BLOCK):
         # c = (d/2) log(t1 t2) + log tmin + f1 / (2 t1) + f2 / (2 t2); D and N
         # are per-pair scalars times the node rows, one matrix product each
         T1, T2 = t1[lo:hi], t2[lo:hi]
-        f0, f1, f2 = feats[lo:hi].T
+        f0, f1, f2 = ext[lo:hi, 1:].T
         tmin = np.minimum(T1, T2)
         g = np.abs(T1 - T2)
         tg, tt = tmin * g, tmin * tmin
@@ -307,7 +308,7 @@ def reduced_pair_sum(t1, x1, t2, x2, rho, omega, block=KERNEL_BLOCK):
         out += num
 
     # (t1, t2) packed into one complex key, so one comparison tests a block
-    return _table_exp_sum(t1 + 1j * t2, feats, tables, rows, rho.size, block)
+    return _table_exp_sum(t1 + 1j * t2, ext, tables, rows, rho.size, block)
 
 
 def mutual_kernel(z, z2):
@@ -429,7 +430,8 @@ def cap_prime_kernel_batch(t1, x1, t2, x2, block=KERNEL_BLOCK):
     """
     dx = np.atleast_2d(np.asarray(x1, dtype=float)) - np.atleast_2d(x2)
     gap = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
-    sq = np.sum(dx * dx, axis=1)[:, None]
+    ext = np.ones((dx.shape[0], 2))  # per pair [1, |x1-x2|^2]
+    ext[:, 1] = _sq_norms(dx)
 
     def tables(g):
         u = g[:, None] + _CP_UNIT_NODES * _CP_UNIT_NODES
@@ -438,10 +440,10 @@ def cap_prime_kernel_batch(t1, x1, t2, x2, block=KERNEL_BLOCK):
 
     def rows(lo, hi, out):
         A, T = tables(gap[lo:hi])
-        np.multiply(T, sq[lo:hi], out=out)
+        np.multiply(T, ext[lo:hi, 1:], out=out)
         out += A
 
-    return _table_exp_sum(gap, sq, tables, rows, _CP_UNIT_NODES.size, block)
+    return _table_exp_sum(gap, ext, tables, rows, _CP_UNIT_NODES.size, block)
 
 
 def cap_prime_bruteforce(z, z2):
@@ -491,7 +493,7 @@ def newtonian_kernel(x, x2, d):
 def newtonian_kernel_batch(x1, x2, d):
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    r = np.linalg.norm(x1 - x2, axis=1)
+    r = np.sqrt(_sq_norms(x1 - x2))
     out = np.full(r.shape, np.inf)
     pos = r > 0
     if d == 2:

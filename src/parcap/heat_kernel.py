@@ -64,6 +64,19 @@ def log_heat_density(t, sq_norm, d):
     return out
 
 
+def _sq_norms(a):
+    """Squared norm of each row of an (m, d) array, summed column by column.
+
+    Bit for bit np.sum(a * a, axis=1), whose few terms numpy also adds in
+    order, and its square root is np.linalg.norm(a, axis=1); a numpy
+    reduction along a short axis costs several times the column sums.
+    """
+    out = a[:, 0] * a[:, 0]
+    for i in range(1, a.shape[1]):
+        out += a[:, i] * a[:, i]
+    return out
+
+
 def _exp_floor(log_vals):
     log_vals = np.asarray(log_vals, dtype=float)
     out = np.zeros(log_vals.shape)

@@ -22,6 +22,8 @@ from functools import partial
 
 import numpy as np
 
+from .heat_kernel import _sq_norms
+
 __all__ = [
     "RegionError",
     "TimeSliceBall",
@@ -87,8 +89,8 @@ class SliceOf(Region):
     base: object
 
     def __post_init__(self):
-        if self.t0 <= 0:
-            raise RegionError(f"slice time {self.t0} must be positive")
+        if not 0 < self.t0 < math.inf:
+            raise RegionError(f"slice time {self.t0} must be positive and finite")
         if getattr(self.base, "spacetime", True):
             raise RegionError("slice base must be a spatial region")
 
@@ -151,10 +153,12 @@ class SpaceTimeBox(Region):
     def __post_init__(self):
         object.__setattr__(self, "corner_lo", tuple(float(c) for c in self.corner_lo))
         object.__setattr__(self, "corner_hi", tuple(float(c) for c in self.corner_hi))
-        if not 0 < self.t_lo < self.t_hi:
-            raise RegionError("need 0 < t_lo < t_hi")
+        if not 0 < self.t_lo < self.t_hi < math.inf:
+            raise RegionError("need 0 < t_lo < t_hi < inf")
         if len(self.corner_lo) != len(self.corner_hi):
             raise RegionError("corner dimension mismatch")
+        if not all(map(math.isfinite, self.corner_lo + self.corner_hi)):
+            raise RegionError("corners must be finite")
         if not all(a < b for a, b in zip(self.corner_lo, self.corner_hi)):
             raise RegionError("corner_lo must be strictly below corner_hi")
 
@@ -194,8 +198,8 @@ class Thorn(Region):
     d: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.t_lo < self.t_hi:
-            raise RegionError("need 0 <= t_lo < t_hi")
+        if not 0 <= self.t_lo < self.t_hi < math.inf:
+            raise RegionError("need 0 <= t_lo < t_hi < inf")
         if self.profile == "invlog" and self.t_hi >= 1.0:
             raise RegionError("invlog thorn needs t_hi < 1")
         thorn_profile(self.profile, self.param)  # validates
@@ -210,7 +214,7 @@ class Thorn(Region):
         ok = np.flatnonzero((t > self.t_lo) & (t < self.t_hi))
         tk = t.take(ok)
         out = np.zeros(t.shape, dtype=bool)
-        out[ok] = np.linalg.norm(x.take(ok, axis=0), axis=1) < np.sqrt(tk) * self.h(tk)
+        out[ok] = np.sqrt(_sq_norms(x.take(ok, axis=0))) < np.sqrt(tk) * self.h(tk)
         return out
 
     def mask(self, pts):
@@ -227,22 +231,30 @@ class Thorn(Region):
                 "t_lo": self.t_lo, "t_hi": self.t_hi, "d": self.d}
 
 
+def _finite_center(center):
+    """The centre as a tuple of floats; RegionError if a coordinate is not finite."""
+    center = tuple(float(c) for c in center)
+    if not all(map(math.isfinite, center)):
+        raise RegionError(f"center {center} must be finite")
+    return center
+
+
 @dataclass(frozen=True)
 class SpatialBall(Region):
     center: tuple
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise RegionError("radius must be positive")
+        object.__setattr__(self, "center", _finite_center(self.center))
+        if not 0 < self.radius < math.inf:
+            raise RegionError("radius must be positive and finite")
 
     @property
     def d(self):
         return len(self.center)
 
     def mask(self, pts):
-        return np.linalg.norm(pts - np.asarray(self.center), axis=1) < self.radius
+        return np.sqrt(_sq_norms(pts - np.asarray(self.center))) < self.radius
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -256,7 +268,7 @@ class SpatialBall(Region):
         return float(np.linalg.norm(self.center)) + self.radius
 
     def distance(self, pos):
-        r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
+        r = np.sqrt(_sq_norms(pos - np.asarray(self.center)))
         return np.maximum(r - self.radius, 0.0)
 
 
@@ -267,16 +279,16 @@ class SpatialAnnulus(Region):
     r_out: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not 0 < self.r_in < self.r_out:
-            raise RegionError("need 0 < r_in < r_out")
+        object.__setattr__(self, "center", _finite_center(self.center))
+        if not 0 < self.r_in < self.r_out < math.inf:
+            raise RegionError("need 0 < r_in < r_out < inf")
 
     @property
     def d(self):
         return len(self.center)
 
     def mask(self, pts):
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        r = np.sqrt(_sq_norms(pts - np.asarray(self.center)))
         return (r > self.r_in) & (r < self.r_out)
 
     def bounds(self):
@@ -292,7 +304,7 @@ class SpatialAnnulus(Region):
         return float(np.linalg.norm(self.center)) + self.r_out
 
     def distance(self, pos):
-        r = np.linalg.norm(pos - np.asarray(self.center), axis=1)
+        r = np.sqrt(_sq_norms(pos - np.asarray(self.center)))
         return np.maximum(np.maximum(self.r_in - r, r - self.r_out), 0.0)
 
 
@@ -429,7 +441,7 @@ def discretize(region, resolution):
     Time slices grid their spatial base: one grid per distinct slice time,
     so members of a union that share a time share a grid and its cells.
     """
-    if resolution <= 0:
+    if not resolution > 0:  # refuses nan too
         raise RegionError("resolution must be positive")
 
     slices = region.slices()

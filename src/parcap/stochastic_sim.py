@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .heat_kernel import _sq_norms
 from .region import RegionError, RegionUnion, SliceOf, _count, _integer
 
 __all__ = [
@@ -84,7 +85,7 @@ class BranchingConfig:
     max_particle_steps: int = 10_000_000
 
     def __post_init__(self):
-        for name in ("n_particles", "d"):
+        for name in ("n_particles", "d", "max_particle_steps"):
             val = getattr(self, name)
             try:
                 object.__setattr__(self, name, _count(val))
@@ -600,7 +601,7 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
     pos = _draw_starts(start_law, d, runs, rng)
     if not np.all(np.isfinite(pos)):
         raise ValueError("every start must be finite")
-    if d > 2 and np.any(np.linalg.norm(pos, axis=1) >= kill_radius):
+    if d > 2 and np.any(np.sqrt(_sq_norms(pos)) >= kill_radius):
         raise ValueError(f"kill_radius {kill_radius!r} must exceed the norm of every start")
     hits = 0
     while pos.shape[0]:
@@ -610,11 +611,11 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
             live = _survivors_2d(r, rng)
             r = r.take(live)
         else:
-            room = kill_radius - np.linalg.norm(pos, axis=1)
+            room = kill_radius - np.sqrt(_sq_norms(pos))
             live = np.flatnonzero((r > WOS_EPS) & (room > WOS_EPS))
             r = np.minimum(r.take(live), room.take(live))
         pos = pos.take(live, axis=0)
         step = rng.normal(size=pos.shape)
-        step *= (r / np.linalg.norm(step, axis=1))[:, None]
+        step *= (r / np.sqrt(_sq_norms(step)))[:, None]
         pos += step
     return HitEstimate.from_counts(hits, runs)

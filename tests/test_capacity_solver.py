@@ -589,6 +589,24 @@ def test_diag_samples_below_one_is_rejected(samples):
         capacity(region, CAP_PRIME, 0.4, diag_samples=samples)
 
 
+@pytest.mark.parametrize("samples", [2.5, math.nan, "8"])
+def test_diag_samples_that_is_not_whole_is_rejected(samples):
+    cloud = discretize(TimeSliceBall(1.0, (0.0, 0.0), 0.45), 0.4)
+    with pytest.raises(ValueError, match="diag_samples must be a whole number"):
+        assemble_kernel_matrix(cloud, PARABOLIC, diag_samples=samples)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_tol_that_is_not_finite_and_positive_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        minimize_energy(np.eye(3), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        capacity(SpatialBall((0.0, 0.0, 0.0), 1.0), newtonian(3), 0.5, tol=tol)
+    # a dense matrix solves at max(tol, FINISH_TOL) first, which hid 0 and -1e-6
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        capacity(TimeSliceBall(1.0, (0.0, 0.0), 0.45), PARABOLIC, 0.4, tol=tol)
+
+
 def _replayed_offset_self_energy(cloud, kind, samples, seed):
     """Mean kernel over one draw of offset pairs, replayed from the seed:
     coordinates then (full space-time cells only) times, first point first."""

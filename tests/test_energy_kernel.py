@@ -128,6 +128,17 @@ def test_cap_prime_bruteforce_agreement():
         assert abs(a - b) / abs(b) < 1e-4
 
 
+@pytest.mark.parametrize("d", [2.5, math.nan, math.inf, 1])
+def test_newtonian_refuses_a_dimension_that_is_not_a_whole_number_at_least_2(d):
+    with pytest.raises(ValueError, match="newtonian kernel needs a whole number d >= 2"):
+        newtonian(d)
+
+
+def test_newtonian_keeps_an_integral_float_dimension():
+    kind = newtonian(3.0)
+    assert kind.d == 3.0 and isinstance(kind.d, float)
+
+
 def test_newtonian_values():
     assert newtonian_kernel([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], 3) == pytest.approx(2.0)
     assert newtonian_kernel([0.0, 0.0], [1.0, 0.0], 2) == 0.0

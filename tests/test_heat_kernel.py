@@ -5,6 +5,7 @@ import pytest
 
 from parcap.heat_kernel import (
     SpaceTimePoint,
+    _sq_norms,
     bridge_weight,
     gaussian_product_reduce,
     heat_density,
@@ -140,3 +141,15 @@ def test_chapman_kolmogorov():
                         / math.sqrt(2 * math.pi * (t - s)))
                 total *= 12.0 * float(gw @ vals)
             assert abs(total - heat_density(t, x)) < 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sq_norms_equal_numpy_reductions_bit_for_bit(d):
+    rng = np.random.default_rng(290 + d)
+    a = rng.normal(size=(20_000, d)) * np.exp(rng.uniform(-30.0, 30.0, size=(20_000, 1)))
+    a[::7] = 0.0
+    sq = _sq_norms(a)
+    assert np.array_equal(sq, np.sum(a * a, axis=1))
+    assert np.array_equal(np.sqrt(sq), np.linalg.norm(a, axis=1))
+    assert np.array_equal(_sq_norms(np.zeros((3, d))), np.zeros(3))
+    assert _sq_norms(a[:0]).shape == (0,)

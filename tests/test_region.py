@@ -165,6 +165,54 @@ def test_thorn_needs_a_finite_positive_parameter(profile, param):
         Thorn(profile, param, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SpatialBall((0.0, math.nan), 0.5),
+    lambda: SpatialBall((0.0, 0.0), math.inf),
+    lambda: SpatialBall((0.0, 0.0), math.nan),
+    lambda: SpatialAnnulus((math.inf, 0.0), 0.2, 0.5),
+    lambda: SpatialAnnulus((0.0, 0.0), 0.2, math.inf),
+    lambda: SpatialAnnulus((0.0, 0.0), math.nan, 0.5),
+    lambda: SliceOf(math.nan, SpatialBall((0.0,), 0.5)),
+    lambda: SliceOf(math.inf, SpatialBall((0.0,), 0.5)),
+    lambda: TimeSliceBall(math.inf, (0.0, 0.0), 0.5),
+    lambda: TimeSliceBall(1.0, (math.nan, 0.0), 0.5),
+    lambda: SpaceTimeBox(0.5, math.inf, (0.0,), (1.0,)),
+    lambda: SpaceTimeBox(0.5, 1.0, (-math.inf,), (1.0,)),
+    lambda: SpaceTimeBox(0.5, 1.0, (0.0,), (math.inf,)),
+    lambda: Thorn("constant", 1.0, 0.0, math.inf),
+])
+def test_region_constructors_refuse_non_finite_parameters(make):
+    with pytest.raises(RegionError, match="finite|< inf"):
+        make()
+
+
+@pytest.mark.parametrize("pitch", [math.nan, 0.0, -0.1])
+def test_discretize_refuses_a_pitch_that_is_not_positive(pitch):
+    with pytest.raises(RegionError, match="resolution must be positive"):
+        discretize(SpatialBall((0.0, 0.0), 1.0), pitch)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_round_region_tests_equal_their_norm_forms(d):
+    rng = np.random.default_rng(2900 + d)
+    pts = rng.uniform(-1.2, 1.2, size=(5000, d))
+    centre = rng.uniform(-0.3, 0.3, size=d)
+    r = np.linalg.norm(pts - centre, axis=1)
+    ball, ann = SpatialBall(centre, 0.7), SpatialAnnulus(centre, 0.3, 0.8)
+    assert np.array_equal(ball.mask(pts), r < 0.7)
+    assert np.array_equal(ball.distance(pts), np.maximum(r - 0.7, 0.0))
+    assert np.array_equal(ann.mask(pts), (r > 0.3) & (r < 0.8))
+    assert np.array_equal(ann.distance(pts), np.maximum(np.maximum(0.3 - r, r - 0.8), 0.0))
+    thorn = Thorn("power", 0.3, 0.1, 0.9, d=d)
+    t = rng.uniform(0.0, 1.0, size=5000)
+    inside = (t > 0.1) & (t < 0.9)
+    want = np.zeros(t.size, dtype=bool)
+    want[inside] = (np.linalg.norm(pts[inside], axis=1)
+                    < np.sqrt(t[inside]) * thorn.h(t[inside]))
+    assert np.array_equal(thorn.holds(t, pts), want)
+    assert np.array_equal(thorn.mask(np.column_stack([t, pts])), want)
+
+
 def test_json_round_trip():
     regions = [
         TimeSliceBall(1.0, (0.0, 0.5), 0.3),

@@ -55,6 +55,17 @@ def test_config_refuses_non_finite_values(field, value):
         BranchingConfig(**kwargs)
 
 
+@pytest.mark.parametrize("steps", [-5, 0, 2.5, math.nan, True, "9"])
+def test_config_refuses_max_particle_steps_that_is_not_a_count(steps):
+    with pytest.raises(ValueError, match="max_particle_steps must be a whole number >= 1"):
+        BranchingConfig(10, 0.01, 1.0, 1, max_particle_steps=steps)
+
+
+def test_config_stores_a_whole_float_max_particle_steps_as_int():
+    steps = BranchingConfig(10, 0.01, 1.0, 1, max_particle_steps=1e4).max_particle_steps
+    assert steps == 10_000 and isinstance(steps, int)
+
+
 def test_wilson_interval_brackets_p_hat():
     lo, hi = wilson_interval(30, 100)
     assert lo < 0.3 < hi

@@ -218,9 +218,8 @@ def _table_exp_sum(key, ext, tables, rows, width, block):
     ``block`` pairs forms L by one of two routes:
 
     * one key (every block of a time slice or of a time-level pair): one
-      matrix product, ext @ [A; T_1; ..], and the sums as a second; the
-      table is built once for a run of blocks with the same key, and a call
-      whose pairs share one key tests no block;
+      matrix product, ext @ [A; T_1; ..], and the sums as a second; a call
+      whose pairs share one key builds one table and tests no block;
     * any other block: ``rows(lo, hi, out)`` writes L of pairs lo:hi into
       out in place, in sub-blocks that stay in cache, with no table.
 
@@ -233,16 +232,15 @@ def _table_exp_sum(key, ext, tables, rows, width, block):
     log_buf = np.empty((min(block, n), width))
     ones = np.ones(width)
     one_key = np.all(key == key[:1])
+    table = np.concatenate(tables(key[:1])) if one_key else None
     sub = max(1, _ROWS_NODES // width)
-    table_key = None  # key of the last one-key table, kept while the key repeats
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         log_val = log_buf[:hi - lo]
         k = key[lo:hi]
         if one_key or np.all(k == k[0]):
-            if k[0] != table_key:
-                table_key, table = k[0], np.concatenate(tables(k[:1]))
-            np.matmul(ext[lo:hi], table, out=log_val)
+            np.matmul(ext[lo:hi], table if one_key else np.concatenate(tables(k[:1])),
+                      out=log_val)
             np.maximum(log_val, LOG_FLOOR, out=log_val)
             np.matmul(np.exp(log_val, out=log_val), ones, out=out[lo:hi])
             continue
@@ -538,6 +536,10 @@ def energy_mc_paths(measure, n_paths, dt, seed):
     """
     if not measure.is_spacetime:
         raise ValueError("path estimator needs a space-time measure")
+    if not n_paths >= 2:  # the standard error needs two paths
+        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     t_min = float(np.min(measure.times))
     if dt >= t_min:
         raise ValueError(f"dt={dt} must be below the smallest atom time {t_min}")

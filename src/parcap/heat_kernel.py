@@ -57,10 +57,9 @@ def log_heat_density(t, sq_norm, d):
     sq_norm = np.asarray(sq_norm, dtype=float)
     out = np.full(np.broadcast(t, sq_norm).shape, -np.inf)
     pos = t > 0.0
-    if np.any(pos):
-        tp = np.broadcast_to(t, out.shape)[pos]
-        sp = np.broadcast_to(sq_norm, out.shape)[pos]
-        out[pos] = -0.5 * d * np.log(2.0 * np.pi * tp) - sp / (2.0 * tp)
+    tp = np.broadcast_to(t, out.shape)[pos]
+    sp = np.broadcast_to(sq_norm, out.shape)[pos]
+    out[pos] = -0.5 * d * np.log(2.0 * np.pi * tp) - sp / (2.0 * tp)
     return out
 
 

@@ -324,8 +324,8 @@ def hermite_orthogonality(n, m, t):
     m = _multi_index(m)
     if len(n) != len(m):
         raise ValueError("index dimension mismatch")
-    if not t > 0:
-        raise ValueError(f"need t > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"need a finite t > 0, got {t}")
     u, w = gauss_hermite_prob(GH_ORDER)
     total = 1.0
     root_t = math.sqrt(t)
@@ -597,8 +597,8 @@ def hardy_check(k, profile):
     BoxProfile arguments are integrated in closed form (exact power sums);
     smooth profiles fall back to panel quadrature plus the exact tail.
     """
-    if k <= -1.0:
-        raise ValueError("need k > -1")
+    if not -1.0 < k < math.inf:
+        raise ValueError(f"need a finite k > -1, got {k}")
     q = 0.5 * k + 1.0
     rhs = 4.0 / (k + 1.0) ** 2 * profile.sq_integral()
     alpha, beta = profile.support

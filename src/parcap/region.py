@@ -74,6 +74,10 @@ class Region:
         a finite union of time slices; None for full-dimensional sets."""
         return None
 
+    def mask(self, pts):
+        """Membership of rows (t, x) in a full-dimensional space-time set."""
+        return self.holds(pts[:, 0], pts[:, 1:])
+
     def graph_segment_hits(self, ta, tb, pa, pb):
         """Detector flags, one per segment (ta, pa) -> (tb, pb), against a
         full-dimensional space-time set: endpoint membership (``holds``) at
@@ -117,10 +121,9 @@ class SliceOf(Region):
         """Per-segment flags: linear interpolation at the slice crossing."""
         cross = (ta - self.t0) * (tb - self.t0) <= 0.0
         out = np.zeros(cross.shape, dtype=bool)
-        if np.any(cross):
-            frac = (self.t0 - ta[cross]) / np.maximum(tb[cross] - ta[cross], 1e-300)
-            y = pa[cross] + frac[:, None] * (pb[cross] - pa[cross])
-            out[cross] = self.base.mask(y)
+        frac = (self.t0 - ta[cross]) / np.maximum(tb[cross] - ta[cross], 1e-300)
+        y = pa[cross] + frac[:, None] * (pb[cross] - pa[cross])
+        out[cross] = self.base.mask(y)
         return out
 
 
@@ -157,6 +160,8 @@ class SpaceTimeBox(Region):
             raise RegionError("need 0 < t_lo < t_hi < inf")
         if len(self.corner_lo) != len(self.corner_hi):
             raise RegionError("corner dimension mismatch")
+        if not self.corner_lo:
+            raise RegionError("box corners need at least one coordinate")
         if not all(map(math.isfinite, self.corner_lo + self.corner_hi)):
             raise RegionError("corners must be finite")
         if not all(a < b for a, b in zip(self.corner_lo, self.corner_hi)):
@@ -174,9 +179,6 @@ class SpaceTimeBox(Region):
         for i, (lo, hi) in enumerate(zip(self.corner_lo, self.corner_hi)):
             out &= (x[:, i] > lo) & (x[:, i] < hi)
         return out
-
-    def mask(self, pts):
-        return self.holds(pts[:, 0], pts[:, 1:])
 
     def bounds(self):
         return (np.concatenate([[self.t_lo], self.corner_lo]),
@@ -198,6 +200,10 @@ class Thorn(Region):
     d: int = 1
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "d", _count(self.d))
+        except (TypeError, ValueError):
+            raise RegionError(f"thorn needs a whole number d >= 1, got {self.d!r}") from None
         if not 0 <= self.t_lo < self.t_hi < math.inf:
             raise RegionError("need 0 <= t_lo < t_hi < inf")
         if self.profile == "invlog" and self.t_hi >= 1.0:
@@ -217,9 +223,6 @@ class Thorn(Region):
         out[ok] = np.sqrt(_sq_norms(x.take(ok, axis=0))) < np.sqrt(tk) * self.h(tk)
         return out
 
-    def mask(self, pts):
-        return self.holds(pts[:, 0], pts[:, 1:])
-
     def bounds(self):
         # sqrt(s) h(s) increases for every shipped profile: largest at t_hi
         r = float(np.sqrt(self.t_hi) * self.h(self.t_hi))
@@ -231,9 +234,12 @@ class Thorn(Region):
                 "t_lo": self.t_lo, "t_hi": self.t_hi, "d": self.d}
 
 
-def _finite_center(center):
-    """The centre as a tuple of floats; RegionError if a coordinate is not finite."""
+def _finite_center(center, kind):
+    """The centre as a tuple of floats; RegionError if it has no coordinate
+    or one that is not finite."""
     center = tuple(float(c) for c in center)
+    if not center:
+        raise RegionError(f"{kind} center needs at least one coordinate")
     if not all(map(math.isfinite, center)):
         raise RegionError(f"center {center} must be finite")
     return center
@@ -245,7 +251,7 @@ class SpatialBall(Region):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _finite_center(self.center))
+        object.__setattr__(self, "center", _finite_center(self.center, "ball"))
         if not 0 < self.radius < math.inf:
             raise RegionError("radius must be positive and finite")
 
@@ -279,7 +285,7 @@ class SpatialAnnulus(Region):
     r_out: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _finite_center(self.center))
+        object.__setattr__(self, "center", _finite_center(self.center, "annulus"))
         if not 0 < self.r_in < self.r_out < math.inf:
             raise RegionError("need 0 < r_in < r_out < inf")
 
@@ -480,8 +486,6 @@ def sample_uniform(region, n, seed):
     lo, hi = region.bounds()
     dim = lo.size
     out = np.empty((0, dim))
-    if n == 0:
-        return out
     proposed = 0
     while out.shape[0] < n:
         chunk = max(4 * (n - out.shape[0]), 256)

@@ -269,10 +269,6 @@ def _forward_batch(config, runs, rng, detectors=()):
             for det in detectors:
                 det.observe(ta, start, cur, moved, cur_run)
             rung = np.flatnonzero(ring)
-            if rung.size == 0:
-                settled.append(moved)
-                settled_run.append(cur_run)
-                break
             calm = np.flatnonzero(~ring)
             settled.append(moved.take(calm, axis=0))
             settled_run.append(cur_run.take(calm))
@@ -280,11 +276,9 @@ def _forward_batch(config, runs, rng, detectors=()):
             # each rung lineage dies or splits in two with probability 1/2
             pick = np.repeat(rung.compress(rng.uniform(size=rung.size) < 0.5), 2)
             cur, cur_run, start = moved.take(pick, axis=0), cur_run.take(pick), start.take(pick)
-        pos = np.concatenate(settled) if settled else np.zeros((0, d))
-        run = np.concatenate(settled_run) if settled_run else np.zeros(0, dtype=np.intp)
-        if np.any(exploded):
-            keep = np.flatnonzero(~exploded[run])
-            pos, run = pos.take(keep, axis=0), run.take(keep)
+        run = np.concatenate(settled_run)
+        keep = np.flatnonzero(~exploded[run])
+        pos, run = np.concatenate(settled).take(keep, axis=0), run.take(keep)
         count = np.bincount(run, minlength=runs)
         extinction[(count == 0) & np.isnan(extinction) & ~exploded] = t_next
         t_cur = t_next

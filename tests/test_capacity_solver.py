@@ -980,3 +980,11 @@ def test_single_level_slice_matrix_is_pinned(region, pitch, n, digest):
     assert np.array_equal(a[ii, jj], parabolic_kernel_batch(
         cloud.times[ii], cloud.coords[ii], cloud.times[jj], cloud.coords[jj]))
     assert hashlib.sha256(a.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("region", [SpaceTimeBox(0.5, 1.5, (-1.0,), (1.0,)),
+                                    TimeSliceBall(1.0, (0.0, 0.0), 0.4)],
+                         ids=["box", "slice_ball"])
+def test_growth_profile_refuses_a_region_that_is_not_a_thorn(region):
+    with pytest.raises(ValueError, match="growth profile expects a thorn region"):
+        capacity_growth_profile(region, [0.1])

@@ -658,3 +658,27 @@ def test_bad_seed_env_or_config_path_exits_1(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "none.json")
     assert main(["range-hit", "--config", missing, "--seed", "1"]) == 1
     assert f"config file not found: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("region, message", [
+    ({"kind": "thorn", "profile": "constant", "param": 1.0, "t_lo": 0.1, "t_hi": 0.5,
+      "d": 0}, "thorn needs a whole number d >= 1, got 0"),
+    ({"kind": "box", "t_lo": 0.5, "t_hi": 1.5, "corner_lo": [], "corner_hi": []},
+     "box corners need at least one coordinate"),
+    ({"kind": "slice_of", "t0": 1.0, "base": {"kind": "ball", "center": [], "radius": 0.5}},
+     "ball center needs at least one coordinate"),
+], ids=["thorn_d0", "box_empty_corners", "slice_of_ball_empty_center"])
+def test_capacity_command_region_of_dimension_zero_exits_1(tmp_path, capsys, region, message):
+    cfg = write_cfg(tmp_path, "cap.json", {"region": region, "kind": "parabolic",
+                                           "resolution": 0.1})
+    assert main(["capacity", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"capacity: {message}\n"
+
+
+def test_prop51_empty_sets_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "p.json", {"sets": [], "d": 3, "resolution": 0.2,
+                                         "sim": {"n_particles": 10, "dt": 0.01,
+                                                 "horizon": 1.0, "runs": 10}})
+    assert main(["prop51", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "o.json")]) == 1
+    assert "config field 'sets' is empty" in capsys.readouterr().err

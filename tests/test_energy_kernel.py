@@ -476,3 +476,51 @@ def test_kernel_kind_batch_is_its_module_function(kind, d):
         want = newtonian_kernel_batch(x1, x2, d)
         t1 = t2 = None  # the newtonian kernel reads no times
     assert np.array_equal(kind.batch(t1, x1, t2, x2), want)
+
+
+def test_energy_with_a_newtonian_kind_reads_its_pair_kernel():
+    kind = newtonian(3)
+    assert kind.pair([0.0, 0.0, 0.0], [2.0, 0.0, 0.0]) == newtonian_kernel(
+        [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], 3) == 0.5
+    assert newtonian(2).pair([0.0, 0.0], [0.5, 0.0]) == pytest.approx(math.log(2.0))
+    # a point atom of positive weight has infinite Newtonian self-energy
+    m = DiscreteMeasure.spatial([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [1.0, 0.0])
+    assert energy(m, kind) == math.inf
+    with pytest.raises(ValueError, match="spatial measure"):
+        energy(DiscreteMeasure.spacetime([(1.0, [0.0, 0.0, 0.0])], [1.0]), kind)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: DiscreteMeasure(np.array([1.0]), np.zeros((2, 1)), np.array([0.5, 0.5])),
+     "times/coords length mismatch"),
+    (lambda: DiscreteMeasure(None, np.zeros((2, 1)), np.array([1.0])),
+     "weights/coords length mismatch"),
+    (lambda: DiscreteMeasure.spacetime([(math.nan, [0.0])], [1.0]),
+     "atom times must be finite and positive"),
+    (lambda: DiscreteMeasure.spacetime([(math.inf, [0.0])], [1.0]),
+     "atom times must be finite and positive"),
+    (lambda: DiscreteMeasure.spacetime([(0.0, [0.0])], [1.0]),
+     "atom times must be finite and positive"),
+    (lambda: DiscreteMeasure.spatial([[math.nan, 0.0]], [1.0]),
+     "atom coordinates must be finite"),
+    (lambda: DiscreteMeasure.spacetime([(1.0, [math.inf])], [1.0]),
+     "atom coordinates must be finite"),
+], ids=["times_length", "weights_length", "nan_time", "inf_time", "zero_time",
+        "nan_coord", "inf_coord"])
+def test_discrete_measure_refuses_mismatched_lengths_and_non_finite_atoms(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("n_paths, dt, match", [
+    (1, 1.0 / 128, "n_paths must be at least 2, got 1"),
+    (0, 1.0 / 128, "n_paths must be at least 2"),
+    (10, 0.0, "dt must be positive and finite, got 0.0"),
+    (10, -0.1, "dt must be positive and finite"),
+    (10, math.nan, "dt must be positive and finite, got nan"),
+    (10, math.inf, "dt must be positive and finite"),
+])
+def test_energy_mc_paths_refuses_one_path_and_a_step_that_is_not_positive(n_paths, dt, match):
+    m = DiscreteMeasure.spacetime([(0.5, [0.0])], [1.0])
+    with pytest.raises(ValueError, match=match):
+        energy_mc_paths(m, n_paths, dt=dt, seed=0)

@@ -477,3 +477,20 @@ def test_hermite_value_1d_parses_its_index():
         hermite_value_1d(1.7, u)
     with pytest.raises(ValueError, match=">= 0"):
         hermite_value_1d(-1.0, u)
+
+
+@pytest.mark.parametrize("k, profile, message", [
+    (math.nan, BoxProfile([0.0, 1.0], [1.0]), "got nan"),
+    (math.inf, BoxProfile([0.5, 1.0], [1.0]), "got inf"),
+    (-1.0, BoxProfile([0.0, 1.0], [1.0]), "got -1.0"),
+    (math.nan, BumpProfile(0.2, 1.2), "got nan"),
+], ids=["nan_box", "inf_box", "minus_one", "nan_bump"])
+def test_hardy_check_refuses_an_exponent_that_is_not_finite_above_minus_one(k, profile, message):
+    with pytest.raises(ValueError, match=f"need a finite k > -1, {message}"):
+        hardy_check(k, profile)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_orthogonality_refuses_a_time_that_is_not_finite(t):
+    with pytest.raises(ValueError, match=f"need a finite t > 0, got {t}"):
+        hermite_orthogonality((1,), (1,), t)

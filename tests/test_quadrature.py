@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from parcap.quadrature import gauss_legendre, panel_rule, panels, tensor_rule
+from parcap.quadrature import (
+    GK_MAX_SUBDIV,
+    QuadratureError,
+    adaptive_gauss_kronrod,
+    gauss_legendre,
+    panel_rule,
+    panels,
+    tensor_rule,
+)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -40,3 +48,10 @@ def test_panels_batch_equals_separate_panel_rules():
         lo, hi = edges[k, 0], edges[k, -1]
         assert flat_weights @ flat_nodes ** 9 == pytest.approx((hi ** 10 - lo ** 10) / 10,
                                                               rel=1e-13)
+
+
+def test_adaptive_rule_raises_when_it_does_not_converge():
+    # a million radians of oscillation: GK_MAX_SUBDIV bisections leave
+    # hundreds of periods per interval, so the error estimate stays large
+    with pytest.raises(QuadratureError, match=f"after {GK_MAX_SUBDIV} subdivisions"):
+        adaptive_gauss_kronrod(lambda s: np.sin(1e6 * s), 0.0, 1.0)

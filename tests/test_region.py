@@ -365,3 +365,43 @@ def test_translated_refuses_a_shift_that_does_not_fit_the_cloud(cloud, dt, dx, m
         cloud.translated(dt, dx)
     fits = cloud.translated(0.0, np.full(cloud.d, 0.7))
     assert np.array_equal(fits.coords, cloud.coords + 0.7)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Thorn("constant", 1.0, 0.1, 0.5, d=0), "thorn needs a whole number d >= 1, got 0"),
+    (lambda: Thorn("constant", 1.0, 0.1, 0.5, d=-1), "got -1"),
+    (lambda: Thorn("constant", 1.0, 0.1, 0.5, d=2.5), "got 2.5"),
+    (lambda: Thorn("constant", 1.0, 0.1, 0.5, d=True), "got True"),
+    (lambda: SpaceTimeBox(0.5, 1.5, (), ()), "box corners need at least one coordinate"),
+    (lambda: SpatialBall((), 0.5), "ball center needs at least one coordinate"),
+    (lambda: SpatialAnnulus([], 0.2, 0.5), "annulus center needs at least one coordinate"),
+    (lambda: TimeSliceBall(1.0, (), 0.5), "ball center needs at least one coordinate"),
+    (lambda: region_from_dict({"kind": "thorn", "profile": "constant", "param": 1.0,
+                               "t_lo": 0.1, "t_hi": 0.5, "d": 0}), "thorn needs"),
+    (lambda: region_from_dict({"kind": "slice_of", "t0": 1.0,
+                               "base": {"kind": "ball", "center": [], "radius": 0.5}}),
+     "ball center needs"),
+], ids=["thorn_d0", "thorn_d-1", "thorn_d2.5", "thorn_d_bool", "box_empty_corners",
+        "ball_empty_center", "annulus_empty_center", "slice_ball_empty_center",
+        "thorn_spec_d0", "slice_of_spec_empty_center"])
+def test_region_constructors_refuse_dimension_zero(make, match):
+    with pytest.raises(RegionError, match=match):
+        make()
+
+
+def test_thorn_stores_a_whole_float_dimension_as_int():
+    thorn = Thorn("constant", 1.0, 0.1, 0.5, d=2.0)
+    assert thorn.d == 2 and type(thorn.d) is int
+    assert thorn.to_dict()["d"] == 2
+    assert [a.size for a in thorn.bounds()] == [3, 3]
+
+
+@pytest.mark.parametrize("members, match", [
+    ((), "at least one member"),
+    ((SpatialBall((0.0,), 1.0), SpatialBall((0.0, 0.0), 1.0)), "share a dimension"),
+    ((SliceOf(1.0, SpatialBall((0.0,), 0.5)), Thorn("constant", 1.0, 0.1, 0.5, d=2)),
+     "share a dimension"),
+], ids=["no_members", "spatial_d1_d2", "spacetime_d1_d2"])
+def test_union_refuses_no_members_and_mixed_dimensions(members, match):
+    with pytest.raises(RegionError, match=match):
+        RegionUnion(members)

@@ -733,3 +733,14 @@ def test_range_hit_refuses_non_finite_kill_radius_where_it_is_read(kill_radius):
 def test_survival_refuses_non_finite_times(t):
     with pytest.raises(ValueError, match=f"requested time {t} is not finite"):
         estimate_survival(_CFG1, [0.5, t], 10, 1)
+
+
+@pytest.mark.parametrize("start, match", [
+    ([2.0, 0.0], "start point dimension mismatch"),
+    ([[2.0, 0.0, 0.0]], "start point dimension mismatch"),
+    (lambda rng, runs: np.full((runs, 2), 2.0), r"start sampler must return shape \(runs, d\)"),
+    (lambda rng, runs: np.full((runs + 1, 3), 2.0), r"start sampler must return shape"),
+], ids=["short_point", "point_as_row", "sampler_d2", "sampler_extra_run"])
+def test_range_hit_refuses_starts_of_the_wrong_shape(start, match):
+    with pytest.raises(ValueError, match=match):
+        estimate_range_hit(3, start, SpatialBall((0.0, 0.0, 0.0), 1.0), 1e-3, 10, 1)

@@ -36,6 +36,7 @@ from .quadrature import (
     panel_rule,
     tensor_rule,
 )
+from .region import _integer
 
 __all__ = [
     "KernelKind",
@@ -532,12 +533,17 @@ def energy_mc_paths(measure, n_paths, dt, seed):
     Simulates standard Brownian paths from the origin on [0, T] (T = max atom
     time, exact truncation since bridge weights vanish beyond each atom time),
     trapezoid-integrates the squared measure-averaged bridge weight along each
-    path, and returns (mean, standard error) over paths.
+    path, and returns (mean, standard error) over paths. ``n_paths`` must be
+    a whole number >= 2 (``ValueError`` otherwise).
     """
     if not measure.is_spacetime:
         raise ValueError("path estimator needs a space-time measure")
-    if not n_paths >= 2:  # the standard error needs two paths
-        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+    try:
+        count = _integer(n_paths)
+    except (TypeError, ValueError):
+        raise ValueError(f"n_paths must be a whole number, got {n_paths!r}") from None
+    if count < 2:  # the standard error needs two paths
+        raise ValueError(f"n_paths must be at least 2, got {n_paths!r}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     t_min = float(np.min(measure.times))
@@ -548,10 +554,10 @@ def energy_mc_paths(measure, n_paths, dt, seed):
     grid = np.linspace(0.0, T, n_steps + 1)
     d = measure.d
     rng = np.random.default_rng(seed)
-    vals = np.empty(n_paths)
+    vals = np.empty(count)
     done = 0
-    while done < n_paths:
-        m = min(MC_PATH_CHUNK, n_paths - done)
+    while done < count:
+        m = min(MC_PATH_CHUNK, count - done)
         steps = rng.normal(0.0, 1.0, size=(m, n_steps, d)) * np.sqrt(np.diff(grid))[None, :, None]
         paths = np.concatenate([np.zeros((m, 1, d)), np.cumsum(steps, axis=1)], axis=1)
         fw = bridge_weight_batch(measure.times, measure.coords,
@@ -560,5 +566,5 @@ def energy_mc_paths(measure, n_paths, dt, seed):
         vals[done:done + m] = np.trapezoid(f * f, grid, axis=1)
         done += m
     est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
+    se = float(np.std(vals, ddof=1) / math.sqrt(count))
     return est, se

@@ -51,15 +51,29 @@ def _bump(t, alpha, beta, amplitude):
     """amplitude * exp(1 - 1/(1 - u^2)) inside (alpha, beta), else 0.
 
     u is the affine map of [alpha, beta] onto [-1, 1]; the arguments
-    broadcast against each other.
+    broadcast against each other. Where the exponential falls below
+    e^BUMP_LOG_FLOOR, about 1e-304, the value is 0.
     """
     u = (2.0 * t - (alpha + beta)) / (beta - alpha)
-    amp = np.broadcast_to(amplitude, u.shape)
-    out = np.zeros(u.shape)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = amp[inside] * np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
+    gap = 1.0 - u * u  # > 0 exactly inside
+    # 1 - 1/gap >= BUMP_LOG_FLOOR for gap >= floor_gap; exp is about 100
+    # times slower where its result is subnormal, so values below
+    # e^BUMP_LOG_FLOOR read 0
+    floor_gap = 1.0 / (1.0 - BUMP_LOG_FLOOR)
+    return np.where(gap >= floor_gap,
+                    amplitude * np.exp(1.0 - 1.0 / np.maximum(gap, floor_gap)), 0.0)
+
+
+@lru_cache(maxsize=1)
+def _unit_bump_rule():
+    """The BUMP_PANELS x BUMP_ORDER GL panels of [0, 1], (nodes, weights),
+    and the bump of support [0, 1] and amplitude 1 at the nodes; every bump
+    profile's are these, moved and scaled."""
+    nodes, weights = panels(np.linspace(0.0, 1.0, BUMP_PANELS + 1), BUMP_ORDER)
+    values = _bump(nodes, 0.0, 1.0, 1.0)
+    for arr in (nodes, weights, values):
+        arr.flags.writeable = False
+    return nodes, weights, values
 
 
 @lru_cache(maxsize=4)
@@ -86,6 +100,7 @@ def _interpolant_antiderivative(order):
 
 
 BUMP_PANELS, BUMP_ORDER = 24, 16  # GL panels per bump profile, nodes per panel
+BUMP_LOG_FLOOR = -700.0  # log of the smallest bump value (about 1e-304) not read as 0
 LAMBDA_S_ORDER = 64  # direct smoothing-operator quadrature in s: 8 panels of
                      # LAMBDA_S_ORDER // 4 = 16 GL nodes, 128 nodes in all
 GH_ORDER = 40        # Gauss-Hermite nodes of that quadrature and of orthogonality
@@ -112,50 +127,50 @@ class _BumpBatch:
         self.beta = np.asarray(beta, dtype=float)
         self.amplitude = np.asarray(amplitude, dtype=float)
         self.edges = np.linspace(self.alpha, self.beta, BUMP_PANELS + 1, axis=-1)
-        self.nodes, self.weights = panels(self.edges, BUMP_ORDER)
-        self.values = _bump(self.nodes, self.alpha[:, None, None],
-                            self.beta[:, None, None],
-                            self.amplitude[:, None, None])
+        width = (self.beta - self.alpha)[:, None, None]
+        unit_nodes, unit_weights, unit_values = _unit_bump_rule()
+        self.nodes = self.alpha[:, None, None] + width * unit_nodes
+        self.weights = width * unit_weights
+        self.values = self.amplitude[:, None, None] * unit_values
 
-    def at(self, t):
-        """(K, N) values of every profile at the 1-D points t."""
-        return _bump(t, self.alpha[:, None], self.beta[:, None],
-                     self.amplitude[:, None])
+    def __getitem__(self, rows):
+        """The profiles of the slice ``rows``, sharing this batch's arrays."""
+        part = object.__new__(_BumpBatch)
+        for name in ("alpha", "beta", "amplitude", "edges", "nodes", "weights",
+                     "values"):
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
     def sq_integrals(self):
         """int g_k(t)^2 dt for every profile, shape (K,)."""
         return (self.weights * self.values ** 2).sum(axis=(1, 2))
 
-    def running_integrals(self, q, t):
-        """int_0^t s^{q_k} g_k(s) ds at the 1-D points t, and the totals.
+    def stretch_cuts(self, ts):
+        """(K, BUMP_PANELS + 1) bounds of each profile's stretch of the
+        increasing points ts: column 0 is the first point past alpha_k, the
+        last column the first point at or past beta_k, the others the first
+        points at or past the inner panel edges."""
+        cuts = np.searchsorted(ts, self.edges)
+        cuts[:, 0] = np.searchsorted(ts, self.alpha, "right")
+        return cuts
 
-        ``q`` holds one exponent per profile; t may come in any order, and
-        -inf and inf read 0 and the total. Returns arrays of shapes (K, N)
-        and (K,). Raises ``ValueError`` for NaN points.
+    def stretch_integrals(self, q, ts, cuts):
+        """int_0^t s^{q_k} g_k(s) ds on every profile's stretch of ts.
 
-        On the sorted points, those strictly inside (alpha_k, beta_k) are one
-        contiguous stretch per profile, and those from its end onward read
-        the total, so only the stretches are evaluated: each point's panel
-        polynomial in powers of xi, by one Horner pass over all stretches,
-        whose cost scales with the points inside the supports, not K x N.
+        ``q`` holds one exponent per profile and ``cuts`` the stretches, as
+        from :meth:`stretch_cuts`; ts need only increase on each stretch.
+        Returns (values, totals): the running integrals on the stretches,
+        profile by profile, and the (K,) totals, which the integrals equal
+        from each stretch's end on (they are 0 before its start). Each
+        point's panel polynomial in powers of xi is summed by one Horner
+        pass over all stretches, so the cost scales with the points inside
+        the supports.
         """
         n_prof, n_panels, order = self.nodes.shape
-        fq = self.nodes ** np.asarray(q, dtype=float)[:, None, None] * self.values
+        fq = self.values * np.exp(np.asarray(q, dtype=float)[:, None, None]
+                                  * np.log(self.nodes))
         cum = np.zeros((n_prof, n_panels + 1))
         np.cumsum((self.weights * fq).sum(axis=-1), axis=-1, out=cum[:, 1:])
-        t = np.asarray(t, dtype=float)
-        if np.isnan(t).any():
-            raise ValueError("running integrals need points t that are not NaN")
-        perm = np.argsort(t)
-        ts = t[perm]
-        # run bounds on ts: the stretch of each profile, cut at its panel edges
-        cuts = np.empty((n_prof, n_panels + 1), dtype=int)
-        cuts[:, 0] = np.searchsorted(ts, self.alpha, "right")
-        cuts[:, 1:-1] = np.searchsorted(ts, self.edges[:, 1:-1])
-        cuts[:, -1] = np.searchsorted(ts, self.beta, "left")
-        srt = np.zeros((n_prof, t.size))  # results at the sorted points
-        for k in range(n_prof):
-            srt[k, cuts[k, -1]:] = cum[k, -1]
         # each panel's running integral in powers of its xi in [-1, 1]
         half = 0.5 * np.diff(self.edges, axis=-1)
         coef = (fq @ _interpolant_antiderivative(order)) * half[..., None]
@@ -163,20 +178,52 @@ class _BumpBatch:
         coef = coef.reshape(-1, order + 1).T
         # flat stretches, profile by profile and so sorted by panel: each
         # panel's numbers are repeated over its run of points, not gathered
-        counts = cuts[:, -1] - cuts[:, 0]
         per_panel = np.diff(cuts, axis=-1).ravel()
-        at = np.arange(counts.sum()) + np.repeat(
-            cuts[:, 0] - (np.cumsum(counts) - counts), counts)
         mid = 0.5 * (self.edges[:, :-1] + self.edges[:, 1:])
-        xi = (ts[at] - np.repeat(mid, per_panel)) / np.repeat(half, per_panel)
+        xi = _stretches(ts, cuts[:, 0], cuts[:, -1])
+        xi -= np.repeat(mid, per_panel)
+        xi /= np.repeat(half, per_panel)
         acc = np.repeat(coef[order], per_panel)
         for m in range(order - 1, -1, -1):
             acc *= xi
             acc += np.repeat(coef[m], per_panel)
-        srt.ravel()[at + np.repeat(np.arange(n_prof) * t.size, counts)] = acc
+        return acc, cum[:, -1]
+
+    def running_integrals(self, q, t):
+        """int_0^t s^{q_k} g_k(s) ds at the 1-D points t, and the totals.
+
+        ``q`` holds one exponent per profile; t may come in any order, and
+        -inf and inf read 0 and the total. Returns arrays of shapes (K, N)
+        and (K,): the dense scatter of :meth:`stretch_integrals` on the
+        sorted points. Raises ``ValueError`` for NaN points.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            raise ValueError("running integrals need points t that are not NaN")
+        perm = np.argsort(t)
+        ts = t[perm]
+        cuts = self.stretch_cuts(ts)
+        acc, total = self.stretch_integrals(q, ts, cuts)
+        srt = np.zeros((len(cuts), t.size))  # results at the sorted points
+        for k, stop in enumerate(cuts[:, -1]):
+            srt[k, stop:] = total[k]
+        start = cuts[:, 0] + np.arange(len(cuts)) * t.size
+        srt.ravel()[_ranges(start, cuts[:, -1] - cuts[:, 0])] = acc
         out = np.empty_like(srt)
         out[:, perm] = srt
-        return out, cum[:, -1]
+        return out, total
+
+
+def _stretches(x, start, stop):
+    """x[start[k]:stop[k]] for every k, end to end."""
+    return np.concatenate([x[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+
+
+def _ranges(start, count):
+    """The runs start[k], ..., start[k] + count[k] - 1, end to end."""
+    ends = np.cumsum(count)
+    return (np.arange(ends[-1] if ends.size else 0)
+            + np.repeat(start - (ends - count), count))
 
 
 class BumpProfile:
@@ -318,22 +365,33 @@ def hermite_orthogonality(n, m, t):
     """int p(t, x) He_n(x/sqrt t) He_m(x/sqrt t) dx by Gauss-Hermite nodes.
 
     Nodes are placed for the variance-t Gaussian weight and mapped through
-    the same x/sqrt(t) scaling as the integrand; equals n! when n == m.
+    the same x/sqrt(t) scaling as the integrand; equals n! when n == m. A
+    batch of one of :func:`_orthogonality_batch`.
     """
     n = _multi_index(n)
     m = _multi_index(m)
     if len(n) != len(m):
         raise ValueError("index dimension mismatch")
+    if min(n + m) < 0:
+        raise ValueError("index entries must be >= 0")
     if not 0 < t < math.inf:
         raise ValueError(f"need a finite t > 0, got {t}")
+    return float(_orthogonality_batch(np.array([n]), np.array([m]), t)[0])
+
+
+def _orthogonality_batch(n, m, t):
+    """:func:`hermite_orthogonality` for every row of the (P, d) index arrays
+    n and m at one t: one He_0..He_top table at the Gauss-Hermite nodes, its
+    Gram matrix, and per pair the product of one Gram entry per axis."""
     u, w = gauss_hermite_prob(GH_ORDER)
-    total = 1.0
     root_t = math.sqrt(t)
-    for ni, mi in zip(n, m):
-        y = root_t * u
-        vals = hermite_value_1d(ni, y / root_t) * hermite_value_1d(mi, y / root_t)
-        total *= float(np.dot(w, vals))
-    return total
+    y = root_t * u / root_t
+    he = np.ones((max(n.max(), m.max()) + 1, u.size))
+    if len(he) > 1:
+        he[1] = y
+    for k in range(2, len(he)):
+        he[k] = y * he[k - 1] - (k - 1) * he[k - 2]
+    return np.prod(((he * w) @ he.T)[n, m], axis=-1)
 
 
 # --- separated fields and the operator family -----------------------------------
@@ -422,8 +480,9 @@ def lambda_numeric_on_hermite(n, profile, ts, xs):
 def _terms(which, indices, i):
     """(identity, [(j, coef)]): the operator maps coefficient profile n (row n
     of ``indices``) to coef[n] J_n(t) / t at output n (j None) or n - 2 e_j,
-    plus the profile itself if ``identity``; J_n as in :func:`_apply_operator`.
-    Raises ``ValueError`` for an axis i outside 0..d-1."""
+    plus the profile itself if ``identity``, where J_n(t) = t^{-|n|/2}
+    int_0^t s^{|n|/2} gamma_n(s) ds (see :func:`_links`). Raises
+    ``ValueError`` for an axis i outside 0..d-1."""
     _check_axis(i, indices.shape[1])
     ni = indices[:, i]
     if which == "lambda0":
@@ -514,31 +573,199 @@ def _lowered_rows(indices, j):
     return src, dst
 
 
-def _apply_operator(which, indices, profiles, nodes, i=0):
-    """Map an expansion through an operator at the grid ``nodes``.
+PROBE_CHUNK = 64          # bump profiles the probes draw and evaluate at once
+STRETCH_BLOCK = 1 << 15   # stretch or window points evaluated at once
 
-    The expansion has coefficient profile k of ``profiles`` at the multi-index
-    in row k of the (K, d) array ``indices``. Returns the (K, N) array whose
-    row m is output coefficient m at the nodes, built from the running
-    integrals J_n(t) = t^{-|n|/2} int_0^t s^{|n|/2} gamma_n(s) ds; the
-    "e_t_lambda" output is J itself, cut at its horizon by the grid.
+
+def _links(which, indices, i):
+    """(identity, q, power, own, lowered): the operator as maps between rows.
+
+    Output row m is the profile gamma_m itself if ``identity``, plus
+    own[m] J_m(t), plus coef * J_src(t) for every link (src, dst, coef) of
+    a ``lowered`` group with dst = m, where J_n(t) = t^{-power_n}
+    int_0^t s^{q_n} gamma_n(s) ds and q_n = |n|/2. power_n is q_n for
+    "e_t_lambda", whose output is J itself, and q_n + 1 for the operators
+    of :func:`_terms`. A lowered group's sources sit at dst + 2 e_j, so
+    their power is that of dst plus 1; its dst rows are distinct, and links
+    with coefficient 0 are left out.
     """
     q = 0.5 * indices.sum(axis=1)
-    J = profiles.running_integrals(q, nodes)[0]
-    distinct, row = np.unique(q, return_inverse=True)  # one power per distinct q
-    J *= (nodes ** -distinct[:, None])[row]
     if which == "e_t_lambda":
-        return J
+        return False, q, q, np.ones(len(indices)), []
     identity, terms = _terms(which, indices, i)
-    vals = profiles.at(nodes) if identity else np.zeros_like(J)
-    J /= nodes
+    own = sum((coef for j, coef in terms if j is None), np.zeros(len(indices)))
+    lowered = []
     for j, coef in terms:
-        if j is None:
-            vals += coef[:, None] * J
-        else:
+        if j is not None:
             src, dst = _lowered_rows(indices, j)
-            vals[dst] += coef[src, None] * J[src]
-    return vals
+            keep = coef[src] != 0
+            lowered.append((src[keep], dst[keep], coef[src][keep]))
+    return identity, q, q + 1.0, own, lowered
+
+
+def _blocks(sizes):
+    """Consecutive (start, stop) ranges of ``sizes`` that sum to at most
+    STRETCH_BLOCK, one entry at least."""
+    ends = np.cumsum(sizes)
+    bounds = [0]
+    while bounds[-1] < len(sizes):
+        done = ends[bounds[-1] - 1] if bounds[-1] else 0
+        stop = int(np.searchsorted(ends, done + STRETCH_BLOCK, "right"))
+        bounds.append(max(stop, bounds[-1] + 1))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _run_sums(x, count):
+    """Sums of the consecutive runs of x of lengths ``count``; 0 for an empty run."""
+    out = np.zeros(len(count))
+    full = np.flatnonzero(count)
+    if full.size:
+        out[full] = np.add.reduceat(x, (np.cumsum(count) - count)[full])
+    return out
+
+
+def _probe_chunk(links, draw, max_degree, horizon):
+    """Squared output and input norms of a chunk of probe trials.
+
+    ``draw`` is the (C, K, 3) array of per-index (start, width, amplitude)
+    draws. Returns two (C, K) arrays: ||row n of op f||^2 and
+    ||gamma_n||^2, before the index factorials n!.
+
+    Each trial has its own :func:`_common_grid`, laid end to end with the
+    others, and each profile is evaluated only on its stretch of it. An
+    output row that reads one row needs only that row's stretch; one that
+    reads more is evaluated on the window from the first stretch start to
+    the last stretch end of the rows it reads. Past its last stretch end an
+    output is a t^{-p} + b t^{-p-1}, p its power, whose squared quadrature
+    comes from the suffix sums sum_{j >= i} w_j t_j^{-k} on the trial's nodes.
+    """
+    identity, q, power, own, lowered = links
+    n_trials, n_idx = draw.shape[:2]
+    n_rows = n_trials * n_idx
+    a = draw[..., 0].ravel()
+    amp = draw[..., 2].ravel()
+    batch = _BumpBatch(a, a + draw[..., 1].ravel(),
+                       np.where(np.abs(amp) < 0.05, 0.05, amp))
+    nodes, weights = [], []
+    cuts = np.empty(batch.edges.shape, dtype=int)
+    starts = np.zeros(n_trials + 1, dtype=int)  # each trial's first node
+    for c in range(n_trials):
+        rows = slice(c * n_idx, (c + 1) * n_idx)
+        part = batch[rows]
+        t, w = _common_grid(part, max_degree, horizon)
+        # the tail panel's nodes come last, in falling order, and lie past
+        # every support edge: the search needs only the rising part
+        rising = t[:np.count_nonzero(t <= part.beta.max())]
+        cuts[rows] = part.stretch_cuts(rising) + starts[c]
+        starts[c + 1] = starts[c] + t.size
+        nodes.append(t)
+        weights.append(w)
+    ts = np.concatenate(nodes)
+    ws = np.concatenate(weights)
+    log_t = np.log(ts)
+    q, power, own = (np.tile(x, n_trials) for x in (q, power, own))
+    offsets = (np.arange(n_trials) * n_idx)[:, None]
+    lowered = [((src + offsets).ravel(), (dst + offsets).ravel(),
+                np.tile(coef, n_trials)) for src, dst, coef in lowered]
+    s0, s1 = cuts[:, 0], cuts[:, -1]
+    count = s1 - s0
+
+    # each output's window [lo, hi) and the rows it reads; one that reads a
+    # single row is that row's J times its coefficient and needs no window
+    has_own = own != 0
+    lo = np.where(has_own | identity, s0, ts.size)
+    hi = np.where(has_own | identity, s1, -1)
+    reads = has_own + int(identity)
+    for src, dst, coef in lowered:
+        lo[dst] = np.minimum(lo[dst], s0[src])
+        hi[dst] = np.maximum(hi[dst], s1[src])
+        reads[dst] += 1
+    lo[reads == 0] = hi[reads == 0] = s0[reads == 0]
+    alone = (reads == 1) & (not identity)
+    wide = np.flatnonzero(reads > alone)
+
+    # J on every stretch (kept when a window reads it), and the quadrature
+    # of J^2 there
+    first = np.cumsum(count) - count  # each row's first stretch entry
+    stretch_j = np.empty(count.sum() if wide.size else 0)
+    stretch_sq = np.empty(n_rows)
+    total = np.empty(n_rows)
+    for r0, r1 in _blocks(count):
+        vals, total[r0:r1] = batch[r0:r1].stretch_integrals(
+            q[r0:r1], ts, cuts[r0:r1])
+        vals *= np.exp(np.repeat(-power[r0:r1], count[r0:r1])
+                       * _stretches(log_t, s0[r0:r1], s1[r0:r1]))
+        if wide.size:
+            stretch_j[first[r0]:first[r0] + vals.size] = vals
+        vals *= vals
+        vals *= _stretches(ws, s0[r0:r1], s1[r0:r1])
+        stretch_sq[r0:r1] = _run_sums(vals, count[r0:r1])
+
+    # a and b of a t^{-p} + b t^{-p-1} past hi
+    past = np.stack([own * total, np.zeros(n_rows)])
+    out_sq = np.where(alone, own * own * stretch_sq, 0.0)
+    for src, dst, coef in lowered:
+        past[1, dst] += coef * total[src]
+        single = alone[dst]
+        out_sq[dst[single]] = coef[single] ** 2 * stretch_sq[src[single]]
+    width = hi - lo
+    for b0, b1 in _blocks(width[wide]):
+        rows = wide[b0:b1]
+        span = width[rows]
+        shift = np.zeros(n_rows, dtype=int)  # window entry minus grid index
+        shift[rows] = np.cumsum(span) - span - lo[rows]
+        held = np.zeros(n_rows, dtype=bool)
+        held[rows] = True
+        vals = np.zeros(span.sum())
+        # each read row's stretch, then its power law up to the window's end
+        n = count[rows]
+        own_vals = np.repeat(own[rows], n) * stretch_j[_ranges(first[rows], n)]
+        if identity:
+            own_vals += _bump(_stretches(ts, s0[rows], s1[rows]),
+                              np.repeat(batch.alpha[rows], n),
+                              np.repeat(batch.beta[rows], n),
+                              np.repeat(batch.amplitude[rows], n))
+        vals[_ranges(s0[rows] + shift[rows], n)] = own_vals
+        links = [(rows, rows, own[rows])]
+        for src, dst, coef in lowered:
+            src, dst, coef = src[held[dst]], dst[held[dst]], coef[held[dst]]
+            links.append((src, dst, coef))
+            n = count[src]
+            vals[_ranges(s0[src] + shift[dst], n)] += (
+                np.repeat(coef, n) * stretch_j[_ranges(first[src], n)])
+        for src, dst, coef in links:
+            n = hi[dst] - s1[src]
+            at = _ranges(s1[src], n)
+            vals[at + np.repeat(shift[dst], n)] += np.repeat(
+                coef * total[src], n) * np.exp(np.repeat(-power[src], n) * log_t[at])
+        vals *= vals
+        vals *= _stretches(ws, lo[rows], hi[rows])
+        out_sq[rows] = _run_sums(vals, span)
+
+    # past hi: sum_{a, b} past_a past_b S(2p + a + b, hi), with S(k, i) the
+    # suffix sums of w_j t_j^{-k} on each trial's nodes: sums over the
+    # segments between the trials' starts and the his, then per trial
+    # summed from its end
+    edges = np.unique(np.concatenate([starts, hi]))
+    if edges.size > 1:
+        seg_trial = np.searchsorted(starts, edges[:-1], "right") - 1
+        first_seg = np.searchsorted(edges, starts[:-1])
+        col = np.arange(edges.size - 1) - first_seg[seg_trial]
+        trial = np.repeat(np.arange(n_trials), n_idx)
+        at_hi = np.searchsorted(edges, hi) - first_seg[trial]
+        order = np.rint(2.0 * power).astype(int)
+        k = np.arange(order.min(), order.max() + 3)
+        laid = np.zeros((k.size, n_trials, col.max() + 2))
+        w_tk = ws * np.exp(-k[0] * log_t)
+        for row in laid:
+            row[seg_trial, col] = np.add.reduceat(w_tk, edges[:-1])
+            w_tk /= ts
+        suffix = np.cumsum(laid[..., ::-1], axis=-1)[..., ::-1]
+        for gap, part in enumerate((past[0] * past[0], 2.0 * past[0] * past[1],
+                                    past[1] * past[1])):
+            out_sq += part * suffix[order + gap - k[0], trial, at_hi]
+    return (out_sq.reshape(n_trials, n_idx),
+            batch.sq_integrals().reshape(n_trials, n_idx))
 
 
 def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
@@ -547,13 +774,15 @@ def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
     Each trial draws an independent random bump coefficient profile
     (support start, width, amplitude) for every index with |n| <= max_degree.
     Quotients are evaluated in the coefficient domain, where the family acts
-    index by index: all profiles of a trial are one array batch, their
-    running integrals at the common grid come from the panel Legendre
-    interpolants, and the output norm is one quadrature on that grid, tail
-    included. The physical-space cross-check lives in :func:`lambda_numeric`.
-    Raises ``ValueError`` for trials < 1, max_degree < 0 or d < 1, which
-    would leave nothing to probe, for an "e_t_lambda" T that is not finite
-    and > 0, and for an axis i outside 0..d-1.
+    index by index (see :func:`_links`): trials are drawn and evaluated in
+    chunks of about PROBE_CHUNK profiles, running integrals come from the
+    panel Legendre interpolants on each profile's stretch of its trial's
+    common grid, and the output norm is one quadrature on that grid, tail
+    included (see :func:`_probe_chunk`). The physical-space cross-check
+    lives in :func:`lambda_numeric`. Raises ``ValueError`` for trials < 1,
+    max_degree < 0 or d < 1, which would leave nothing to probe, for an
+    "e_t_lambda" T that is not finite and > 0, and for an axis i outside
+    0..d-1.
     """
     if which == "e_t_lambda" and not (T is not None and 0.0 < T < math.inf):
         raise ValueError(f"e_t_lambda probe needs a finite T > 0, got T = {T}")
@@ -563,19 +792,16 @@ def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
     indices = np.array(multi_indices(d, max_degree), dtype=int)
     fact = np.array([index_factorial(n) for n in indices], dtype=float)
     horizon = T if which == "e_t_lambda" else None
+    links = _links(which, indices, i)
+    per_chunk = max(1, PROBE_CHUNK // len(indices))
     worst = 0.0
-    for _ in range(trials):
-        # per index: start a, width b - a, amplitude (same stream order as
-        # drawing the three scalars index by index)
-        draw = rng.uniform([0.05, 0.1, -1.0], [2.0, 1.5, 1.0], size=(len(indices), 3))
-        a = draw[:, 0]
-        amp = np.where(np.abs(draw[:, 2]) < 0.05, 0.05, draw[:, 2])
-        profiles = _BumpBatch(a, a + draw[:, 1], amp)
-        nodes, weights = _common_grid(profiles, max_degree, horizon)
-        vals = _apply_operator(which, indices, profiles, nodes, i=i)
-        quot = math.sqrt(float(fact @ (vals ** 2 @ weights))
-                         / float(fact @ profiles.sq_integrals()))
-        worst = max(worst, quot)
+    for done in range(0, trials, per_chunk):
+        # per trial and index: start a, width b - a, amplitude (the same
+        # stream as drawing the three scalars index by index, trial by trial)
+        draw = rng.uniform([0.05, 0.1, -1.0], [2.0, 1.5, 1.0],
+                           size=(min(per_chunk, trials - done), len(indices), 3))
+        out_sq, in_sq = _probe_chunk(links, draw, max_degree, horizon)
+        worst = max(worst, float(np.sqrt((out_sq @ fact) / (in_sq @ fact)).max()))
     return worst
 
 
@@ -679,12 +905,13 @@ def verification_report(seed=0, trials=200, max_degree=6, d=2, grid_n=5,
     worst = 0.0
     for dim in (1, 2):
         idx = multi_indices(dim, 6)
+        fact = np.array([index_factorial(n) for n in idx], dtype=float)
+        a_i, b_i = np.triu_indices(len(idx))
+        want = np.where(a_i == b_i, fact[a_i], 0.0)
+        idx = np.array(idx)
         for t in (0.5, 1.0, 3.0):
-            for a_i, n in enumerate(idx):
-                for m in idx[a_i:]:
-                    val = hermite_orthogonality(n, m, t)
-                    want = index_factorial(n) if n == m else 0.0
-                    worst = max(worst, abs(val - want))
+            val = _orthogonality_batch(idx[a_i], idx[b_i], t)
+            worst = max(worst, float(np.max(np.abs(val - want))))
     report["identities"].append(
         {"name": "orthogonality", "max_error": worst, "tolerance": 1e-8,
          "pass": worst < 1e-8})

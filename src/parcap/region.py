@@ -475,8 +475,15 @@ def sample_uniform(region, n, seed):
     Time slices are sampled in their spatial base (the union of the bases
     for a union of slices), which needs a single slice time. Deterministic
     per seed, or drawn from ``seed`` in place when it is a Generator; aborts
-    if the acceptance rate falls below 1e-4.
+    if the acceptance rate falls below 1e-4. ``n`` must be a whole number
+    >= 0 (``ValueError`` otherwise).
     """
+    try:
+        count = _integer(n)
+    except (TypeError, ValueError):
+        count = -1
+    if count < 0:
+        raise ValueError(f"n must be a whole number >= 0, got {n!r}")
     slices = region.slices()
     if slices is not None:
         if len(slices) != 1:
@@ -487,8 +494,8 @@ def sample_uniform(region, n, seed):
     dim = lo.size
     out = np.empty((0, dim))
     proposed = 0
-    while out.shape[0] < n:
-        chunk = max(4 * (n - out.shape[0]), 256)
+    while out.shape[0] < count:
+        chunk = max(4 * (count - out.shape[0]), 256)
         pts = rng.uniform(lo, hi, size=(chunk, dim))
         acc = pts[region.mask(pts)]
         out = np.concatenate([out, acc])
@@ -498,7 +505,7 @@ def sample_uniform(region, n, seed):
                 f"rejection acceptance rate below 1e-4 for {type(region).__name__}: "
                 f"{out.shape[0]}/{proposed} accepted"
             )
-    return out[:n]
+    return out[:count]
 
 
 # --- canonical JSON encoding -------------------------------------------------

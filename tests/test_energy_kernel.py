@@ -515,6 +515,9 @@ def test_discrete_measure_refuses_mismatched_lengths_and_non_finite_atoms(make, 
 @pytest.mark.parametrize("n_paths, dt, match", [
     (1, 1.0 / 128, "n_paths must be at least 2, got 1"),
     (0, 1.0 / 128, "n_paths must be at least 2"),
+    (-3, 1.0 / 128, "n_paths must be at least 2, got -3"),
+    (2.5, 1.0 / 128, "n_paths must be a whole number, got 2.5"),
+    (True, 1.0 / 128, "n_paths must be a whole number, got True"),
     (10, 0.0, "dt must be positive and finite, got 0.0"),
     (10, -0.1, "dt must be positive and finite"),
     (10, math.nan, "dt must be positive and finite, got nan"),

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from parcap.hermite_ops import (
     OPERATOR_BOUNDS,
+    PROBE_CHUNK,
     _BumpBatch,
+    _bump,
+    _common_grid,
+    _lowered_rows,
+    _terms,
     BoxProfile,
     BumpProfile,
     generating_function_error,
@@ -494,3 +500,74 @@ def test_hardy_check_refuses_an_exponent_that_is_not_finite_above_minus_one(k, p
 def test_orthogonality_refuses_a_time_that_is_not_finite(t):
     with pytest.raises(ValueError, match=f"need a finite t > 0, got {t}"):
         hermite_orthogonality((1,), (1,), t)
+
+
+def _dense_apply(which, indices, profiles, nodes, i=0):
+    """The probes' operator on dense (K, N) arrays over the whole grid: row m
+    is output coefficient m at the nodes, built from the running integrals
+    J_n(t) = t^{-|n|/2} int_0^t s^{|n|/2} gamma_n(s) ds."""
+    q = 0.5 * indices.sum(axis=1)
+    J = profiles.running_integrals(q, nodes)[0]
+    distinct, row = np.unique(q, return_inverse=True)  # one power per distinct q
+    J *= (nodes ** -distinct[:, None])[row]
+    if which == "e_t_lambda":
+        return J
+    identity, terms = _terms(which, indices, i)
+    vals = (_bump(nodes, profiles.alpha[:, None], profiles.beta[:, None],
+                  profiles.amplitude[:, None]) if identity else np.zeros_like(J))
+    J /= nodes
+    for j, coef in terms:
+        if j is None:
+            vals += coef[:, None] * J
+        else:
+            src, dst = _lowered_rows(indices, j)
+            vals[dst] += coef[src, None] * J[src]
+    return vals
+
+
+def _dense_quotients(which, trials, max_degree, d, T=None, i=0, seed=0):
+    """Per-trial Rayleigh quotients of operator_norm_probe's draws, each
+    trial on dense (K, N) arrays."""
+    rng = np.random.default_rng(seed)
+    indices = np.array(multi_indices(d, max_degree), dtype=int)
+    fact = np.array([index_factorial(n) for n in indices], dtype=float)
+    out = []
+    for _ in range(trials):
+        draw = rng.uniform([0.05, 0.1, -1.0], [2.0, 1.5, 1.0], size=(len(indices), 3))
+        amp = np.where(np.abs(draw[:, 2]) < 0.05, 0.05, draw[:, 2])
+        profiles = _BumpBatch(draw[:, 0], draw[:, 0] + draw[:, 1], amp)
+        nodes, weights = _common_grid(profiles, max_degree,
+                                      T if which == "e_t_lambda" else None)
+        vals = _dense_apply(which, indices, profiles, nodes, i=i)
+        out.append(math.sqrt(float(fact @ (vals ** 2 @ weights))
+                             / float(fact @ profiles.sq_integrals())))
+    return out
+
+
+# e_t_lambda's T: below every support (starts are >= 0.05), inside the
+# supports, and past them (ends are < 3.5); the axis i only where d > i
+_EQUIVALENCE_CASES = [
+    (which, T, i, d, max_degree)
+    for which, T, i in [("lambda0", None, 0), ("lambda1", None, 0)]
+    + [(which, None, i) for which in ("lambda2i", "lambda3i", "lambda4i")
+       for i in (0, 1)]
+    + [("e_t_lambda", T, 0) for T in (0.01, 1.0, 3.9)]
+    for d in (1, 2, 3) if i < d
+    for max_degree in (0, 1, 4, 9)]
+
+
+@pytest.mark.parametrize("which, T, i, d, max_degree", _EQUIVALENCE_CASES)
+def test_probe_on_stretches_matches_dense_operator(which, T, i, d, max_degree):
+    # one trial, and one more than a chunk of them
+    trials = max(1, PROBE_CHUNK // len(multi_indices(d, max_degree))) + 1
+    want = _dense_quotients(which, trials, max_degree, d, T=T, i=i, seed=13)
+    for n in (1, trials):
+        got = operator_norm_probe(which, n, max_degree, d, T=T, i=i, seed=13)
+        assert got == pytest.approx(max(want[:n]), rel=1e-12, abs=0.0)
+
+
+def test_probe_memory_scales_with_the_supports():
+    # 165 profiles: on their stretches the traced peak is about 14 MB, where
+    # a dense (profiles x grid) layout needs about 100 MB
+    _, peak = traced_peak(lambda: operator_norm_probe("lambda1", 1, 8, 3, seed=11))
+    assert peak < 20 * 2 ** 20

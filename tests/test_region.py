@@ -120,6 +120,12 @@ def test_sample_uniform_empty_and_deterministic():
     assert np.all(contains(Thorn("constant", 1.0, 0.1, 0.9, d=2), a))
 
 
+@pytest.mark.parametrize("n", [-3, 2.5, True])
+def test_sample_uniform_refuses_a_count_that_is_not_a_whole_number(n):
+    with pytest.raises(ValueError, match=f"n must be a whole number >= 0, got {n!r}"):
+        sample_uniform(SpatialBall((0.0, 0.0), 1.0), n, seed=1)
+
+
 def test_sample_uniform_rejection_guard():
     # two tiny balls spanning a huge bounding box: acceptance below 1e-4
     bad = RegionUnion((SpatialBall((0.0, 0.0, 0.0), 0.01),

@@ -37,7 +37,7 @@ import numpy as np
 
 from .energy_kernel import KERNEL_BLOCK, PARABOLIC, DiscreteMeasure, reduced_pair_sum
 from .quadrature import gauss_legendre
-from .region import RegionError, Thorn, _integer, discretize, region_to_dict
+from .region import RegionError, Thorn, _whole, discretize, region_to_dict
 
 __all__ = [
     "KernelMatrix",
@@ -375,10 +375,7 @@ def assemble_kernel_matrix(cloud, kind, diag_samples=256, seed=0):
     """
     if cloud.n < 1:
         raise ValueError("empty cell cloud")
-    try:
-        diag_samples = _integer(diag_samples)
-    except (TypeError, ValueError):
-        raise ValueError(f"diag_samples must be a whole number, got {diag_samples!r}") from None
+    diag_samples = _whole(diag_samples, "diag_samples", -math.inf)
     if diag_samples < 1:
         raise ValueError(f"diag_samples must be at least 1, got {diag_samples!r}")
     kind.check(cloud.times is not None, cloud.d, "cloud")

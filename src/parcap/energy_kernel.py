@@ -36,7 +36,7 @@ from .quadrature import (
     panel_rule,
     tensor_rule,
 )
-from .region import _integer
+from .region import _whole
 
 __all__ = [
     "KernelKind",
@@ -76,8 +76,12 @@ class KernelKind:
             raise ValueError(f"unknown kernel kind {self.tag!r}")
         if self.tag != "newtonian":
             object.__setattr__(self, "d", None)
-        elif self.d is None or not float(self.d).is_integer() or self.d < 2:
-            raise ValueError(f"newtonian kernel needs a whole number d >= 2, got {self.d!r}")
+            return
+        try:
+            _whole(self.d, "d", 2)  # d stays as given: newtonian(3.0).d is 3.0
+        except ValueError:
+            raise ValueError(f"newtonian kernel needs a whole number d >= 2, "
+                             f"got {self.d!r}") from None
 
     def __str__(self):  # the provenance label
         return self.tag if self.d is None else f"{self.tag}(d={self.d})"
@@ -538,10 +542,7 @@ def energy_mc_paths(measure, n_paths, dt, seed):
     """
     if not measure.is_spacetime:
         raise ValueError("path estimator needs a space-time measure")
-    try:
-        count = _integer(n_paths)
-    except (TypeError, ValueError):
-        raise ValueError(f"n_paths must be a whole number, got {n_paths!r}") from None
+    count = _whole(n_paths, "n_paths", -math.inf)
     if count < 2:  # the standard error needs two paths
         raise ValueError(f"n_paths must be at least 2, got {n_paths!r}")
     if not 0 < dt < math.inf:

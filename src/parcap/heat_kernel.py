@@ -20,7 +20,7 @@ __all__ = [
     "gaussian_product_reduce",
 ]
 
-LOG_FLOOR = -700.0
+LOG_FLOOR = -700.0  # log of the smallest value (about 1e-304) not read as 0
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .heat_kernel import LOG_FLOOR
 from .quadrature import (gauss_hermite_prob, gauss_legendre, panel_rule, panels,
                          tensor_rule)
+from .region import _integer, _whole
 
 __all__ = [
     "BumpProfile",
@@ -52,14 +54,13 @@ def _bump(t, alpha, beta, amplitude):
 
     u is the affine map of [alpha, beta] onto [-1, 1]; the arguments
     broadcast against each other. Where the exponential falls below
-    e^BUMP_LOG_FLOOR, about 1e-304, the value is 0.
+    e^LOG_FLOOR, about 1e-304, the value is 0.
     """
     u = (2.0 * t - (alpha + beta)) / (beta - alpha)
     gap = 1.0 - u * u  # > 0 exactly inside
-    # 1 - 1/gap >= BUMP_LOG_FLOOR for gap >= floor_gap; exp is about 100
-    # times slower where its result is subnormal, so values below
-    # e^BUMP_LOG_FLOOR read 0
-    floor_gap = 1.0 / (1.0 - BUMP_LOG_FLOOR)
+    # 1 - 1/gap >= LOG_FLOOR for gap >= floor_gap; exp is about 100 times
+    # slower where its result is subnormal, so values below e^LOG_FLOOR read 0
+    floor_gap = 1.0 / (1.0 - LOG_FLOOR)
     return np.where(gap >= floor_gap,
                     amplitude * np.exp(1.0 - 1.0 / np.maximum(gap, floor_gap)), 0.0)
 
@@ -100,7 +101,6 @@ def _interpolant_antiderivative(order):
 
 
 BUMP_PANELS, BUMP_ORDER = 24, 16  # GL panels per bump profile, nodes per panel
-BUMP_LOG_FLOOR = -700.0  # log of the smallest bump value (about 1e-304) not read as 0
 LAMBDA_S_ORDER = 64  # direct smoothing-operator quadrature in s: 8 panels of
                      # LAMBDA_S_ORDER // 4 = 16 GL nodes, 128 nodes in all
 GH_ORDER = 40        # Gauss-Hermite nodes of that quadrature and of orthogonality
@@ -310,9 +310,10 @@ def hermite_value_1d(k, u):
 def _multi_index(n):
     """n as a tuple of ints; ``ValueError`` for an entry that is not integral."""
     entries = (n,) if isinstance(n, int) else np.atleast_1d(n)  # an int skips numpy
-    if not all(float(k).is_integer() for k in entries):
-        raise ValueError(f"index entries must be integers, got {n!r}")
-    return tuple(int(k) for k in entries)
+    try:
+        return tuple(map(_integer, entries))
+    except (TypeError, ValueError):
+        raise ValueError(f"index entries must be integers, got {n!r}") from None
 
 
 def _check_axis(i, d):
@@ -364,9 +365,9 @@ def hermite_derivative_check(n, i, x):
 def hermite_orthogonality(n, m, t):
     """int p(t, x) He_n(x/sqrt t) He_m(x/sqrt t) dx by Gauss-Hermite nodes.
 
-    Nodes are placed for the variance-t Gaussian weight and mapped through
-    the same x/sqrt(t) scaling as the integrand; equals n! when n == m. A
-    batch of one of :func:`_orthogonality_batch`.
+    Nodes placed for the variance-t Gaussian weight map through x/sqrt(t)
+    onto the standard normal's, so the value does not depend on t; equals
+    n! when n == m. A batch of one of :func:`_orthogonality_batch`.
     """
     n = _multi_index(n)
     m = _multi_index(m)
@@ -376,21 +377,15 @@ def hermite_orthogonality(n, m, t):
         raise ValueError("index entries must be >= 0")
     if not 0 < t < math.inf:
         raise ValueError(f"need a finite t > 0, got {t}")
-    return float(_orthogonality_batch(np.array([n]), np.array([m]), t)[0])
+    return float(_orthogonality_batch(np.array([n]), np.array([m]))[0])
 
 
-def _orthogonality_batch(n, m, t):
+def _orthogonality_batch(n, m):
     """:func:`hermite_orthogonality` for every row of the (P, d) index arrays
-    n and m at one t: one He_0..He_top table at the Gauss-Hermite nodes, its
-    Gram matrix, and per pair the product of one Gram entry per axis."""
+    n and m: one He_0..He_top table at the Gauss-Hermite nodes, its Gram
+    matrix, and per pair the product of one Gram entry per axis."""
     u, w = gauss_hermite_prob(GH_ORDER)
-    root_t = math.sqrt(t)
-    y = root_t * u / root_t
-    he = np.ones((max(n.max(), m.max()) + 1, u.size))
-    if len(he) > 1:
-        he[1] = y
-    for k in range(2, len(he)):
-        he[k] = y * he[k - 1] - (k - 1) * he[k - 2]
+    he = np.array([hermite_value_1d(k, u) for k in range(max(n.max(), m.max()) + 1)])
     return np.prod(((he * w) @ he.T)[n, m], axis=-1)
 
 
@@ -549,16 +544,17 @@ OPERATOR_BOUNDS = {
 
 
 def _common_grid(profiles, max_degree, T=None):
-    """The probes' one rule for ||op f||^2: GL-12 panels on every profile's 9
-    edges, ending at a horizon T. Without T a last GL panel in u = t_max / t
-    covers (t_max, inf), where output m is a t^{-|m|/2-1} + b t^{-|m|/2-2}:
-    out_m^2 dt is a polynomial of degree <= |m| + 2 <= max_degree + 2 in u,
-    which max_degree // 2 + 2 nodes integrate exactly."""
+    """The probes' one rule for ||op f||^2, nodes in increasing order: GL-12
+    panels on every profile's 9 edges, ending at a horizon T. Without T a
+    last GL panel in u = t_max / t covers (t_max, inf), where output m is
+    a t^{-|m|/2-1} + b t^{-|m|/2-2}: out_m^2 dt is a polynomial of degree
+    <= |m| + 2 <= max_degree + 2 in u, which max_degree // 2 + 2 nodes
+    integrate exactly."""
     edges = np.unique(np.linspace(profiles.alpha, profiles.beta, 9, axis=-1))
     if T is not None:
         return panel_rule(np.append(edges[edges < T], T), order=12)
     nodes, weights = panel_rule(edges, order=12)
-    u, w = panel_rule([0.0, 1.0], max_degree // 2 + 2)
+    u, w = (x[::-1] for x in panel_rule([0.0, 1.0], max_degree // 2 + 2))
     return (np.concatenate([nodes, edges[-1] / u]),
             np.concatenate([weights, edges[-1] * w / u ** 2]))
 
@@ -653,10 +649,7 @@ def _probe_chunk(links, draw, max_degree, horizon):
         rows = slice(c * n_idx, (c + 1) * n_idx)
         part = batch[rows]
         t, w = _common_grid(part, max_degree, horizon)
-        # the tail panel's nodes come last, in falling order, and lie past
-        # every support edge: the search needs only the rising part
-        rising = t[:np.count_nonzero(t <= part.beta.max())]
-        cuts[rows] = part.stretch_cuts(rising) + starts[c]
+        cuts[rows] = part.stretch_cuts(t) + starts[c]
         starts[c + 1] = starts[c] + t.size
         nodes.append(t)
         weights.append(w)
@@ -779,13 +772,16 @@ def operator_norm_probe(which, trials, max_degree, d, T=None, i=0, seed=0):
     panel Legendre interpolants on each profile's stretch of its trial's
     common grid, and the output norm is one quadrature on that grid, tail
     included (see :func:`_probe_chunk`). The physical-space cross-check
-    lives in :func:`lambda_numeric`. Raises ``ValueError`` for trials < 1,
+    lives in :func:`lambda_numeric`. Raises ``ValueError`` for trials,
+    max_degree or d that is not a whole number, for trials < 1,
     max_degree < 0 or d < 1, which would leave nothing to probe, for an
     "e_t_lambda" T that is not finite and > 0, and for an axis i outside
     0..d-1.
     """
     if which == "e_t_lambda" and not (T is not None and 0.0 < T < math.inf):
         raise ValueError(f"e_t_lambda probe needs a finite T > 0, got T = {T}")
+    trials, max_degree, d = (_whole(val, name, -math.inf) for val, name in
+                             ((trials, "trials"), (max_degree, "max_degree"), (d, "d")))
     if trials < 1 or max_degree < 0 or d < 1:
         raise ValueError("need trials >= 1, max_degree >= 0 and d >= 1")
     rng = np.random.default_rng(seed)
@@ -878,8 +874,10 @@ def verification_report(seed=0, trials=200, max_degree=6, d=2, grid_n=5,
     """Run the full identity/bound suite and report per-item maxima.
 
     ``bound_overrides`` is a test hook mapping operator name -> bound,
-    letting a negative control force a failure.
+    letting a negative control force a failure. trials and grid_n must be
+    whole numbers >= 1 (``ValueError`` otherwise).
     """
+    trials, grid_n = _whole(trials, "trials", -math.inf), _whole(grid_n, "grid_n", -math.inf)
     if trials < 1 or grid_n < 1:
         raise ValueError("need trials >= 1 and grid_n >= 1")
     rng = np.random.default_rng(seed)
@@ -909,9 +907,8 @@ def verification_report(seed=0, trials=200, max_degree=6, d=2, grid_n=5,
         a_i, b_i = np.triu_indices(len(idx))
         want = np.where(a_i == b_i, fact[a_i], 0.0)
         idx = np.array(idx)
-        for t in (0.5, 1.0, 3.0):
-            val = _orthogonality_batch(idx[a_i], idx[b_i], t)
-            worst = max(worst, float(np.max(np.abs(val - want))))
+        val = _orthogonality_batch(idx[a_i], idx[b_i])
+        worst = max(worst, float(np.max(np.abs(val - want))))
     report["identities"].append(
         {"name": "orthogonality", "max_error": worst, "tolerance": 1e-8,
          "pass": worst < 1e-8})

@@ -478,12 +478,7 @@ def sample_uniform(region, n, seed):
     if the acceptance rate falls below 1e-4. ``n`` must be a whole number
     >= 0 (``ValueError`` otherwise).
     """
-    try:
-        count = _integer(n)
-    except (TypeError, ValueError):
-        count = -1
-    if count < 0:
-        raise ValueError(f"n must be a whole number >= 0, got {n!r}")
+    count = _whole(n, "n")
     slices = region.slices()
     if slices is not None:
         if len(slices) != 1:
@@ -534,19 +529,32 @@ def _field(cfg, name, kind=None, default=_REQUIRED):
 
 
 def _integer(val):
-    """int(val), refusing a bool, a string and a float that is not a whole
-    number (1e4 passes; nan and inf do not)."""
-    if isinstance(val, (bool, str)) or (isinstance(val, float) and not val.is_integer()):
+    """int(val), refusing a bool, a string and any value but an int whose
+    float is not a whole number (1e4 passes; 2.5 in any type, nan and inf do
+    not); a value with no float, such as None, is a TypeError."""
+    if isinstance(val, (bool, str)) or (not isinstance(val, (int, np.integer))
+                                        and not float(val).is_integer()):
         raise ValueError(val)
     return int(val)
 
 
+def _whole(val, name, least=0):
+    """_integer(val) if that is >= least, else a ValueError that names ``name``
+    and val: the one reader of a count such as runs or n. least = -inf
+    tests only that val is a whole number."""
+    try:
+        count = _integer(val)
+    except (TypeError, ValueError):
+        count = None
+    if count is None or count < least:
+        bound = "" if least == -math.inf else f" >= {least}"
+        raise ValueError(f"{name} must be a whole number{bound}, got {val!r}")
+    return count
+
+
 def _count(val):
     """_integer(val), refusing a value below 1."""
-    val = _integer(val)
-    if val < 1:
-        raise ValueError(val)
-    return val
+    return _whole(val, "count", 1)
 
 
 def _real(val):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heat_kernel import _sq_norms
-from .region import RegionError, RegionUnion, SliceOf, _count, _integer
+from .region import RegionError, RegionUnion, SliceOf, _whole
 
 __all__ = [
     "BranchingConfig",
@@ -86,11 +86,7 @@ class BranchingConfig:
 
     def __post_init__(self):
         for name in ("n_particles", "d", "max_particle_steps"):
-            val = getattr(self, name)
-            try:
-                object.__setattr__(self, name, _count(val))
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a whole number >= 1, got {val!r}") from None
+            object.__setattr__(self, name, _whole(getattr(self, name), name, 1))
         if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
             raise ValueError("dt and horizon must be positive and finite")
         if self.branch_rate is None:
@@ -151,17 +147,6 @@ class HitEstimate:
                 else self.implied_excursion_mass,
             "exploded": self.exploded,
         }
-
-
-def _run_count(runs):
-    """runs as an int; ValueError naming a value that is not a whole number >= 0."""
-    try:
-        count = _integer(runs)
-    except (TypeError, ValueError):
-        count = -1
-    if count < 0:
-        raise ValueError(f"runs must be a whole number >= 0, got {runs!r}")
-    return count
 
 
 def run_rng(seed, stream):
@@ -426,7 +411,7 @@ def estimate_survival(config, times, runs, seed):
     times are read off a single population path per run. A time that is
     not finite, or is negative or past the horizon, is a ValueError.
     """
-    runs = _run_count(runs)
+    runs = _whole(runs, "runs")
     times = sorted(float(t) for t in times)
     for t in times:
         if not math.isfinite(t):
@@ -462,7 +447,7 @@ def estimate_graph_hits(config, regions, runs, seed):
     reduced-tree engine on the regions' spatial bases, anything else the
     forward engine; shared trajectories keep nested regions' flags monotone.
     """
-    runs = _run_count(runs)
+    runs = _whole(runs, "runs")
     _check_graph_regions(config, regions)
     if not regions:
         return []
@@ -494,7 +479,7 @@ def graph_hit_run_records(config, region, runs, seed):
     it carries full traces; the stream and the region check are the ones
     ``estimate_graph_hits`` uses for non-slice regions.
     """
-    runs = _run_count(runs)
+    runs = _whole(runs, "runs")
     _check_graph_regions(config, [region])
     return [{
         "run": first + i,
@@ -588,7 +573,7 @@ def estimate_range_hit(d, start_law, region, dt, runs, seed, kill_radius=50.0):
         raise ValueError("range hitting needs d >= 2")
     if region.spacetime or region.d != d:
         raise RegionError(f"range hitting needs a spatial region of dimension {d}")
-    runs = _run_count(runs)
+    runs = _whole(runs, "runs")
     if d > 2 and not math.isfinite(kill_radius):
         raise ValueError(f"kill_radius {kill_radius!r} must be finite")
     rng = run_rng(seed, 0)

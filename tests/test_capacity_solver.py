@@ -988,3 +988,18 @@ def test_single_level_slice_matrix_is_pinned(region, pitch, n, digest):
 def test_growth_profile_refuses_a_region_that_is_not_a_thorn(region):
     with pytest.raises(ValueError, match="growth profile expects a thorn region"):
         capacity_growth_profile(region, [0.1])
+
+
+@pytest.mark.parametrize("center, radius, h", [
+    ((0.0,), 0.5, 0.07), ((0.0, 0.0), 0.5, 0.07), ((0.3, 0.0), 0.3, 0.05),
+    ((0.0, 0.0, 0.0), 0.5, 0.12),
+], ids=["d1", "d2", "d2_off", "d3"])
+@pytest.mark.parametrize("lam", [1.0 / math.sqrt(2.0), 0.5])
+def test_slice_capacity_is_covariant_under_parabolic_scaling(center, radius, h, lam):
+    # S(t, x) = (lam^2 t, lam x) maps the slice, its lattice at pitch lam h,
+    # the diagonal draws and the kernel nodes onto the image's, and the
+    # parabolic kernel scales by lam^-2: lam^2 cap(S A) = cap(A)
+    base = capacity(SliceOf(1.0, SpatialBall(center, radius)), PARABOLIC, h, seed=1)
+    image = capacity(SliceOf(lam ** 2, SpatialBall([lam * c for c in center], lam * radius)),
+                     PARABOLIC, lam * h, seed=1)
+    assert lam ** 2 * image.capacity == pytest.approx(base.capacity, rel=1e-12, abs=0.0)

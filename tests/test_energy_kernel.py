@@ -139,6 +139,11 @@ def test_newtonian_keeps_an_integral_float_dimension():
     assert kind.d == 3.0 and isinstance(kind.d, float)
 
 
+def test_newtonian_refuses_a_string_dimension():
+    with pytest.raises(ValueError, match="newtonian kernel needs a whole number d >= 2, got '3'"):
+        KernelKind("newtonian", "3")
+
+
 def test_newtonian_values():
     assert newtonian_kernel([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], 3) == pytest.approx(2.0)
     assert newtonian_kernel([0.0, 0.0], [1.0, 0.0], 2) == 0.0

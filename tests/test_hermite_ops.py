@@ -286,6 +286,19 @@ def test_probe_and_report_reject_empty_runs():
         verification_report(trials=1, grid_n=0)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("name, call", [
+    ("trials", lambda v: operator_norm_probe("lambda0", v, 2, 1)),
+    ("max_degree", lambda v: operator_norm_probe("lambda0", 1, v, 1)),
+    ("d", lambda v: operator_norm_probe("lambda0", 1, 2, v)),
+    ("trials", lambda v: verification_report(trials=v, grid_n=1)),
+    ("grid_n", lambda v: verification_report(trials=1, grid_n=v)),
+], ids=["probe_trials", "probe_max_degree", "probe_d", "report_trials", "report_grid_n"])
+def test_probe_and_report_refuse_counts_that_are_not_whole_numbers(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value!r}$"):
+        call(value)
+
+
 def test_hardy_box_case():
     lhs, rhs = hardy_check(0.0, BoxProfile([0.0, 1.0], [1.0]))
     assert lhs == pytest.approx(2.0, abs=1e-8)

@@ -744,3 +744,17 @@ def test_survival_refuses_non_finite_times(t):
 def test_range_hit_refuses_starts_of_the_wrong_shape(start, match):
     with pytest.raises(ValueError, match=match):
         estimate_range_hit(3, start, SpatialBall((0.0, 0.0, 0.0), 1.0), 1e-3, 10, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [1.0 / math.sqrt(2.0), 0.5, 0.25])
+def test_reduced_tree_hits_are_covariant_under_parabolic_scaling(d, lam):
+    # the tree at (N, rate 4N) on {lam^2} x lam B draws the same uniforms and
+    # normals as at (N, rate 4N lam^2) on {1} x B, with the times scaled by
+    # lam^2 and the displacements by lam, up to rounding: the same runs hit
+    n, runs, ball = 500, 4000, SpatialBall((0.0,) * d, 0.2)
+    image = SliceOf(lam ** 2, SpatialBall((0.0,) * d, lam * 0.2))
+    scaled = estimate_graph_hit(BranchingConfig(n, 0.01, 1.0, d), image, runs, 7)
+    slowed = estimate_graph_hit(BranchingConfig(n, 0.01, 1.0, d, branch_rate=4 * n * lam ** 2),
+                                SliceOf(1.0, ball), runs, 7)
+    assert scaled.hits == slowed.hits

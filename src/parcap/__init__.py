@@ -3,6 +3,7 @@ experiments."""
 
 __version__ = "0.1.0"
 
+from . import runtime  # noqa: F401  (sets the allocator thresholds first)
 from .heat_kernel import (  # noqa: F401
     SpaceTimePoint,
     bridge_weight,

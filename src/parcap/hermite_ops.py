@@ -297,14 +297,23 @@ def hermite_value_1d(k, u):
     (k,) = _multi_index(k)
     if k < 0:
         raise ValueError("index entries must be >= 0")
-    u = np.asarray(u, dtype=float)
-    prev = np.ones(u.shape)
-    if k == 0:
-        return prev
-    cur = u.copy()
-    for j in range(2, k + 1):
-        prev, cur = cur, u * cur - (j - 1) * prev
+    for cur in _hermite_rows(k, np.asarray(u, dtype=float)):
+        pass
     return cur
+
+
+def _hermite_rows(top, u):
+    """He_0(u), He_1(u), ..., He_top(u), one array at a time, by the
+    three-term recurrence."""
+    prev = np.ones(u.shape)
+    yield prev
+    if top == 0:
+        return
+    cur = u.copy()
+    yield cur
+    for j in range(2, top + 1):
+        prev, cur = cur, u * cur - (j - 1) * prev
+        yield cur
 
 
 def _multi_index(n):
@@ -317,8 +326,11 @@ def _multi_index(n):
 
 
 def _check_axis(i, d):
+    """i as an int; ``ValueError`` unless it is a whole number 0 <= i < d."""
+    i = _whole(i, "i", -math.inf)
     if not 0 <= i < d:
         raise ValueError(f"need an axis 0 <= i < d = {d}, got i = {i}")
+    return i
 
 
 def hermite_value(n, x):
@@ -348,7 +360,7 @@ def multi_indices(d, max_total):
 def hermite_derivative_check(n, i, x):
     """(analytic, numeric) values of d/dx_i He_n at x; needs 0 <= i < d, n_i >= 1."""
     n = _multi_index(n)
-    _check_axis(i, len(n))
+    i = _check_axis(i, len(n))
     if n[i] < 1:
         raise ValueError("derivative index must have n_i >= 1")
     x = np.asarray(np.atleast_1d(x), dtype=float)
@@ -385,7 +397,7 @@ def _orthogonality_batch(n, m):
     n and m: one He_0..He_top table at the Gauss-Hermite nodes, its Gram
     matrix, and per pair the product of one Gram entry per axis."""
     u, w = gauss_hermite_prob(GH_ORDER)
-    he = np.array([hermite_value_1d(k, u) for k in range(max(n.max(), m.max()) + 1)])
+    he = np.array(list(_hermite_rows(max(n.max(), m.max()), u)))
     return np.prod(((he * w) @ he.T)[n, m], axis=-1)
 
 
@@ -451,12 +463,24 @@ def lambda_numeric_on_hermite(n, profile, ts, xs):
     point of the (X, d) array ``xs``, with the same s and y rules. The
     Gaussian average has covariance sig * I and He_n is a product over
     coordinates, so the d-dimensional Gauss-Hermite sum is the product of
-    one 1-D sum per axis; no d-dimensional node mesh is built.
+    one 1-D sum per axis; no d-dimensional node mesh is built. A batch of
+    one of :func:`_lambda_on_hermite_batch`.
     """
-    n = _multi_index(n)
+    return _lambda_on_hermite_batch([n], profile, ts, xs)[0]
+
+
+def _lambda_on_hermite_batch(ns, profile, ts, xs):
+    """:func:`lambda_numeric_on_hermite` for every multi-index of ``ns``,
+    all of one dimension d, shape (P, len(ts), len(xs)): per t and axis one
+    He_0..He_top table at the (x, s, y) nodes and its Gauss-Hermite sums,
+    and per index the product over axes of one of those sums."""
+    ns = np.array([_multi_index(n) for n in ns], dtype=int)
+    if ns.min(initial=0) < 0:
+        raise ValueError("index entries must be >= 0")
     ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float).reshape(-1, len(n))
-    out = np.zeros((ts.size, xs.shape[0]))
+    xs = np.asarray(xs, dtype=float).reshape(-1, ns.shape[1])
+    top = int(ns.max(initial=0))
+    out = np.zeros((len(ns), ts.size, xs.shape[0]))
     for r, t in enumerate(ts):
         rule = _lambda_rule(profile.support, t, GH_ORDER)
         if rule is None:
@@ -464,11 +488,14 @@ def lambda_numeric_on_hermite(n, profile, ts, xs):
         s, ws, u, w = rule
         spread = np.sqrt(s * (t - s) / t)[:, None] * u  # axes (s, y)
         root_s = np.sqrt(s)[:, None]
-        avg = np.ones((xs.shape[0], s.size))
-        for i, k in enumerate(n):
+        avg = np.ones((len(ns), xs.shape[0], s.size))
+        for i in range(ns.shape[1]):
             y = (s / t)[:, None] * xs[:, i, None, None] + spread  # axes (x, s, y)
-            avg *= hermite_value_1d(k, y / root_s) @ w
-        out[r] = avg @ (ws * s ** (-0.5 * sum(n)) * profile(s))
+            sums = np.array([he @ w for he in _hermite_rows(top, y / root_s)])
+            avg *= sums[ns[:, i]]
+        g = profile(s)
+        for p, tot in enumerate(ns.sum(axis=1).tolist()):
+            out[p, r] = avg[p] @ (ws * s ** (-0.5 * tot) * g)
     return out
 
 
@@ -478,7 +505,7 @@ def _terms(which, indices, i):
     plus the profile itself if ``identity``, where J_n(t) = t^{-|n|/2}
     int_0^t s^{|n|/2} gamma_n(s) ds (see :func:`_links`). Raises
     ``ValueError`` for an axis i outside 0..d-1."""
-    _check_axis(i, indices.shape[1])
+    i = _check_axis(i, indices.shape[1])
     ni = indices[:, i]
     if which == "lambda0":
         return False, [(None, np.ones(len(indices)))]
@@ -890,9 +917,9 @@ def verification_report(seed=0, trials=200, max_degree=6, d=2, grid_n=5,
     big_g = prof.weighted_integral(0.0, ts)[:, None]
     for dim in (1, 2):
         xs = np.repeat(np.linspace(-1.5, 1.5, grid_n)[:, None], dim, axis=1)
+        idx = multi_indices(dim, 4)
         worst = 0.0
-        for n in multi_indices(dim, 4):
-            a = lambda_numeric_on_hermite(n, prof, ts, xs)
+        for n, a in zip(idx, _lambda_on_hermite_batch(idx, prof, ts, xs)):
             b = hermite_value(n, xs / root_t) * ts[:, None] ** (-0.5 * sum(n)) * big_g
             worst = max(worst, float(np.max(np.abs(a - b))))
         report["identities"].append(

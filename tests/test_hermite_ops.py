@@ -10,6 +10,7 @@ from parcap.hermite_ops import (
     _BumpBatch,
     _bump,
     _common_grid,
+    _lambda_on_hermite_batch,
     _lowered_rows,
     _terms,
     BoxProfile,
@@ -584,3 +585,45 @@ def test_probe_memory_scales_with_the_supports():
     # a dense (profiles x grid) layout needs about 100 MB
     _, peak = traced_peak(lambda: operator_norm_probe("lambda1", 1, 8, 3, seed=11))
     assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("max_degree", [4, 6])
+def test_lambda_batch_equals_one_index_at_a_time(d, max_degree):
+    # every index, those with a zero entry included; 0.15 sits below the
+    # support, where the rows are exactly 0
+    prof = BumpProfile(0.2, 1.2, amplitude=0.9)
+    ts = np.array([0.15, 0.4, 1.1, 2.0])
+    xs = np.array([[-1.3, 0.4, 0.9], [0.0, -0.7, 0.2], [0.8, 1.5, -1.1]])[:, :d]
+    idx = multi_indices(d, max_degree)
+    got = _lambda_on_hermite_batch(idx, prof, ts, xs)
+    assert got.shape == (len(idx), ts.size, xs.shape[0])
+    for n, batch_row in zip(idx, got):
+        assert np.array_equal(batch_row, lambda_numeric_on_hermite(n, prof, ts, xs))
+
+
+@pytest.mark.parametrize("idx, message", [
+    ([(1, 0), (-1, 2)], "index entries must be >= 0"),
+    ([(1, 0), (2.5, 0)], "index entries must be integers, got (2.5, 0)"),
+])
+def test_lambda_batch_keeps_the_index_refusals(idx, message):
+    with pytest.raises(ValueError) as err:
+        _lambda_on_hermite_batch(idx, BumpProfile(0.2, 1.2), [0.7], [[0.3, 0.1]])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda i: operator_norm_probe("lambda2i", 1, 2, 2, i=i),
+    lambda i: lambda_family_on_hermite("lambda2i", (2, 0), BumpProfile(0.2, 1.2),
+                                       0.7, [0.1, 0.2], i=i),
+    lambda i: hermite_derivative_check((2, 1), i, [0.3, 0.4]),
+])
+@pytest.mark.parametrize("i, message", [
+    (0.5, "i must be a whole number, got 0.5"),
+    (True, "i must be a whole number, got True"),
+    ("0", "i must be a whole number, got '0'"),
+])
+def test_axis_that_is_not_a_whole_number_is_refused(call, i, message):
+    with pytest.raises(ValueError) as err:
+        call(i)
+    assert str(err.value) == message
